@@ -1,60 +1,34 @@
-"""Hot loops behind the model-level API, in two interchangeable backends.
+"""Hot loops behind the model-level API, vectorised with numpy.
 
 Everything here is a bit-exact accelerator for searches and bulk
 measurements: multiplier scans, all-pairs Hamming minima, and a batched
 level-1 encoder for word sizes up to 64.  None of it touches the
 operation ledger; model costs are always charged by the calling layer
-from closed-form counts, so backend choice never changes a ledger.
-
-Backend selection, once at import:
-
-    WORDCODE_KERNELS=numba   compiled kernels (default when numba works)
-    WORDCODE_KERNELS=numpy   pure-numpy vectorized fallback
-
-Worker counts for the few parallelizable scans come from
-WORDCODE_THREADS (default 1); results are defined to be identical for
-any worker count.
+from closed-form counts, so how a kernel orders or cuts short its work
+never changes a ledger.  `np.bitwise_count` needs NumPy 2.0 or later.
 """
 
 from __future__ import annotations
 
-import os
-from types import SimpleNamespace
-
 import numpy as np
 
-_POP_M1 = np.uint64(0x5555555555555555)
-_POP_M2 = np.uint64(0x3333333333333333)
-_POP_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_POP_H01 = np.uint64(0x0101010101010101)
-_U1 = np.uint64(1)
-_U2 = np.uint64(2)
-_U4 = np.uint64(4)
-_U56 = np.uint64(56)
+# Size of one prefilter block in `scan_multiplier`, counted in
+# multiplier-by-value products: 1M uint64 entries, about 8 MB.
+_SCAN_BLOCK_ENTRIES = 1 << 20
 
 
-def worker_count() -> int:
-    raw = os.environ.get("WORDCODE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+def backend_name() -> str:
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy backend
-
-
-def _np_pair_codes(m: int, b_bits: int):
+def _pair_codes(m: int, b_bits: int):
     out_bits = 4 * (b_bits + 1)
     mask = np.uint64((1 << out_bits) - 1)
     vals = np.arange(1 << (b_bits + 1), dtype=np.uint64)
     return (vals * np.uint64(m)) & mask
 
 
-def _np_pair_min_distance(m: int, b_bits: int, stop_below: int = 0) -> int:
-    codes = _np_pair_codes(m, b_bits)
+def _codes_min_distance(codes, stop_below: int) -> int:
     n = codes.shape[0]
     best = 1 << 30
     for i in range(n - 1):
@@ -66,18 +40,36 @@ def _np_pair_min_distance(m: int, b_bits: int, stop_below: int = 0) -> int:
     return best
 
 
-def _np_scan_multiplier(b_bits: int, m_lo: int, m_hi: int, threshold: int) -> int:
-    vals = np.arange(1 << (b_bits + 1), dtype=np.uint64)
-    ai, bi = np.triu_indices(vals.shape[0], k=1)
+def pair_min_distance(m: int, b_bits: int) -> int:
+    return _codes_min_distance(_pair_codes(m, b_bits), 0)
+
+
+def scan_multiplier(b_bits: int, m_lo: int, m_hi: int, threshold: int) -> int:
+    """Smallest m in [m_lo, m_hi) whose images are pairwise >= threshold apart.
+
+    Returns -1 when no m qualifies.  The pair (0, v) is at distance
+    weight(v*m), so a block of candidates is first cut down, in one
+    vectorised step, to those whose nonzero images all weigh at least
+    `threshold`; only the survivors, in ascending order, get the full
+    pair check.
+    """
+    values = 1 << (b_bits + 1)
     out_mask = np.uint64((1 << (4 * (b_bits + 1))) - 1)
-    for m in range(m_lo, m_hi):
-        codes = (vals * np.uint64(m)) & out_mask
-        if int(np.bitwise_count(codes[ai] ^ codes[bi]).min()) >= threshold:
-            return m
+    nonzero = np.arange(1, values, dtype=np.uint64)
+    block = max(1, _SCAN_BLOCK_ENTRIES // values)
+    for lo in range(m_lo, m_hi, block):
+        ms = np.arange(lo, min(lo + block, m_hi), dtype=np.uint64)
+        weights = np.bitwise_count((ms[:, None] * nonzero) & out_mask)
+        for m in ms[weights.min(axis=1) >= threshold]:
+            # Not `pair_min_distance`: a profile of that name should
+            # time only the independent verification of the result.
+            if _codes_min_distance(_pair_codes(int(m), b_bits),
+                                   threshold) >= threshold:
+                return int(m)
     return -1
 
 
-def _np_min_pairwise_hamming(limbs: np.ndarray, stop_below: int = 0) -> int:
+def min_pairwise_hamming(limbs: np.ndarray, stop_below: int = 0) -> int:
     n = limbs.shape[0]
     best = 1 << 62
     for i in range(n - 1):
@@ -89,7 +81,7 @@ def _np_min_pairwise_hamming(limbs: np.ndarray, stop_below: int = 0) -> int:
     return best
 
 
-def _np_paired_min_hamming(a: np.ndarray, b: np.ndarray) -> int:
+def paired_min_hamming(a: np.ndarray, b: np.ndarray) -> int:
     if a.shape[0] == 0:
         return 1 << 62
     best = 1 << 62
@@ -100,8 +92,8 @@ def _np_paired_min_hamming(a: np.ndarray, b: np.ndarray) -> int:
     return best
 
 
-def _np_batch_encode_small(keys, w, b_bits, n_blocks, bpw, out_slots, s_bits,
-                           prime, mult, g_coeffs, out_limbs):
+def batch_encode_small(keys, w, b_bits, n_blocks, bpw, out_slots, s_bits,
+                       prime, mult, g_coeffs, out_limbs):
     """Level-1 encode of many w-bit keys at once, w ≤ 64."""
     keys = np.asarray(keys, dtype=np.uint64)
     n = keys.shape[0]
@@ -135,209 +127,3 @@ def _np_batch_encode_small(keys, w, b_bits, n_blocks, bpw, out_slots, s_bits,
             if lo + s_bits > 64:
                 out[:, idx + 1] |= sym[:, k] >> np.uint64(64 - lo)
     return out
-
-
-_NUMPY_BACKEND = SimpleNamespace(
-    name="numpy",
-    pair_min_distance=_np_pair_min_distance,
-    scan_multiplier=_np_scan_multiplier,
-    min_pairwise_hamming=_np_min_pairwise_hamming,
-    paired_min_hamming=_np_paired_min_hamming,
-    batch_encode_small=_np_batch_encode_small,
-)
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-
-_NUMBA_BACKEND = None
-_NUMBA_ERROR = None
-
-try:
-    from numba import njit
-
-    @njit(cache=True, nogil=True)
-    def _popcnt(x):
-        x = x - ((x >> _U1) & _POP_M1)
-        x = (x & _POP_M2) + ((x >> _U2) & _POP_M2)
-        x = (x + (x >> _U4)) & _POP_M4
-        return (x * _POP_H01) >> _U56
-
-    @njit(cache=True, nogil=True)
-    def _nb_pair_min_distance(m, b_bits, stop_below):
-        count = 1 << (b_bits + 1)
-        out_mask = np.uint64((1 << (4 * (b_bits + 1))) - 1)
-        codes = np.empty(count, dtype=np.uint64)
-        for a in range(count):
-            codes[a] = (np.uint64(a) * np.uint64(m)) & out_mask
-        best = np.int64(1 << 30)
-        for i in range(count - 1):
-            ci = codes[i]
-            for j in range(i + 1, count):
-                d = np.int64(_popcnt(ci ^ codes[j]))
-                if d < best:
-                    best = d
-                    if best < stop_below:
-                        return best
-        return best
-
-    @njit(cache=True, nogil=True)
-    def _nb_scan_multiplier(b_bits, m_lo, m_hi, threshold):
-        count = 1 << (b_bits + 1)
-        out_mask = np.uint64((1 << (4 * (b_bits + 1))) - 1)
-        codes = np.empty(count, dtype=np.uint64)
-        for m in range(m_lo, m_hi):
-            um = np.uint64(m)
-            for a in range(count):
-                codes[a] = (np.uint64(a) * um) & out_mask
-            ok = True
-            for i in range(count - 1):
-                ci = codes[i]
-                for j in range(i + 1, count):
-                    if np.int64(_popcnt(ci ^ codes[j])) < threshold:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                return m
-        return -1
-
-    @njit(cache=True, nogil=True)
-    def _nb_min_pairwise_hamming(limbs, stop_below):
-        n, width = limbs.shape
-        best = np.int64(1 << 62)
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                d = np.int64(0)
-                for t in range(width):
-                    d += np.int64(_popcnt(limbs[i, t] ^ limbs[j, t]))
-                if d < best:
-                    best = d
-                    if best < stop_below:
-                        return best
-        return best
-
-    @njit(cache=True, nogil=True)
-    def _nb_paired_min_hamming(a, b):
-        n, width = a.shape
-        best = np.int64(1 << 62)
-        for i in range(n):
-            d = np.int64(0)
-            for t in range(width):
-                d += np.int64(_popcnt(a[i, t] ^ b[i, t]))
-            if d < best:
-                best = d
-        return best
-
-    @njit(cache=True, nogil=True)
-    def _nb_batch_encode_small(keys, w, b_bits, n_blocks, bpw, out_slots,
-                               s_bits, prime, mult, g_coeffs, out_limbs):
-        n = keys.shape[0]
-        pad = n_blocks * b_bits - w
-        block_mask = np.uint64((1 << b_bits) - 1)
-        word_bits = out_slots * s_bits
-        full = np.uint64(0xFFFFFFFFFFFFFFFF)
-        out = np.zeros((n, out_limbs), dtype=np.uint64)
-        conv = np.empty(out_slots, dtype=np.int64)
-        for row in range(n):
-            x = keys[row]
-            for i in range(5):
-                for k in range(out_slots):
-                    conv[k] = 0
-                for t in range(bpw):
-                    j = i + 5 * t
-                    if j >= n_blocks:
-                        break
-                    shift = (n_blocks - 1 - j) * b_bits - pad
-                    if shift >= 0:
-                        val = np.int64((x >> np.uint64(shift)) & block_mask)
-                    else:
-                        keep = np.uint64((1 << (b_bits + shift)) - 1)
-                        val = np.int64((x & keep) << np.uint64(-shift))
-                    for k in range(g_coeffs.shape[0]):
-                        conv[t + k] += val * g_coeffs[k]
-                for k in range(out_slots):
-                    sym = np.uint64(conv[k] % prime) * np.uint64(mult)
-                    off = i * word_bits + k * s_bits
-                    idx = off >> 6
-                    lo = off & 63
-                    out[row, idx] |= (sym << np.uint64(lo)) & full
-                    if lo + s_bits > 64:
-                        out[row, idx + 1] |= sym >> np.uint64(64 - lo)
-        return out
-
-    def _nb_pair_min_distance_wrap(m, b_bits, stop_below=0):
-        return int(_nb_pair_min_distance(m, b_bits, stop_below))
-
-    def _nb_scan_multiplier_wrap(b_bits, m_lo, m_hi, threshold):
-        return int(_nb_scan_multiplier(b_bits, m_lo, m_hi, threshold))
-
-    def _nb_min_pairwise_hamming_wrap(limbs, stop_below=0):
-        return int(_nb_min_pairwise_hamming(
-            np.ascontiguousarray(limbs, dtype=np.uint64), stop_below))
-
-    def _nb_paired_min_hamming_wrap(a, b):
-        if a.shape[0] == 0:
-            return 1 << 62
-        return int(_nb_paired_min_hamming(
-            np.ascontiguousarray(a, dtype=np.uint64),
-            np.ascontiguousarray(b, dtype=np.uint64)))
-
-    def _nb_batch_encode_small_wrap(keys, w, b_bits, n_blocks, bpw, out_slots,
-                                    s_bits, prime, mult, g_coeffs, out_limbs):
-        return _nb_batch_encode_small(
-            np.ascontiguousarray(keys, dtype=np.uint64), w, b_bits, n_blocks,
-            bpw, out_slots, s_bits, prime, mult,
-            np.ascontiguousarray(g_coeffs, dtype=np.int64), out_limbs)
-
-    _NUMBA_BACKEND = SimpleNamespace(
-        name="numba",
-        pair_min_distance=_nb_pair_min_distance_wrap,
-        scan_multiplier=_nb_scan_multiplier_wrap,
-        min_pairwise_hamming=_nb_min_pairwise_hamming_wrap,
-        paired_min_hamming=_nb_paired_min_hamming_wrap,
-        batch_encode_small=_nb_batch_encode_small_wrap,
-    )
-except ImportError as exc:          # pragma: no cover - depends on host env
-    _NUMBA_ERROR = exc
-
-
-def available_backends() -> tuple:
-    names = ["numpy"]
-    if _NUMBA_BACKEND is not None:
-        names.insert(0, "numba")
-    return tuple(names)
-
-
-def get_backend(name: str) -> SimpleNamespace:
-    if name == "numpy":
-        return _NUMPY_BACKEND
-    if name == "numba":
-        if _NUMBA_BACKEND is None:
-            raise RuntimeError(f"numba backend unavailable: {_NUMBA_ERROR}")
-        return _NUMBA_BACKEND
-    raise ValueError(f"unknown kernel backend {name!r}")
-
-
-def _select_active() -> SimpleNamespace:
-    choice = os.environ.get("WORDCODE_KERNELS", "numba").strip().lower()
-    if choice in ("", "auto"):
-        choice = "numba"
-    if choice == "numba" and _NUMBA_BACKEND is None:
-        choice = "numpy"
-    return get_backend(choice)
-
-
-_ACTIVE = _select_active()
-
-
-def backend_name() -> str:
-    return _ACTIVE.name
-
-
-pair_min_distance = _ACTIVE.pair_min_distance
-scan_multiplier = _ACTIVE.scan_multiplier
-min_pairwise_hamming = _ACTIVE.min_pairwise_hamming
-paired_min_hamming = _ACTIVE.paired_min_hamming
-batch_encode_small = _ACTIVE.batch_encode_small

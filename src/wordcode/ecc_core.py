@@ -9,8 +9,7 @@ constant-time encoding for a construction whose ledger cost is o(w).
 
 Construction, encoding, and distance estimation are deterministic.
 Ledger charges for the construction-time searches are closed forms in
-the search outcome, so they never depend on kernel backend or thread
-count.
+the search outcome, so they never depend on how a kernel scans.
 """
 
 from __future__ import annotations
@@ -298,7 +297,9 @@ def encode(code: EccCode, x, ledger: OpLedger | None = None) -> WideInt:
     acc = segments[0]
     for i, seg in enumerate(segments[1:], start=1):
         acc = wide_or(acc, wide_shl(seg, i * seg_bits, ledger), ledger)
-    assert acc.bits == code.codeword_bits
+    if acc.bits != code.codeword_bits:
+        raise CodeValidationError(
+            f"codeword of {acc.bits} bits, expected {code.codeword_bits}")
     return acc
 
 

@@ -11,7 +11,6 @@ multiplication encodes every slot of a packed word at once.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,9 +24,6 @@ from .errors import (
 from .wordram import FieldLayout, OpLedger, WideInt, wide_mul, wide_trunc
 
 B_MAX = 10
-
-# Candidates per work item when the scan is split across threads.
-_SCAN_CHUNK = 8192
 
 # Thresholds to try, strongest first, when a caller wants the best
 # achievable distance rather than a specific one.
@@ -79,7 +75,7 @@ def _charge_scan(ledger: OpLedger, b: int, candidates: int):
     """Model cost of scanning `candidates` multipliers, full pairs each.
 
     The charge is a closed form in the candidate count alone, so it does
-    not depend on kernel backend, early-exit order, or thread count.
+    not depend on how the kernel prefilters or exits early.
     """
     values = 1 << (b + 1)
     pairs = values * (values - 1) // 2
@@ -88,31 +84,6 @@ def _charge_scan(ledger: OpLedger, b: int, candidates: int):
     ledger.charge_counted("mul", candidates * values, mul_units)
     ledger.charge_counted("bitwise", candidates * pairs, pair_units)
     ledger.charge_counted("cmp", candidates * pairs, pair_units)
-
-
-def _scan(b: int, m_hi: int, threshold: int) -> int:
-    workers = _kernels.worker_count()
-    if workers <= 1:
-        return _kernels.scan_multiplier(b, 1, m_hi, threshold)
-    # Disjoint ascending ranges; the first batch containing any hit
-    # already holds the global smallest, because batches are consumed
-    # in range order.
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        lo = 1
-        while lo < m_hi:
-            futs = []
-            for _ in range(workers):
-                if lo >= m_hi:
-                    break
-                hi = min(lo + _SCAN_CHUNK, m_hi)
-                futs.append(pool.submit(
-                    _kernels.scan_multiplier, b, lo, hi, threshold))
-                lo = hi
-            hits = [f.result() for f in futs]
-            found = [m for m in hits if m != -1]
-            if found:
-                return min(found)
-    return -1
 
 
 def find_multiplier(b: int, delta, ledger: OpLedger | None = None) -> InnerCode:
@@ -130,7 +101,7 @@ def find_multiplier(b: int, delta, ledger: OpLedger | None = None) -> InnerCode:
             f"threshold {t} exceeds code length {4 * (b + 1)} bits"
         )
     m_hi = 1 << (3 * (b + 1))
-    m = _scan(b, m_hi, t)
+    m = _kernels.scan_multiplier(b, 1, m_hi, t)
     if m == -1:
         if ledger is not None:
             _charge_scan(ledger, b, m_hi - 1)

@@ -19,7 +19,12 @@ from fractions import Fraction
 import numpy as np
 
 from .ecc_core import EccCode, _batch_encode, _to_obj, _from_obj, encode
-from .errors import CodecFormatError, DuplicateKeyError, ParameterError
+from .errors import (
+    CodecFormatError,
+    CodeValidationError,
+    DuplicateKeyError,
+    ParameterError,
+)
 from .wordram import WideInt
 
 MAX_PAIRS = 10 ** 7
@@ -125,9 +130,11 @@ def build_signature(code: EccCode, keys) -> SignatureFn:
         ai, bi = ai[still], bi[still]
         # The distance floor promises a rho fraction separated per round.
         decay *= 1 - rho
-        assert Fraction(int(ai.shape[0])) <= decay * total_pairs, \
-            "greedy progress fell behind the distance guarantee"
-    assert len(positions) <= cap, "position count exceeded the greedy bound"
+        if not Fraction(int(ai.shape[0])) <= decay * total_pairs:
+            raise CodeValidationError(
+                "greedy progress fell behind the distance guarantee")
+    if not len(positions) <= cap:
+        raise CodeValidationError("position count exceeded the greedy bound")
     return SignatureFn(code, tuple(positions), n)
 
 
@@ -154,22 +161,26 @@ def verify_injective(f: SignatureFn, keys) -> bool:
 def read_keys_file(path, w: int) -> list:
     """One lowercase-hex key per line, exactly ceil(w/4) digits each."""
     digits = -(-w // 4)
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: keys file is not ASCII: {exc}") from exc
     vals = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if len(line) != digits or line != line.lower() \
-                    or any(c not in "0123456789abcdef" for c in line):
-                raise ParameterError(
-                    f"{path}:{lineno}: keys must be exactly {digits} "
-                    "lowercase hex digits")
-            val = int(line, 16)
-            if val >= (1 << w):
-                raise ParameterError(
-                    f"{path}:{lineno}: key exceeds 2^{w}")
-            vals.append(val)
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if len(line) != digits or line != line.lower() \
+                or any(c not in "0123456789abcdef" for c in line):
+            raise ParameterError(
+                f"{path}:{lineno}: keys must be exactly {digits} "
+                "lowercase hex digits")
+        val = int(line, 16)
+        if val >= (1 << w):
+            raise ParameterError(
+                f"{path}:{lineno}: key exceeds 2^{w}")
+        vals.append(val)
     return vals
 
 
@@ -198,16 +209,21 @@ def signature_from_obj(obj) -> SignatureFn:
     if obj["version"] != 1:
         raise CodecFormatError(
             f"unsupported signature version {obj['version']}")
-    if not isinstance(obj["n"], int) or obj["n"] < 1:
+    n = obj["n"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise CodecFormatError("n must be a positive integer")
     pos = obj["positions"]
     if not isinstance(pos, list) or not all(
             isinstance(p, int) and not isinstance(p, bool) for p in pos):
         raise CodecFormatError("positions must be a list of integers")
+    if len(set(pos)) != len(pos):
+        # The greedy build never picks a bit twice: once chosen, no
+        # colliding pair is left for it to separate.
+        raise CodecFormatError("positions must not repeat")
     code = _from_obj(obj["code"], expect_w=None)
     if any(not 0 <= p < code.codeword_bits for p in pos):
         raise CodecFormatError("position index outside the codeword")
-    return SignatureFn(code, tuple(pos), obj["n"])
+    return SignatureFn(code, tuple(pos), n)
 
 
 def save_signature(path, f: SignatureFn):
@@ -220,6 +236,9 @@ def load_signature(path) -> SignatureFn:
     with open(path, "r", encoding="ascii") as fh:
         try:
             obj = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise CodecFormatError(
+                f"{path}: signature file is not ASCII: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise CodecFormatError(f"not a JSON description: {exc}") from exc
     return signature_from_obj(obj)

@@ -237,6 +237,26 @@ def test_sighash_build_bad_key_line(tmp_path, code16_path, capsys):
     assert rc == 1
 
 
+def test_sighash_build_non_ascii_keys_file(tmp_path, code16_path, capsys):
+    keys = tmp_path / "keys.txt"
+    keys.write_text("café\n", encoding="utf-8")
+    rc, _, err = run(capsys, "sighash", "build", "--code", code16_path,
+                     "--keys", str(keys), "--out", str(tmp_path / "s.json"))
+    assert rc == 1
+    assert err.startswith("error:") and str(keys) in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_sighash_eval_non_ascii_signature_file(tmp_path, capsys):
+    sig = tmp_path / "sig.json"
+    sig.write_text('{"version": 1, "n": "café"}\n', encoding="utf-8")
+    rc, _, err = run(capsys, "sighash", "eval", "--sig", str(sig),
+                     "--hex", "0011")
+    assert rc == 1
+    assert err.startswith("error:") and str(sig) in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_sighash_verify_detects_collision(tmp_path, capsys):
     # A signature stripped of its positions maps every key to the empty
     # string, so any two keys collide.

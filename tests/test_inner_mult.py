@@ -138,12 +138,6 @@ def test_find_multiplier_deterministic():
     assert a == b
 
 
-def test_scan_same_result_with_threads(monkeypatch):
-    monkeypatch.setenv("WORDCODE_THREADS", "4")
-    for b in (4, 6, 7):
-        assert find_multiplier(b, Fraction(1, 2)).m == FROZEN_MULTIPLIERS[b]
-
-
 def test_search_charges_closed_form():
     # b=4 finds m=3: three candidates scanned, each charged at the full
     # pair count regardless of how the kernel actually early-exits.

@@ -180,6 +180,14 @@ def test_signature_obj_rejects_malformed():
     bad["n"] = 0
     with pytest.raises(CodecFormatError):
         signature_from_obj(bad)
+    bad = dict(obj)
+    bad["n"] = True
+    with pytest.raises(CodecFormatError):
+        signature_from_obj(bad)
+    bad = dict(obj)
+    bad["positions"] = obj["positions"] * 2
+    with pytest.raises(CodecFormatError):
+        signature_from_obj(bad)
 
 
 def test_keys_file_round_trip(tmp_path):
