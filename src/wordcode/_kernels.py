@@ -1,11 +1,13 @@
 """Hot loops behind the model-level API, vectorised with numpy.
 
 Everything here is a bit-exact accelerator for searches and bulk
-measurements: multiplier scans, all-pairs Hamming minima, and a batched
-level-1 encoder for word sizes up to 64.  None of it touches the
-operation ledger; model costs are always charged by the calling layer
-from closed-form counts, so how a kernel orders or cuts short its work
-never changes a ledger.  `np.bitwise_count` needs NumPy 2.0 or later.
+measurements: multiplier scans, all-pairs Hamming minima, and the
+pieces of the batch encoder (Reed-Solomon residues of many keys at
+once, and bit-level joins of fields into limb rows), which serve every
+word size at both levels.  None of it touches the operation ledger;
+model costs are always charged by the calling layer from closed-form
+counts, so how a kernel orders or cuts short its work never changes a
+ledger.  `np.bitwise_count` needs NumPy 2.0 or later.
 """
 
 from __future__ import annotations
@@ -92,38 +94,53 @@ def paired_min_hamming(a: np.ndarray, b: np.ndarray) -> int:
     return best
 
 
-def batch_encode_small(keys, w, b_bits, n_blocks, bpw, out_slots, s_bits,
-                       prime, mult, g_coeffs, out_limbs):
-    """Level-1 encode of many w-bit keys at once, w ≤ 64."""
-    keys = np.asarray(keys, dtype=np.uint64)
-    n = keys.shape[0]
-    pad = n_blocks * b_bits - w
-    block_mask = np.uint64((1 << b_bits) - 1)
-    blocks = np.empty((n, n_blocks), dtype=np.int64)
-    for j in range(n_blocks):
-        shift = (n_blocks - 1 - j) * b_bits - pad
-        if shift >= 0:
-            blocks[:, j] = ((keys >> np.uint64(shift)) & block_mask).astype(np.int64)
-        else:
-            keep = np.uint64((1 << (b_bits + shift)) - 1)
-            blocks[:, j] = ((keys & keep) << np.uint64(-shift)).astype(np.int64)
+def limbs_to_bits(rows: np.ndarray, nbits: int) -> np.ndarray:
+    """Low `nbits` bits of little-endian uint64 limb rows, one uint8 per bit."""
+    raw = np.ascontiguousarray(rows, dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw[:, :-(-nbits // 8)], axis=1, count=nbits,
+                         bitorder="little")
+
+
+def bits_to_limbs(bits: np.ndarray, limbs: int) -> np.ndarray:
+    """Rows of bits (column j = bit j) as little-endian uint64 limb rows."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    out = np.zeros((bits.shape[0], 8 * limbs), dtype=np.uint8)
+    out[:, :packed.shape[1]] = packed
+    return out.view("<u8")
+
+
+def batch_residues(key_rows, w, b_bits, n_blocks, bpw, prime, g_coeffs):
+    """Reed-Solomon residues of the 5 split words of many keys at once.
+
+    Each row of `key_rows` is a w-bit key in little-endian uint64 limbs.
+    Bit unpacking cuts its blocks (most significant first, the last one
+    zero-padded at its low end); word i carries blocks i, i+5, ...; one
+    int64 product with the banded generator matrix convolves all five
+    words of every key, and `% prime` reduces the coefficients.  Returns
+    int64 residues of shape (keys, 5, bpw + r_deg).
+    """
+    n = key_rows.shape[0]
+    bits = np.zeros((n, n_blocks * b_bits), dtype=np.uint8)
+    bits[:, n_blocks * b_bits - w:] = limbs_to_bits(key_rows, w)
+    # Chunk c of the padded key, counted from its low end, is block
+    # n_blocks - 1 - c.
+    weights = 1 << np.arange(b_bits, dtype=np.int64)
+    chunks = bits.reshape(n, n_blocks, b_bits) @ weights
+    msg = np.zeros((n, 5 * bpw), dtype=np.int64)
+    msg[:, :n_blocks] = chunks[:, ::-1]
     g = np.asarray(g_coeffs, dtype=np.int64)
-    out = np.zeros((n, out_limbs), dtype=np.uint64)
-    word_bits = out_slots * s_bits
-    for i in range(5):
-        conv = np.zeros((n, out_slots), dtype=np.int64)
-        for t in range(bpw):
-            j = i + 5 * t
-            if j >= n_blocks:
-                break
-            col = blocks[:, j]
-            for k in range(g.shape[0]):
-                conv[:, t + k] += col * int(g[k])
-        sym = (conv % prime).astype(np.uint64) * np.uint64(mult)
-        for k in range(out_slots):
-            off = i * word_bits + k * s_bits
-            idx, lo = off >> 6, off & 63
-            out[:, idx] |= (sym[:, k] << np.uint64(lo)) & np.uint64(0xFFFFFFFFFFFFFFFF)
-            if lo + s_bits > 64:
-                out[:, idx + 1] |= sym[:, k] >> np.uint64(64 - lo)
-    return out
+    band = np.zeros((bpw, bpw + g.size - 1), dtype=np.int64)
+    for t in range(bpw):
+        band[t, t:t + g.size] = g
+    return (msg.reshape(n, bpw, 5).transpose(0, 2, 1) @ band) % prime
+
+
+def concat_fields(rows: np.ndarray, field_bits: int, limbs: int) -> np.ndarray:
+    """Join the fields of every key into one limb row.
+
+    `rows` has shape (keys, fields, field limbs); field f of a key, which
+    must fit in `field_bits` bits, lands at bit f * field_bits.
+    """
+    n, fields, field_limbs = rows.shape
+    bits = limbs_to_bits(rows.reshape(n * fields, field_limbs), field_bits)
+    return bits_to_limbs(bits.reshape(n, fields * field_bits), limbs)

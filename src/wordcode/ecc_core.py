@@ -311,24 +311,53 @@ def _codeword_limb_count(code: EccCode) -> int:
     return -(-code.codeword_bits // 64)
 
 
-def _to_limbs(value: int, limbs: int, out: np.ndarray, row: int):
-    mask = (1 << 64) - 1
-    for t in range(limbs):
-        out[row, t] = (value >> (64 * t)) & mask
+def _key_rows(keys: np.ndarray, w: int) -> np.ndarray:
+    """Keys as little-endian uint64 limb rows.
+
+    Takes a uint64 array, or an object array of Python ints of any width.
+    """
+    limbs = -(-w // 64)
+    keys = np.asarray(keys)
+    if keys.dtype != object:
+        rows = np.zeros((keys.shape[0], limbs), dtype=np.uint64)
+        rows[:, 0] = keys
+        return rows
+    data = b"".join(int(k).to_bytes(8 * limbs, "little") for k in keys)
+    return np.frombuffer(data, dtype="<u8").reshape(-1, limbs)
+
+
+def _encode_rows(code: EccCode, rows: np.ndarray) -> np.ndarray:
+    p = code.params
+    resid = _kernels.batch_residues(
+        rows, p.w, p.B, p.n_blocks, p.blocks_per_word, p.P, code.gen.coeffs)
+    if code.level == 1:
+        fields = resid.astype(np.uint64) * np.uint64(code.inner.m)
+        field_bits = p.S
+    else:
+        inner = code.inner_ecc
+        fields = _encode_rows(inner, resid.reshape(-1, 1).astype(np.uint64))
+        field_bits = inner.codeword_bits
+    return _kernels.concat_fields(
+        fields.reshape(rows.shape[0], 5 * p.out_slots, -1), field_bits,
+        _codeword_limb_count(code))
 
 
 def _batch_encode(code: EccCode, keys: np.ndarray) -> np.ndarray:
-    """Codewords of many keys as little-endian uint64 limb rows."""
-    p = code.params
-    limbs = _codeword_limb_count(code)
-    if code.level == 1 and p.w <= 64:
-        g = np.array(code.gen.coeffs, dtype=np.int64)
-        return _kernels.batch_encode_small(
-            keys, p.w, p.B, p.n_blocks, p.blocks_per_word, p.out_slots,
-            p.S, p.P, code.inner.m, g, limbs)
-    out = np.zeros((keys.shape[0], limbs), dtype=np.uint64)
-    for row, k in enumerate(keys):
-        _to_limbs(int(encode(code, int(k))), limbs, out, row)
+    """Codewords of many keys as little-endian uint64 limb rows.
+
+    Bit-exact with `encode` at every word size and level; charges no
+    ledger.  Level 1 places residue * m of word i, slot k at bit
+    i * word_out_bits + k * S.  Level 2 runs the inner code's level-1
+    batch on the flattened residues and places symbol s at bit
+    s * inner.codeword_bits.  Keys go through in eighths, so no
+    transient bit matrix (a byte per bit) outgrows the output array.
+    """
+    rows = _key_rows(keys, code.params.w)
+    n = rows.shape[0]
+    out = np.empty((n, _codeword_limb_count(code)), dtype=np.uint64)
+    step = max(1, n // 8)
+    for lo in range(0, n, step):
+        out[lo:lo + step] = _encode_rows(code, rows[lo:lo + step])
     return out
 
 

@@ -7,6 +7,12 @@ therefore retires at least that fraction of them per round, so a short
 greedy loop reaches an injective projection.  Signatures read the
 selected positions in order, giving O(log n)-bit values for fixed code
 parameters.
+
+The greedy never lists pairs.  Keys that agree on every position chosen
+so far form a class, and only pairs inside a class still collide; a
+position with `ones` set bits in a class of `size` keys separates
+ones * (size - ones) of that class's pairs.  Each round therefore costs
+O(n * codeword_bits), whatever the number of pairs.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _kernels
 from .ecc_core import EccCode, _batch_encode, _to_obj, _from_obj, encode
 from .errors import (
     CodecFormatError,
@@ -28,8 +35,6 @@ from .errors import (
 from .wordram import WideInt
 
 MAX_PAIRS = 10 ** 7
-
-_PAIR_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -58,14 +63,8 @@ def _as_key_values(code: EccCode, keys) -> list:
 
 def _bit_matrix(code: EccCode, vals: list) -> np.ndarray:
     """Rows of codeword bits, column j = codeword bit j."""
-    if code.params.w <= 64:
-        keys = np.array(vals, dtype=np.uint64)
-    else:
-        keys = np.array(vals, dtype=object)
-    limbs = _batch_encode(code, keys)
-    raw = np.unpackbits(limbs.astype("<u8").view(np.uint8),
-                        axis=1, bitorder="little")
-    return raw[:, :code.codeword_bits]
+    limbs = _batch_encode(code, np.array(vals, dtype=object))
+    return _kernels.limbs_to_bits(limbs, code.codeword_bits)
 
 
 def position_cap(code: EccCode, n: int) -> int:
@@ -92,8 +91,12 @@ def cap_constant(code: EccCode) -> int:
 def build_signature(code: EccCode, keys) -> SignatureFn:
     """Greedy position selection until no key pair collides.
 
-    Ties go to the lowest position index; with the key order fixed the
-    whole construction is deterministic.
+    Each round picks the position that separates the most colliding
+    pairs: the sum over classes of ones * (size - ones), where a class
+    holds the keys that agree on every position chosen so far.  The
+    chosen bit then splits every class, and the pairs left are the sum
+    of C(size, 2).  Ties go to the lowest position index, so the result
+    depends only on the key set, not on its order.
     """
     vals = _as_key_values(code, keys)
     n = len(vals)
@@ -113,24 +116,30 @@ def build_signature(code: EccCode, keys) -> SignatureFn:
         return SignatureFn(code, (), 1)
 
     bits = _bit_matrix(code, vals)
-    ai, bi = np.triu_indices(n, k=1)
     rho = code.delta_prime_bound
     decay = Fraction(1)
     positions = []
     cap = position_cap(code, n)
-    while ai.shape[0] > 0:
-        counts = np.zeros(code.codeword_bits, dtype=np.int64)
-        for lo in range(0, ai.shape[0], _PAIR_CHUNK):
-            sl = slice(lo, lo + _PAIR_CHUNK)
-            counts += (bits[ai[sl]] != bits[bi[sl]]).sum(
-                axis=0, dtype=np.int64)
-        pos = int(np.argmax(counts))
+    # `members` lists the keys of each still-colliding class, class by
+    # class; `sizes` holds the class sizes in the same order.
+    members = np.arange(n)
+    sizes = np.array([n])
+    while sizes.size:
+        starts = np.cumsum(sizes) - sizes
+        ones = np.add.reduceat(bits[members], starts, axis=0, dtype=np.int64)
+        separated = (ones * (sizes[:, None] - ones)).sum(axis=0)
+        pos = int(np.argmax(separated))
         positions.append(pos)
-        still = bits[ai, pos] == bits[bi, pos]
-        ai, bi = ai[still], bi[still]
+        side = np.repeat(2 * np.arange(sizes.size), sizes) + bits[members, pos]
+        order = np.argsort(side)
+        members, side = members[order], side[order]
+        _, sizes = np.unique(side, return_counts=True)
+        members = members[np.repeat(sizes > 1, sizes)]
+        sizes = sizes[sizes > 1]
+        pairs_left = int((sizes * (sizes - 1) // 2).sum())
         # The distance floor promises a rho fraction separated per round.
         decay *= 1 - rho
-        if not Fraction(int(ai.shape[0])) <= decay * total_pairs:
+        if not Fraction(pairs_left) <= decay * total_pairs:
             raise CodeValidationError(
                 "greedy progress fell behind the distance guarantee")
     if not len(positions) <= cap:

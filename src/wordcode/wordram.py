@@ -28,6 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._kernels import bits_to_limbs
 from .errors import LayoutError, ReciprocalError
 
 RECIPROCAL_VALUE_BITS_MAX = 24
@@ -154,9 +155,6 @@ class OpLedger:
             "cmp": self.cmp,
         }
 
-    def copy(self) -> "OpLedger":
-        return OpLedger(self.word_bits, **self.as_dict())
-
 
 # ---------------------------------------------------------------------------
 # Wide operations.  Every function takes an optional ledger; passing None
@@ -227,14 +225,6 @@ def wide_trunc(a: WideInt, bits: int, ledger: OpLedger | None = None) -> WideInt
     return WideInt(a.value & ((1 << bits) - 1), bits)
 
 
-def wide_cmp(a: WideInt, b: WideInt, ledger: OpLedger | None = None) -> int:
-    if ledger is not None:
-        ledger.charge_cmp(a.bits, b.bits)
-    if a.value == b.value:
-        return 0
-    return -1 if a.value < b.value else 1
-
-
 def hamming(a: WideInt, b: WideInt, ledger: OpLedger | None = None) -> int:
     """Number of differing bits.  Operands must share a width.
 
@@ -282,39 +272,56 @@ class FieldLayout:
 
 
 def pack_fields(values, layout: FieldLayout, ledger: OpLedger | None = None) -> WideInt:
-    """Assemble slot values into one wide integer.  Linear cost in slots."""
+    """Assemble slot values into one wide integer.  Linear cost in slots.
+
+    Charged as one shift (for every slot but slot 0) and one OR per slot.
+    """
     values = list(values)
-    if len(values) != layout.slot_count:
-        raise LayoutError(
-            f"expected {layout.slot_count} values, got {len(values)}"
-        )
+    n, sw = layout.slot_count, layout.slot_width
+    if len(values) != n:
+        raise LayoutError(f"expected {n} values, got {len(values)}")
     bound = 1 << layout.value_bound
-    acc = 0
-    for i, v in enumerate(values):
-        if not 0 <= v < bound:
-            raise LayoutError(f"slot {i} value {v} outside [0, {bound})")
-        acc |= v << (i * layout.slot_width)
-        if ledger is not None:
-            if i:
-                ledger.charge_shift(layout.value_bound, i * layout.slot_width)
-            ledger.charge_bitwise(layout.total_bits)
-    return WideInt(acc, layout.total_bits)
+    if values and not (min(values) >= 0 and max(values) < bound):
+        i, v = next((i, v) for i, v in enumerate(values) if not 0 <= v < bound)
+        raise LayoutError(f"slot {i} value {v} outside [0, {bound})")
+    if ledger is not None:
+        ledger.charge_counted("shift", 1, sum(
+            ledger.words(layout.value_bound + i * sw) for i in range(1, n)))
+        ledger.charge_counted("bitwise", n, ledger.words(layout.total_bits))
+    # Join neighbours pairwise, doubling the run width each round; an
+    # odd run out stays last, which is where its slots belong.
+    acc, width = values, sw
+    while len(acc) > 1:
+        joined = [lo | (hi << width) for lo, hi in zip(acc[::2], acc[1::2])]
+        if len(acc) % 2:
+            joined.append(acc[-1])
+        acc, width = joined, 2 * width
+    return WideInt(acc[0] if acc else 0, layout.total_bits)
 
 
 def unpack_fields(word: WideInt, layout: FieldLayout, ledger: OpLedger | None = None) -> list[int]:
-    """Read all slot values back out.  Linear cost in slots."""
+    """Read all slot values back out.  Linear cost in slots.
+
+    Charged as one shift and one mask of the whole word per slot.
+    """
     if word.bits < layout.total_bits:
         raise LayoutError(
             f"word of {word.bits} bits shorter than layout ({layout.total_bits})"
         )
-    mask = (1 << layout.slot_width) - 1
-    out = []
-    for i in range(layout.slot_count):
-        if ledger is not None:
-            ledger.charge_shift(word.bits)
-            ledger.charge_bitwise(word.bits)
-        out.append((word.value >> (i * layout.slot_width)) & mask)
-    return out
+    n, sw = layout.slot_count, layout.slot_width
+    if ledger is not None:
+        ledger.charge_counted("shift", n, ledger.words(word.bits))
+        ledger.charge_counted("bitwise", n, ledger.words(word.bits))
+    total = layout.total_bits
+    raw = np.frombuffer(word.value.to_bytes(-(-word.bits // 8), "little"),
+                        dtype=np.uint8, count=-(-total // 8))
+    bits = np.unpackbits(raw, bitorder="little", count=total)
+    rows = bits_to_limbs(bits.reshape(n, sw), -(-sw // 64))
+    # Join each slot's limbs, most significant first, in object integers.
+    acc = rows[:, -1].astype(object)
+    for t in range(rows.shape[1] - 2, -1, -1):
+        acc = (acc << 64) | rows[:, t].astype(object)
+    return acc.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -75,22 +75,37 @@ def test_paired_min_hamming_matches_oracle():
     rng = np.random.default_rng(13)
     a = rng.integers(0, 1 << 63, size=(100, 4), dtype=np.uint64)
     b = rng.integers(0, 1 << 63, size=(100, 4), dtype=np.uint64)
-    expected = min(
-        sum(bin(int(a[i, t]) ^ int(b[i, t])).count("1") for t in range(4))
-        for i in range(100)
-    )
+    per_limb = [popcount_rows_oracle(a[:, t], b[:, t]) for t in range(4)]
+    expected = min(sum(row) for row in zip(*per_limb))
     assert _kernels.paired_min_hamming(a, b) == expected
+
+
+def _batch_keys(rng, w, n):
+    """0, 1, 2^w - 1 and n seeded full-range keys, as Python ints."""
+    draws = rng.integers(0, 1 << 64, size=(n, -(-w // 64)), dtype=np.uint64)
+    rand = [sum(int(c) << (64 * t) for t, c in enumerate(row)) % (1 << w)
+            for row in draws]
+    return [0, 1, (1 << w) - 1] + rand
 
 
 def test_batch_encode_backends_agree():
     from wordcode import ecc_core
 
-    # The batch path against the scalar encoder.
+    # The batch path against the scalar encoder, bit for bit, at both
+    # levels: uint64 keys up to w=64, Python-int keys everywhere.
     rng = np.random.default_rng(19)
-    for w in (10, 16, 64):
-        code, _ = ecc_core.build_code(w)
-        keys = rng.integers(0, 1 << w, size=200, dtype=np.uint64)
-        rows = ecc_core._batch_encode(code, keys)
-        for k, row in zip(keys, rows):
-            batch = sum(int(limb) << (64 * t) for t, limb in enumerate(row))
-            assert batch == int(ecc_core.encode(code, int(k)))
+    cases = [(w, 1, 60) for w in (10, 16, 63, 64, 65, 100, 256, 1024)]
+    cases += [(10, 2, 12), (64, 2, 8), (256, 2, 4)]
+    for w, level, n in cases:
+        code, _ = ecc_core.build_code(w, None, level)
+        keys = _batch_keys(rng, w, n)
+        spellings = [np.array(keys, dtype=object)]
+        if w <= 64:
+            spellings.append(np.array(keys, dtype=np.uint64))
+        expected = [int(ecc_core.encode(code, k)) for k in keys]
+        for arr in spellings:
+            rows = ecc_core._batch_encode(code, arr)
+            assert rows.shape == (len(keys), -(-code.codeword_bits // 64))
+            for k, row, want in zip(keys, rows, expected):
+                batch = sum(int(limb) << (64 * t) for t, limb in enumerate(row))
+                assert batch == want, (w, level, k)

@@ -3,6 +3,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from wordcode.ecc_core import build_code, encode
@@ -132,6 +133,44 @@ def test_verify_rejects_handmade_non_injective():
     code, _ = build_code(16, None, 1)
     bogus = SignatureFn(code, (), 2)
     assert verify_injective(bogus, [0, 1]) is False
+
+
+def pair_greedy_oracle(code, keys):
+    """The greedy over an explicit list of colliding pairs.
+
+    Returns the chosen positions and the separated-pair counts of the
+    first round.
+    """
+    words = [int(encode(code, k)) for k in keys]
+    bits = np.array([[(cw >> j) & 1 for j in range(code.codeword_bits)]
+                     for cw in words], dtype=np.uint8)
+    ai, bi = np.triu_indices(len(keys), k=1)
+    positions, first_counts = [], None
+    while ai.shape[0] > 0:
+        counts = (bits[ai] != bits[bi]).sum(axis=0, dtype=np.int64)
+        if first_counts is None:
+            first_counts = counts
+        pos = int(np.argmax(counts))
+        positions.append(pos)
+        still = bits[ai, pos] == bits[bi, pos]
+        ai, bi = ai[still], bi[still]
+    return tuple(positions), first_counts
+
+
+def test_greedy_matches_pair_oracle():
+    cases = [(16, 1, 2, 21), (16, 1, 3, 22), (16, 1, 100, 23),
+             (64, 1, 300, 24), (16, 2, 40, 25)]
+    for w, level, n, seed in cases:
+        code, _ = build_code(w, None, level)
+        keys = distinct_keys(random.Random(seed), w, n)
+        random.Random(seed).shuffle(keys)
+        positions, first = pair_greedy_oracle(code, keys)
+        assert build_signature(code, keys).positions == positions, (w, level, n)
+        if n == 2:
+            # Every differing bit separates the one pair: round 1 is a
+            # tie that the lowest index must win.
+            assert (first == first.max()).sum() >= 2
+            assert positions == (int(np.flatnonzero(first)[0]),)
 
 
 def test_greedy_deterministic():

@@ -221,6 +221,36 @@ def test_pack_unpack_random_round_trip():
         assert unpack_fields(pack_fields(vals, layout), layout) == vals
 
 
+def test_pack_unpack_match_per_slot_shifts():
+    rng = random.Random(6)
+    for s, n in ((1, 9), (7, 300), (64, 257), (65, 254), (130, 33), (200, 3)):
+        layout = FieldLayout(s, n, s)
+        mask = (1 << s) - 1
+        vals = [rng.getrandbits(s) for _ in range(n)]
+        assert int(pack_fields(vals, layout)) == sum(
+            v << (i * s) for i, v in enumerate(vals))
+        # Every slot bit set at random, plus bits above the layout.
+        word = WideInt(rng.getrandbits(n * s + 70), n * s + 70)
+        assert unpack_fields(word, layout) == [
+            (word.value >> (i * s)) & mask for i in range(n)]
+
+
+def test_pack_unpack_ledger_charges():
+    # One shift per slot past slot 0 and one OR per slot to pack; one
+    # shift and one mask of the whole word per slot to unpack.
+    for s, n, v, bits in ((20, 6, 9, 200), (64, 100, 22, 6400), (65, 3, 65, 195)):
+        layout = FieldLayout(s, n, v)
+        led = OpLedger(64)
+        pack_fields([(1 << v) - 1] * n, layout, led)
+        assert led.shift == sum(led.words(v + i * s) for i in range(1, n))
+        assert led.bitwise == n * led.words(n * s)
+        assert led.total() == led.shift + led.bitwise
+        led = OpLedger(64)
+        unpack_fields(WideInt(0, bits), layout, led)
+        assert led.shift == led.bitwise == n * led.words(bits)
+        assert led.total() == 2 * n * led.words(bits)
+
+
 def test_pack_rejects_out_of_bound():
     layout = FieldLayout(8, 2, 4)
     with pytest.raises(LayoutError):
