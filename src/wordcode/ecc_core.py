@@ -15,7 +15,7 @@ the search outcome, so they never depend on how a kernel scans.
 from __future__ import annotations
 
 import json
-import math
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,7 +36,6 @@ from .inner_mult import (
     InnerCode,
     find_multiplier,
     inner_encode,
-    threshold_for,
 )
 from .numtheory import _prime_factors
 from .outer_rs import (
@@ -67,15 +66,17 @@ _DESCRIPTION_KEYS = {
 
 @dataclass(frozen=True)
 class EccCode:
-    """A constructed code; immutable, shareable, value-comparable."""
+    """A constructed code; immutable, shareable, value-comparable.
+
+    `_build` is the only constructor.  The codeword length and the
+    relative distance bound are derived from the stages, not stored.
+    """
 
     level: int
     params: RsParams
     gen: GeneratorPoly
     inner: InnerCode | None
     inner_ecc: "EccCode | None"
-    codeword_bits: int
-    delta_prime_bound: Fraction
 
     def __post_init__(self):
         if self.level == 1:
@@ -89,6 +90,17 @@ class EccCode:
                 f"level {self.level} code must carry exactly the matching "
                 "inner stage"
             )
+
+    @property
+    def codeword_bits(self) -> int:
+        if self.level == 1:
+            return 5 * self.params.word_out_bits
+        return 5 * self.params.out_slots * self.inner_ecc.codeword_bits
+
+    @property
+    def delta_prime_bound(self) -> Fraction:
+        """Guaranteed relative distance: the floor over the codeword length."""
+        return Fraction(self.guaranteed_min_bits(), self.codeword_bits)
 
     @property
     def delta(self) -> Fraction:
@@ -213,25 +225,19 @@ def _build(w: int, delta, level: int, ledger: OpLedger):
 
     if level == 1:
         d = _resolve_delta(params.B, delta)
-        ic = _find_multiplier_reporting(params.B, d, ledger)
-        cw_bits = 5 * params.word_out_bits
-        code = EccCode(
-            level=1, params=params, gen=gen, inner=ic, inner_ecc=None,
-            codeword_bits=cw_bits,
-            delta_prime_bound=Fraction(
-                (params.r_deg + 1) * ic.threshold, cw_bits),
-        )
+        inner = _find_multiplier_reporting(params.B, d, ledger)
+        inner_ecc = None
     else:
-        inner_code, _ = _build(params.B + 1, delta, 1, ledger)
-        cw_bits = 5 * params.out_slots * inner_code.codeword_bits
-        code = EccCode(
-            level=2, params=params, gen=gen, inner=None, inner_ecc=inner_code,
-            codeword_bits=cw_bits,
-            delta_prime_bound=Fraction(
-                (params.r_deg + 1) * inner_code.guaranteed_min_bits(),
-                cw_bits),
-        )
-    return code, generator_ops
+        inner = None
+        inner_ecc, _ = _build(params.B + 1, delta, 1, ledger)
+    return EccCode(level, params, gen, inner, inner_ecc), generator_ops
+
+
+def _check_build_args(w: int, level: int):
+    if level not in (1, 2):
+        raise ParameterError(f"level must be 1 or 2, got {level}")
+    if not W_MIN <= w <= W_MAX:
+        raise ParameterError(f"word size must be in [{W_MIN}, {W_MAX}], got {w}")
 
 
 def build_code(w: int, delta=None, level: int = 1):
@@ -241,10 +247,7 @@ def build_code(w: int, delta=None, level: int = 1):
     builds its inner stage as a level-1 code for word size B+1; the
     construction ledger covers both levels, charged at word size w.
     """
-    if level not in (1, 2):
-        raise ParameterError(f"level must be 1 or 2, got {level}")
-    if not W_MIN <= w <= W_MAX:
-        raise ParameterError(f"word size must be in [{W_MIN}, {W_MAX}], got {w}")
+    _check_build_args(w, level)
     ledger = OpLedger(w)
     code, generator_ops = _build(w, delta, level, ledger)
     probe = OpLedger(w)
@@ -465,7 +468,15 @@ def _require(cond: bool, msg: str):
         raise CodecFormatError(msg)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _check_shape(obj) -> None:
+    """Field names, types and format rules of one description level.
+
+    Values are left to the rebuild-and-compare in `_from_obj`.
+    """
     _require(isinstance(obj, dict), "code description must be an object")
     missing = _DESCRIPTION_KEYS - obj.keys()
     _require(not missing, f"missing fields: {sorted(missing)}")
@@ -473,90 +484,73 @@ def _check_shape(obj) -> None:
     _require(not extra, f"unknown fields: {sorted(extra)}")
     for key in ("version", "level", "w", "B", "P", "alpha", "r_deg", "S",
                 "delta_num", "delta_den"):
-        _require(isinstance(obj[key], int) and not isinstance(obj[key], bool),
-                 f"field {key!r} must be an integer")
+        _require(_is_int(obj[key]), f"field {key!r} must be an integer")
     _require(isinstance(obj["g_coeffs"], list)
-             and all(isinstance(c, int) and not isinstance(c, bool)
-                     for c in obj["g_coeffs"]),
+             and all(_is_int(c) for c in obj["g_coeffs"]),
              "g_coeffs must be a list of integers")
-
-
-def _from_obj(obj, expect_w: int | None) -> EccCode:
-    _check_shape(obj)
     if obj["version"] != FORMAT_VERSION:
         raise CodecVersionError(
             f"unsupported description version {obj['version']}")
     level = obj["level"]
     _require(level in (1, 2), f"level must be 1 or 2, got {level}")
-    w = obj["w"]
-
-    def invalid(msg):
-        return CodeValidationError(msg)
-
-    if expect_w is None:
-        if not W_MIN <= w <= W_MAX:
-            raise invalid(f"word size {w} outside [{W_MIN}, {W_MAX}]")
-    elif w != expect_w:
-        raise invalid(f"inner word size {w} does not match outer B+1 = {expect_w}")
-
-    try:
-        params = _derive_params_any(w)
-    except ParameterError as exc:
-        raise invalid(str(exc)) from exc
-    for key, actual in (("B", params.B), ("P", params.P),
-                        ("alpha", params.alpha), ("r_deg", params.r_deg),
-                        ("S", params.S)):
-        if obj[key] != actual:
-            raise invalid(
-                f"stored {key}={obj[key]} but word size {w} derives {actual}")
-
-    gen = build_generator(params)
-    if tuple(obj["g_coeffs"]) != gen.coeffs:
-        raise invalid("stored generator coefficients fail recomputation")
-
-    if obj["delta_den"] == 0:
-        raise CodecFormatError("delta_den must be nonzero")
-    delta = Fraction(obj["delta_num"], obj["delta_den"])
-
+    _require(obj["delta_den"] != 0, "delta_den must be nonzero")
     if level == 1:
-        if obj["inner"] is not None:
-            raise invalid("level 1 carries no nested inner code")
-        if not isinstance(obj["m"], int) or isinstance(obj["m"], bool):
-            raise CodecFormatError("level 1 requires an integer multiplier")
-        try:
-            ic = find_multiplier(params.B, delta)
-        except (ParameterError, MultiplierError) as exc:
-            raise invalid(f"multiplier re-validation failed: {exc}") from exc
-        if ic.m != obj["m"]:
-            raise invalid(
-                f"stored multiplier {obj['m']} but search returns {ic.m}")
-        cw_bits = 5 * params.word_out_bits
-        return EccCode(
-            level=1, params=params, gen=gen, inner=ic, inner_ecc=None,
-            codeword_bits=cw_bits,
-            delta_prime_bound=Fraction(
-                (params.r_deg + 1) * ic.threshold, cw_bits),
-        )
+        _require(_is_int(obj["m"]), "level 1 requires an integer multiplier")
+    else:
+        _require(isinstance(obj["inner"], dict),
+                 "level 2 requires a nested inner code")
 
-    if obj["m"] is not None:
-        raise invalid("level 2 carries no multiplier of its own")
-    if obj["inner"] is None:
-        raise CodecFormatError("level 2 requires a nested inner code")
-    inner_code = _from_obj(obj["inner"], expect_w=params.B + 1)
-    if inner_code.delta != delta:
-        raise invalid(
-            f"outer delta {delta} does not match inner delta {inner_code.delta}")
-    cw_bits = 5 * params.out_slots * inner_code.codeword_bits
-    return EccCode(
-        level=2, params=params, gen=gen, inner=None, inner_ecc=inner_code,
-        codeword_bits=cw_bits,
-        delta_prime_bound=Fraction(
-            (params.r_deg + 1) * inner_code.guaranteed_min_bits(), cw_bits),
-    )
+
+def _first_mismatch(stored: dict, rebuilt: dict, prefix: str = ""):
+    """(field, stored value, rebuilt value) of the first differing field."""
+    for key, want in rebuilt.items():
+        have = stored[key]
+        if isinstance(have, dict) and isinstance(want, dict):
+            found = _first_mismatch(have, want, f"{prefix}{key}.")
+            if found is not None:
+                return found
+        elif have != want:
+            return f"{prefix}{key}", have, want
+    return None
+
+
+def _from_obj(obj) -> EccCode:
+    """Check the shape, rebuild from (w, delta, level), compare.
+
+    A code is a deterministic function of those three values, so a
+    description is valid exactly when it equals its own rebuild.  Only
+    the top level and a level-2 inner object get a shape check; anything
+    nested deeper fails the comparison.
+    """
+    _check_shape(obj)
+    if obj["level"] == 2:
+        _check_shape(obj["inner"])
+    w, level = obj["w"], obj["level"]
+    try:
+        _check_build_args(w, level)
+        code, _ = _build(w, Fraction(obj["delta_num"], obj["delta_den"]),
+                         level, OpLedger(w))
+    except (ParameterError, MultiplierError) as exc:
+        raise CodeValidationError(
+            f"description does not rebuild at w={reprlib.repr(w)}: {exc}"
+        ) from exc
+    mismatch = _first_mismatch(obj, _to_obj(code))
+    if mismatch is not None:
+        key, have, want = mismatch
+        raise CodeValidationError(
+            f"stored {key}={reprlib.repr(have)} but w={w} rebuilds "
+            f"{key}={reprlib.repr(want)}")
+    return code
 
 
 def deserialize(data) -> EccCode:
-    """Parse, then re-derive and re-verify every stored parameter."""
+    """Parse a description, then rebuild the code it names and compare.
+
+    Raises CodecFormatError for input that is not a well-formed
+    description, CodecVersionError for an unknown format version, and
+    CodeValidationError when any stored field differs from what the
+    construction rebuilds from the stored w, delta and level.
+    """
     if isinstance(data, (bytes, bytearray)):
         try:
             data = data.decode("utf-8")
@@ -564,6 +558,8 @@ def deserialize(data) -> EccCode:
             raise CodecFormatError(f"not a text description: {exc}") from exc
     try:
         obj = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and integers past Python's
+        # digit limit; RecursionError covers nesting past the stack.
         raise CodecFormatError(f"not a JSON description: {exc}") from exc
-    return _from_obj(obj, expect_w=None)
+    return _from_obj(obj)

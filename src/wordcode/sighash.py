@@ -229,7 +229,7 @@ def signature_from_obj(obj) -> SignatureFn:
         # The greedy build never picks a bit twice: once chosen, no
         # colliding pair is left for it to separate.
         raise CodecFormatError("positions must not repeat")
-    code = _from_obj(obj["code"], expect_w=None)
+    code = _from_obj(obj["code"])
     if any(not 0 <= p < code.codeword_bits for p in pos):
         raise CodecFormatError("position index outside the codeword")
     return SignatureFn(code, tuple(pos), n)
@@ -248,6 +248,6 @@ def load_signature(path) -> SignatureFn:
         except UnicodeDecodeError as exc:
             raise CodecFormatError(
                 f"{path}: signature file is not ASCII: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise CodecFormatError(f"not a JSON description: {exc}") from exc
     return signature_from_obj(obj)

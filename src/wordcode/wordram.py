@@ -339,36 +339,41 @@ class Reciprocal:
     value_bits: int
 
 
+def _minimal_shift(divisor: int, value_bits: int) -> tuple[int, int]:
+    """Smallest k, with M = ceil(2**k / divisor), whose error term
+    e = M*divisor - 2**k satisfies e*(2**value_bits - 1) < 2**k.
+
+    That inequality makes floor((c*M) / 2**k) == c//divisor for every c
+    in [0, 2**value_bits).  Returns (M, k).
+    """
+    if divisor < 2:
+        raise ReciprocalError(f"divisor must be at least 2, got {divisor}")
+    top = (1 << value_bits) - 1
+    cap = value_bits + 2 * divisor.bit_length() + 2
+    for k in range(1, cap + 1):
+        magic = -(-(1 << k) // divisor)
+        if (magic * divisor - (1 << k)) * top < (1 << k):
+            return magic, k
+    raise ReciprocalError(
+        f"no shift up to {cap} is exact for divisor {divisor} over {value_bits} bits"
+    )
+
+
 def make_reciprocal(divisor: int, value_bits: int) -> Reciprocal:
     """Find the smallest shift k with M = ceil(2**k / divisor) exact on
     the whole validated range [0, 2**value_bits).
 
-    The error term e = M*divisor - 2**k satisfies e*(2**value_bits - 1)
-    < 2**k at the chosen k, which makes floor((c*M) / 2**k) == c//divisor
-    for every c in range; the construction finishes with an exhaustive
-    check of that fact, so a returned Reciprocal is trustworthy by
-    brute force and not only by argument.
+    The shift comes from the error inequality of `_minimal_shift`; the
+    construction finishes with an exhaustive check of exactness, so a
+    returned Reciprocal is trustworthy by brute force and not only by
+    argument.
     """
-    if divisor < 2:
-        raise ReciprocalError(f"divisor must be at least 2, got {divisor}")
     if not 0 <= value_bits <= RECIPROCAL_VALUE_BITS_MAX:
         raise ReciprocalError(
             f"value_bits {value_bits} outside [0, {RECIPROCAL_VALUE_BITS_MAX}]"
         )
+    magic, k = _minimal_shift(divisor, value_bits)
     top = (1 << value_bits) - 1
-    cap = value_bits + 2 * divisor.bit_length() + 2
-    found = None
-    for k in range(1, cap + 1):
-        magic = -(-(1 << k) // divisor)
-        err = magic * divisor - (1 << k)
-        if err * top < (1 << k):
-            found = (magic, k)
-            break
-    if found is None:
-        raise ReciprocalError(
-            f"no shift up to {cap} is exact for divisor {divisor} over {value_bits} bits"
-        )
-    magic, k = found
     if (top * magic).bit_length() <= 63 and top > 0:
         c = np.arange(top + 1, dtype=np.uint64)
         ok = (c * np.uint64(magic)) >> np.uint64(k) == c // np.uint64(divisor)
@@ -396,18 +401,8 @@ def _reciprocal_any_width(divisor: int, value_bits: int) -> Reciprocal:
     """
     if value_bits <= RECIPROCAL_VALUE_BITS_MAX:
         return make_reciprocal(divisor, value_bits)
-    if divisor < 2:
-        raise ReciprocalError(f"divisor must be at least 2, got {divisor}")
+    magic, k = _minimal_shift(divisor, value_bits)
     top = (1 << value_bits) - 1
-    cap = value_bits + 2 * divisor.bit_length() + 2
-    for k in range(1, cap + 1):
-        magic = -(-(1 << k) // divisor)
-        if (magic * divisor - (1 << k)) * top < (1 << k):
-            break
-    else:
-        raise ReciprocalError(
-            f"no shift up to {cap} is exact for divisor {divisor} over {value_bits} bits"
-        )
     stride = max(1, (top + 1) >> 20)
     samples = list(range(0, top + 1, stride))
     samples += [top - i for i in range(min(64, top + 1))]

@@ -97,6 +97,21 @@ def test_verify_rejects_tampered_file(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("text", [
+    '{"w": 1' + "0" * 5000 + "}",  # past Python's integer digit limit
+    "[" * 100_000,  # past the recursion limit
+], ids=["huge-int", "deep-nesting"])
+def test_hostile_json_is_one_error_line(tmp_path, capsys, text):
+    path = tmp_path / "hostile.json"
+    path.write_text(text)
+    for argv in (("verify", "--code", str(path)),
+                 ("sighash", "eval", "--sig", str(path), "--hex", "0000")):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_verify_missing_file(tmp_path, capsys):
     rc, _, _ = run(capsys, "verify", "--code", str(tmp_path / "nope.json"))
     assert rc == 1

@@ -1,13 +1,16 @@
 """Full-code assembly: build, encode, distance, serialization."""
 
+import functools
 import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wordcode.errors import (
+    CodecError,
     CodecFormatError,
     CodecVersionError,
     CodeValidationError,
@@ -125,8 +128,7 @@ def test_build_deterministic():
 def test_ecc_code_pairing_enforced():
     code, _ = build_code(16, None, 1)
     with pytest.raises(ParameterError):
-        EccCode(2, code.params, code.gen, code.inner, None,
-                code.codeword_bits, code.delta_prime_bound)
+        EccCode(2, code.params, code.gen, code.inner, None)
 
 
 def test_encode_zero_is_zero():
@@ -348,6 +350,37 @@ def test_deserialize_rejects_malformed():
     obj["delta_den"] = 0
     with pytest.raises(CodecFormatError):
         deserialize(json.dumps(obj))
+    for key, value in (("m", True), ("w", 16.0), ("P", True), ("g_coeffs", [14, 1.0])):
+        obj = json.loads(blob)
+        obj[key] = value
+        with pytest.raises(CodecFormatError):
+            deserialize(json.dumps(obj))
+    # Integers past Python's digit limit and nesting past the recursion
+    # limit both fail inside the JSON parser.
+    with pytest.raises(CodecFormatError):
+        deserialize(blob.replace(b'"w":16', b'"w":1' + b"0" * 5000))
+    with pytest.raises(CodecFormatError):
+        deserialize(b"[" * 100_000)
+    with pytest.raises(CodecFormatError):
+        deserialize('{"inner":' * 100_000)
+
+
+def test_deserialize_rejects_malformed_inner():
+    code, _ = build_code(64, None, 2)
+    blob = serialize(code)
+    obj = json.loads(blob)
+    del obj["inner"]["S"]
+    with pytest.raises(CodecFormatError):
+        deserialize(json.dumps(obj))
+    for key, value in (("w", 7.0), ("m", True), ("version", 1.0)):
+        obj = json.loads(blob)
+        obj["inner"][key] = value
+        with pytest.raises(CodecFormatError):
+            deserialize(json.dumps(obj))
+    obj = json.loads(blob)
+    obj["inner"]["version"] = 2
+    with pytest.raises(CodecVersionError):
+        deserialize(json.dumps(obj))
 
 
 def test_deserialize_rejects_unknown_version():
@@ -377,6 +410,11 @@ def test_deserialize_rejects_tampered_values():
         deserialize(tampered(m=5))
     with pytest.raises(CodeValidationError):
         deserialize(tampered(w=9999))
+    # A non-reduced delta names the same code but is not its description.
+    with pytest.raises(CodeValidationError, match="delta_num=2"):
+        deserialize(tampered(delta_num=2, delta_den=4))
+    with pytest.raises(CodeValidationError, match="stored m=5 but w=16 rebuilds m=3"):
+        deserialize(tampered(m=5))
 
 
 def test_deserialize_rejects_tampered_level2():
@@ -398,3 +436,53 @@ def test_deserialize_rejects_tampered_level2():
     obj["delta_num"], obj["delta_den"] = 1, 3
     with pytest.raises(CodeValidationError):
         deserialize(json.dumps(obj))
+    # Level 2 inside level 2, one deep and many deep: the comparison
+    # rejects both, without descending the nesting.
+    obj = json.loads(blob)
+    obj["inner"] = json.loads(blob)
+    with pytest.raises(CodeValidationError, match="inner.level=2"):
+        deserialize(json.dumps(obj))
+    nested = json.loads(blob)
+    for _ in range(200):
+        outer = json.loads(blob)
+        outer["inner"] = nested
+        nested = outer
+    with pytest.raises(CodeValidationError, match="inner.level=2"):
+        deserialize(json.dumps(nested))
+
+
+@functools.cache
+def _description(w, level):
+    return serialize(build_code(w, None, level)[0])
+
+
+def _int_paths(obj, path=()):
+    """Paths to every integer of a description, nested ones included."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return [path] if type(obj) is int else []
+    return [p for key, value in items for p in _int_paths(value, path + (key,))]
+
+
+@settings(deadline=None, max_examples=80, database=None)
+@given(data=st.data())
+def test_deserialize_accepts_exactly_what_rebuilds(data):
+    # One integer field moved by +-k: either the description is rejected,
+    # or it names a code (w=16 -> 15 rebuilds the same fields) whose own
+    # description is the tampered one, byte for byte.
+    obj = json.loads(_description(*data.draw(st.sampled_from([(16, 1), (64, 2)]))))
+    path = data.draw(st.sampled_from(_int_paths(obj)))
+    k = data.draw(st.integers(-8, 8).filter(bool))
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] += k
+    tampered = json.dumps(obj, separators=(",", ":")).encode("ascii")
+    try:
+        code = deserialize(tampered)
+    except CodecError:
+        return
+    assert serialize(code) == tampered

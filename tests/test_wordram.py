@@ -5,11 +5,14 @@ import random
 import pytest
 
 from wordcode.errors import LayoutError, ReciprocalError
+from wordcode.outer_rs import derive_params
 from wordcode.wordram import (
+    RECIPROCAL_VALUE_BITS_MAX,
     FieldLayout,
     OpLedger,
     Reciprocal,
     WideInt,
+    _reciprocal_any_width,
     div_by_const,
     hamming,
     make_reciprocal,
@@ -278,6 +281,18 @@ def test_make_reciprocal_matches_minimal_shift_oracle():
         magic, k = minimal_shift_oracle(divisor, v)
         assert (rec.magic, rec.shift) == (magic, k)
         assert rec.magic == -(-(1 << rec.shift) // divisor)
+
+
+def test_reciprocal_any_width_matches_minimal_shift_oracle_above_cap():
+    # The generator's power reciprocal at w=8192 and the convolution
+    # layout's bound at w=1024 both lie past the exhaustive cap.
+    p8192, p1024 = derive_params(8192), derive_params(1024)
+    for divisor, v in [(p8192.P, 2 * p8192.P.bit_length()),
+                       (p1024.P, p1024.conv_layout().value_bound)]:
+        assert v > RECIPROCAL_VALUE_BITS_MAX
+        rec = _reciprocal_any_width(divisor, v)
+        assert (rec.magic, rec.shift) == minimal_shift_oracle(divisor, v)
+        assert (rec.divisor, rec.value_bits) == (divisor, v)
 
 
 def test_reciprocal_67_20_regression():
