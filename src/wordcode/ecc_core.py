@@ -472,33 +472,36 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_shape(obj) -> None:
+def _check_shape(obj, prefix: str = "") -> None:
     """Field names, types and format rules of one description level.
 
-    Values are left to the rebuild-and-compare in `_from_obj`.
+    Values are left to the rebuild-and-compare in `_from_obj`.  Messages
+    name fields by their path, `prefix` ("inner." for a level-2 inner
+    object) followed by the key.
     """
+    at = f" at {prefix[:-1]}" if prefix else ""
     _require(isinstance(obj, dict), "code description must be an object")
     missing = _DESCRIPTION_KEYS - obj.keys()
-    _require(not missing, f"missing fields: {sorted(missing)}")
+    _require(not missing, f"missing fields: {sorted(prefix + k for k in missing)}")
     extra = obj.keys() - _DESCRIPTION_KEYS
-    _require(not extra, f"unknown fields: {sorted(extra)}")
+    _require(not extra, f"unknown fields: {sorted(prefix + k for k in extra)}")
     for key in ("version", "level", "w", "B", "P", "alpha", "r_deg", "S",
                 "delta_num", "delta_den"):
-        _require(_is_int(obj[key]), f"field {key!r} must be an integer")
+        _require(_is_int(obj[key]), f"field {prefix + key!r} must be an integer")
     _require(isinstance(obj["g_coeffs"], list)
              and all(_is_int(c) for c in obj["g_coeffs"]),
-             "g_coeffs must be a list of integers")
+             f"{prefix}g_coeffs must be a list of integers")
     if obj["version"] != FORMAT_VERSION:
         raise CodecVersionError(
-            f"unsupported description version {obj['version']}")
+            f"unsupported description version {obj['version']}{at}")
     level = obj["level"]
-    _require(level in (1, 2), f"level must be 1 or 2, got {level}")
-    _require(obj["delta_den"] != 0, "delta_den must be nonzero")
+    _require(level in (1, 2), f"{prefix}level must be 1 or 2, got {level}")
+    _require(obj["delta_den"] != 0, f"{prefix}delta_den must be nonzero")
     if level == 1:
-        _require(_is_int(obj["m"]), "level 1 requires an integer multiplier")
+        _require(_is_int(obj["m"]), f"level 1 requires an integer multiplier{at}")
     else:
         _require(isinstance(obj["inner"], dict),
-                 "level 2 requires a nested inner code")
+                 f"level 2 requires a nested inner code{at}")
 
 
 def _first_mismatch(stored: dict, rebuilt: dict, prefix: str = ""):
@@ -524,7 +527,7 @@ def _from_obj(obj) -> EccCode:
     """
     _check_shape(obj)
     if obj["level"] == 2:
-        _check_shape(obj["inner"])
+        _check_shape(obj["inner"], "inner.")
     w, level = obj["w"], obj["level"]
     try:
         _check_build_args(w, level)

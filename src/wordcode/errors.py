@@ -19,7 +19,9 @@ class LayoutError(WordcodeError, ValueError):
 
 
 class ReciprocalError(WordcodeError, ValueError):
-    """No valid reciprocal constant exists below the shift cap."""
+    """No reciprocal constant: a divisor below 2, a negative range, or no
+    shift whose exactness certificate holds (tests brute-force the
+    constants that are returned)."""
 
 
 class MultiplierError(WordcodeError):

@@ -31,8 +31,6 @@ import numpy as np
 from ._kernels import bits_to_limbs
 from .errors import LayoutError, ReciprocalError
 
-RECIPROCAL_VALUE_BITS_MAX = 24
-
 
 class WideInt:
     """Immutable unsigned integer with an explicit bit width.
@@ -331,7 +329,11 @@ def unpack_fields(word: WideInt, layout: FieldLayout, ledger: OpLedger | None = 
 @dataclass(frozen=True)
 class Reciprocal:
     """Magic constant pair (magic, shift) with floor(c*magic >> shift) ==
-    c // divisor proven for every c below 2**value_bits."""
+    c // divisor for every c below 2**value_bits.
+
+    Exactness is proven by the certificate `_minimal_shift` checks, not
+    by trying dividends; the tests brute-force it.
+    """
 
     divisor: int
     magic: int
@@ -343,8 +345,11 @@ def _minimal_shift(divisor: int, value_bits: int) -> tuple[int, int]:
     """Smallest k, with M = ceil(2**k / divisor), whose error term
     e = M*divisor - 2**k satisfies e*(2**value_bits - 1) < 2**k.
 
-    That inequality makes floor((c*M) / 2**k) == c//divisor for every c
-    in [0, 2**value_bits).  Returns (M, k).
+    That certificate makes floor((c*M) / 2**k) == c//divisor for every c
+    in [0, 2**value_bits): with c = q*divisor + r, c*M/2**k equals
+    c/divisor + c*e/(divisor*2**k), and c*e < 2**k keeps the fraction
+    (r + c*e/2**k)/divisor below 1 (Granlund & Montgomery, PLDI 1994).
+    Returns (M, k).
     """
     if divisor < 2:
         raise ReciprocalError(f"divisor must be at least 2, got {divisor}")
@@ -359,59 +364,16 @@ def _minimal_shift(divisor: int, value_bits: int) -> tuple[int, int]:
     )
 
 
-def make_reciprocal(divisor: int, value_bits: int) -> Reciprocal:
-    """Find the smallest shift k with M = ceil(2**k / divisor) exact on
-    the whole validated range [0, 2**value_bits).
-
-    The shift comes from the error inequality of `_minimal_shift`; the
-    construction finishes with an exhaustive check of exactness, so a
-    returned Reciprocal is trustworthy by brute force and not only by
-    argument.
-    """
-    if not 0 <= value_bits <= RECIPROCAL_VALUE_BITS_MAX:
-        raise ReciprocalError(
-            f"value_bits {value_bits} outside [0, {RECIPROCAL_VALUE_BITS_MAX}]"
-        )
-    magic, k = _minimal_shift(divisor, value_bits)
-    top = (1 << value_bits) - 1
-    if (top * magic).bit_length() <= 63 and top > 0:
-        c = np.arange(top + 1, dtype=np.uint64)
-        ok = (c * np.uint64(magic)) >> np.uint64(k) == c // np.uint64(divisor)
-        bad = int(np.argmin(ok)) if not ok.all() else None
-    else:
-        bad = next(
-            (c for c in range(top + 1) if (c * magic) >> k != c // divisor),
-            None,
-        )
-    if bad is not None:
-        raise ReciprocalError(
-            f"reciprocal for {divisor} failed exhaustive check at c={bad}"
-        )
-    return Reciprocal(divisor, magic, k, value_bits)
-
-
 @lru_cache(maxsize=256)
 def _reciprocal_any_width(divisor: int, value_bits: int) -> Reciprocal:
-    """Reciprocal for ranges past the exhaustive cap.
+    """The reciprocal of `divisor` exact on [0, 2**value_bits), any width.
 
-    Same minimal-shift construction; exactness over [0, 2**value_bits)
-    follows from the error inequality alone, so validation here is a
-    deterministic sample (range extremes plus a strided sweep) instead
-    of the full enumeration that make_reciprocal performs.
+    The one reciprocal constructor: the minimal shift whose certificate
+    holds, so no dividend is tried at run time.
     """
-    if value_bits <= RECIPROCAL_VALUE_BITS_MAX:
-        return make_reciprocal(divisor, value_bits)
-    magic, k = _minimal_shift(divisor, value_bits)
-    top = (1 << value_bits) - 1
-    stride = max(1, (top + 1) >> 20)
-    samples = list(range(0, top + 1, stride))
-    samples += [top - i for i in range(min(64, top + 1))]
-    for c in samples:
-        if (c * magic) >> k != c // divisor:
-            raise ReciprocalError(
-                f"reciprocal for {divisor} failed sampled check at c={c}"
-            )
-    return Reciprocal(divisor, magic, k, value_bits)
+    if value_bits < 0:
+        raise ReciprocalError(f"value_bits must be non-negative, got {value_bits}")
+    return Reciprocal(divisor, *_minimal_shift(divisor, value_bits), value_bits)
 
 
 def div_by_const(c: int, rec: Reciprocal, ledger: OpLedger | None = None) -> tuple[int, int]:

@@ -381,6 +381,19 @@ def test_deserialize_rejects_malformed_inner():
     obj["inner"]["version"] = 2
     with pytest.raises(CodecVersionError):
         deserialize(json.dumps(obj))
+    # Messages name the level by the field's path; the top level's do not.
+    for where in ("inner", None):
+        obj = json.loads(blob)
+        (obj if where is None else obj[where])["w"] = 7.0
+        field = "w" if where is None else f"{where}.w"
+        with pytest.raises(CodecFormatError) as exc:
+            deserialize(json.dumps(obj))
+        assert str(exc.value) == f"field {field!r} must be an integer"
+    obj = json.loads(blob)
+    del obj["inner"]["S"]
+    with pytest.raises(CodecFormatError) as exc:
+        deserialize(json.dumps(obj))
+    assert str(exc.value) == "missing fields: ['inner.S']"
 
 
 def test_deserialize_rejects_unknown_version():

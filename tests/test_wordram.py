@@ -2,20 +2,22 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+from wordcode import ecc_core, outer_rs, wordram
 from wordcode.errors import LayoutError, ReciprocalError
 from wordcode.outer_rs import derive_params
 from wordcode.wordram import (
-    RECIPROCAL_VALUE_BITS_MAX,
     FieldLayout,
     OpLedger,
     Reciprocal,
     WideInt,
+    _ParallelModPlan,
     _reciprocal_any_width,
     div_by_const,
     hamming,
-    make_reciprocal,
     pack_fields,
     parallel_mod,
     parallel_mod_reference,
@@ -40,6 +42,10 @@ def minimal_shift_oracle(divisor, value_bits):
         if (magic * divisor - (1 << k)) * top < (1 << k):
             return magic, k
         k += 1
+
+
+# Reciprocals up to this many value bits are checked on every dividend.
+EXHAUSTIVE_BITS_MAX = 24
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +281,9 @@ def test_layout_validation():
 # Reciprocal division
 
 
-def test_make_reciprocal_matches_minimal_shift_oracle():
+def test_reciprocal_matches_minimal_shift_oracle():
     for divisor, v in [(3, 8), (17, 12), (67, 20), (257, 16), (8209, 20)]:
-        rec = make_reciprocal(divisor, v)
+        rec = _reciprocal_any_width(divisor, v)
         magic, k = minimal_shift_oracle(divisor, v)
         assert (rec.magic, rec.shift) == (magic, k)
         assert rec.magic == -(-(1 << rec.shift) // divisor)
@@ -285,11 +291,11 @@ def test_make_reciprocal_matches_minimal_shift_oracle():
 
 def test_reciprocal_any_width_matches_minimal_shift_oracle_above_cap():
     # The generator's power reciprocal at w=8192 and the convolution
-    # layout's bound at w=1024 both lie past the exhaustive cap.
+    # layout's bound at w=1024 both lie past the exhaustive width.
     p8192, p1024 = derive_params(8192), derive_params(1024)
     for divisor, v in [(p8192.P, 2 * p8192.P.bit_length()),
                        (p1024.P, p1024.conv_layout().value_bound)]:
-        assert v > RECIPROCAL_VALUE_BITS_MAX
+        assert v > EXHAUSTIVE_BITS_MAX
         rec = _reciprocal_any_width(divisor, v)
         assert (rec.magic, rec.shift) == minimal_shift_oracle(divisor, v)
         assert (rec.divisor, rec.value_bits) == (divisor, v)
@@ -297,18 +303,18 @@ def test_reciprocal_any_width_matches_minimal_shift_oracle_above_cap():
 
 def test_reciprocal_67_20_regression():
     # Smallest exact shift for this pair; frozen after exhaustive check.
-    rec = make_reciprocal(67, 20)
+    rec = _reciprocal_any_width(67, 20)
     assert (rec.magic, rec.shift) == (1001625, 26)
 
 
 def test_reciprocal_power_of_two_divisor():
-    rec = make_reciprocal(2, 4)
+    rec = _reciprocal_any_width(2, 4)
     for c in range(16):
         assert div_by_const(c, rec) == (c >> 1, c & 1)
 
 
 def test_div_by_const_pinned_values():
-    rec = make_reciprocal(67, 20)
+    rec = _reciprocal_any_width(67, 20)
     assert div_by_const(0, rec) == (0, 0)
     assert div_by_const(67, rec) == (1, 0)
     assert div_by_const(1000000, rec) == (14925, 25)
@@ -318,14 +324,14 @@ def test_div_by_const_pinned_values():
 
 def test_div_by_const_random_against_host_division():
     rng = random.Random(2)
-    rec = make_reciprocal(257, 22)
+    rec = _reciprocal_any_width(257, 22)
     for _ in range(5000):
         c = rng.randrange(1 << 22)
         assert div_by_const(c, rec) == divmod(c, 257)
 
 
 def test_div_by_const_range_check():
-    rec = make_reciprocal(67, 8)
+    rec = _reciprocal_any_width(67, 8)
     with pytest.raises(ValueError):
         div_by_const(256, rec)
     with pytest.raises(ValueError):
@@ -333,20 +339,70 @@ def test_div_by_const_range_check():
 
 
 def test_div_by_const_charges_two_muls_shift_sub():
-    rec = make_reciprocal(67, 20)
+    rec = _reciprocal_any_width(67, 20)
     led = OpLedger(64)
     div_by_const(12345, rec, led)
     assert led.mul == 2 and led.shift == 1 and led.sub == 1
     assert led.add == 0 and led.bitwise == 0
 
 
-def test_make_reciprocal_preconditions():
+def test_reciprocal_preconditions():
     with pytest.raises(ReciprocalError):
-        make_reciprocal(1, 8)
+        _reciprocal_any_width(1, 8)
     with pytest.raises(ReciprocalError):
-        make_reciprocal(67, 25)
-    with pytest.raises(ReciprocalError):
-        make_reciprocal(67, -1)
+        _reciprocal_any_width(67, -1)
+
+
+def test_reciprocals_exact_on_every_dividend(monkeypatch):
+    # Every (divisor, width) up to EXHAUSTIVE_BITS_MAX that building the
+    # codes requests, plus the pairs pinned above, on all of [0, 2**width).
+    # The parallel_mod plans are the one cache that would hide a request.
+    wordram._parallel_mod_plan.cache_clear()
+    requested = {}
+
+    def recording(divisor, value_bits):
+        rec = _reciprocal_any_width(divisor, value_bits)
+        requested[divisor, value_bits] = rec
+        return rec
+
+    monkeypatch.setattr(wordram, "_reciprocal_any_width", recording)
+    monkeypatch.setattr(outer_rs, "_reciprocal_any_width", recording)
+    for w, level in ((64, 1), (256, 1), (512, 1), (1024, 2), (8192, 2)):
+        ecc_core.build_code(w, None, level)
+    checked = {pair: rec for pair, rec in requested.items()
+               if pair[1] <= EXHAUSTIVE_BITS_MAX}
+    assert len(checked) >= 10
+    for pair in ((3, 8), (17, 12), (67, 20), (257, 16), (8209, 20), (2, 4), (257, 22)):
+        checked[pair] = _reciprocal_any_width(*pair)
+    chunk = 1 << 20
+    for (divisor, bits), rec in sorted(checked.items()):
+        top = (1 << bits) - 1
+        assert (top * rec.magic).bit_length() <= 64  # uint64 products stay exact.
+        magic, shift, d = np.uint64(rec.magic), np.uint64(rec.shift), np.uint64(divisor)
+        for lo in range(0, top + 1, chunk):
+            c = np.arange(lo, min(lo + chunk, top + 1), dtype=np.uint64)
+            bad = np.flatnonzero((c * magic) >> shift != c // d)
+            assert bad.size == 0, f"{divisor} over {bits} bits fails at c={lo + bad[0]}"
+
+
+@settings(deadline=None, max_examples=30, database=None)
+@given(divisor=st.integers(2, 1 << 64), bits=st.integers(0, 20_000),
+       seed=st.integers(0, 2**32))
+@example(divisor=3, bits=20_000, seed=0)
+@example(divisor=(1 << 61) - 1, bits=19_999, seed=1)
+def test_reciprocal_exact_at_any_width(divisor, bits, seed):
+    rec = _reciprocal_any_width(divisor, bits)
+    assert (rec.divisor, rec.value_bits) == (divisor, bits)
+    # The certificate, re-checked on its own.
+    top = (1 << bits) - 1
+    error = rec.magic * divisor - (1 << rec.shift)
+    assert rec.magic == -(-(1 << rec.shift) // divisor)
+    assert 0 <= error and error * top < 1 << rec.shift
+    extremes = [c for c in (0, 1, divisor - 1, divisor, top - 1, top) if 0 <= c <= top]
+    rng = random.Random(seed)
+    for c in extremes + [rng.getrandbits(bits) for _ in range(20)]:
+        assert (c * rec.magic) >> rec.shift == c // divisor
+        assert div_by_const(c, rec) == divmod(c, divisor)
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +483,33 @@ def test_parallel_mod_rejects_short_word_and_tight_layout():
         parallel_mod(WideInt(0, 16), FieldLayout(8, 2, 8), 67)  # correction field.
     with pytest.raises(LayoutError):
         parallel_mod(WideInt(0, 60), layout, 1)
+
+
+@settings(deadline=None, max_examples=300, database=None)
+@given(data=st.data())
+def test_parallel_mod_matches_reference_on_random_layouts(data):
+    width = data.draw(st.integers(4, 96), label="slot_width")
+    count = data.draw(st.integers(0, 12), label="slot_count")
+    # Bounds at or just under the slot width are the layouts the plan
+    # must judge most finely.
+    slack = data.draw(st.integers(0, 2) | st.integers(0, width), label="slack")
+    bound = width - slack
+    # Below 2**(width - 2) the correction field always fits a slot.
+    divisor = data.draw(st.integers(2, (1 << (width - 2)) - 1), label="divisor")
+    layout = FieldLayout(width, count, bound)
+    try:
+        _ParallelModPlan(layout, divisor)
+    except LayoutError:
+        assume(False)
+    top = (1 << bound) - 1
+    values = data.draw(st.lists(st.integers(0, top) | st.just(top),
+                                min_size=count, max_size=count), label="values")
+    above = data.draw(st.integers(0, (1 << 16) - 1), label="bits above the layout")
+    word = WideInt(int(pack_fields(values, layout)) | above << layout.total_bits,
+                   layout.total_bits + 16)
+    packed = parallel_mod(word, layout, divisor)
+    assert packed == parallel_mod_reference(word, layout, divisor)
+    assert unpack_fields(packed, layout) == [v % divisor for v in values]
 
 
 def test_reference_route_charges_linearly_but_packed_does_not():
