@@ -135,12 +135,12 @@ def batch_residues(key_rows, w, b_bits, n_blocks, bpw, prime, g_coeffs):
     return (msg.reshape(n, bpw, 5).transpose(0, 2, 1) @ band) % prime
 
 
-def concat_fields(rows: np.ndarray, field_bits: int, limbs: int) -> np.ndarray:
+def concat_fields(rows: np.ndarray, field_width: int, limbs: int) -> np.ndarray:
     """Join the fields of every key into one limb row.
 
     `rows` has shape (keys, fields, field limbs); field f of a key, which
-    must fit in `field_bits` bits, lands at bit f * field_bits.
+    must fit in `field_width` bits, lands at bit f * field_width.
     """
     n, fields, field_limbs = rows.shape
-    bits = limbs_to_bits(rows.reshape(n * fields, field_limbs), field_bits)
-    return bits_to_limbs(bits.reshape(n, fields * field_bits), limbs)
+    bits = limbs_to_bits(rows.reshape(n * fields, field_limbs), field_width)
+    return bits_to_limbs(bits.reshape(n, fields * field_width), limbs)

@@ -31,6 +31,7 @@ from .errors import (
     ParameterError,
 )
 from .inner_mult import (
+    B_MAX,
     DEFAULT_DELTA,
     DELTA_LADDER,
     InnerCode,
@@ -184,11 +185,11 @@ def _charge_param_search(p: RsParams, ledger: OpLedger):
 
 def _resolve_delta(b: int, delta) -> Fraction:
     if delta is None:
-        if b not in DEFAULT_DELTA:
+        if b > B_MAX:
             raise ParameterError(
                 f"no inner code is searchable for {b}-bit symbols; "
                 f"the word size needs a level-2 construction")
-        return DEFAULT_DELTA[b]
+        return DEFAULT_DELTA
     return Fraction(delta)
 
 
@@ -243,7 +244,7 @@ def _check_build_args(w: int, level: int):
 def build_code(w: int, delta=None, level: int = 1):
     """Construct the code for word size w; returns (EccCode, CostReport).
 
-    delta defaults to the frozen per-B table.  Level 2 recursively
+    delta defaults to DEFAULT_DELTA.  Level 2 recursively
     builds its inner stage as a level-1 code for word size B+1; the
     construction ledger covers both levels, charged at word size w.
     """
@@ -317,10 +318,13 @@ def _codeword_limb_count(code: EccCode) -> int:
 def _key_rows(keys: np.ndarray, w: int) -> np.ndarray:
     """Keys as little-endian uint64 limb rows.
 
-    Takes a uint64 array, or an object array of Python ints of any width.
+    Takes limb rows (a 2-D uint64 array, returned as is), a 1-D uint64
+    array, or an object array of Python ints of any width.
     """
     limbs = -(-w // 64)
     keys = np.asarray(keys)
+    if keys.ndim == 2:
+        return keys
     if keys.dtype != object:
         rows = np.zeros((keys.shape[0], limbs), dtype=np.uint64)
         rows[:, 0] = keys
@@ -335,13 +339,13 @@ def _encode_rows(code: EccCode, rows: np.ndarray) -> np.ndarray:
         rows, p.w, p.B, p.n_blocks, p.blocks_per_word, p.P, code.gen.coeffs)
     if code.level == 1:
         fields = resid.astype(np.uint64) * np.uint64(code.inner.m)
-        field_bits = p.S
+        field_width = p.S
     else:
         inner = code.inner_ecc
         fields = _encode_rows(inner, resid.reshape(-1, 1).astype(np.uint64))
-        field_bits = inner.codeword_bits
+        field_width = inner.codeword_bits
     return _kernels.concat_fields(
-        fields.reshape(rows.shape[0], 5 * p.out_slots, -1), field_bits,
+        fields.reshape(rows.shape[0], 5 * p.out_slots, -1), field_width,
         _codeword_limb_count(code))
 
 
@@ -365,18 +369,13 @@ def _batch_encode(code: EccCode, keys: np.ndarray) -> np.ndarray:
 
 
 def _sample_keys(rng, w: int, n: int) -> np.ndarray:
+    """n uniform w-bit keys: a uint64 array, or limb rows for w > 64."""
     if w <= 64:
         return rng.integers(0, 1 << w, size=n, dtype=np.uint64)
-    # Wider words as object ints, composed from 64-bit draws.
-    chunks = rng.integers(0, 1 << 64, size=(n, -(-w // 64)), dtype=np.uint64)
-    vals = np.empty(n, dtype=object)
-    top_mask = (1 << w) - 1
-    for i in range(n):
-        v = 0
-        for t, c in enumerate(chunks[i]):
-            v |= int(c) << (64 * t)
-        vals[i] = v & top_mask
-    return vals
+    rows = rng.integers(0, 1 << 64, size=(n, -(-w // 64)), dtype=np.uint64)
+    if w % 64:
+        rows[:, -1] &= np.uint64((1 << (w % 64)) - 1)
+    return rows
 
 
 def distance_report(code: EccCode, mode: str = "random",
@@ -411,10 +410,11 @@ def distance_report(code: EccCode, mode: str = "random",
             take = min(chunk, remaining)
             xs = _sample_keys(rng, p.w, take)
             ys = _sample_keys(rng, p.w, take)
-            dup = xs == ys
+            # Row-wise: a wide key is equal only when all its limbs are.
+            dup = (xs == ys).reshape(take, -1).all(axis=1)
             while bool(np.any(dup)):
                 ys[dup] = _sample_keys(rng, p.w, int(np.sum(dup)))
-                dup = xs == ys
+                dup = (xs == ys).reshape(take, -1).all(axis=1)
             d = int(_kernels.paired_min_hamming(
                 _batch_encode(code, xs), _batch_encode(code, ys)))
             min_bits = min(min_bits, d)

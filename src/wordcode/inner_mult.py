@@ -34,10 +34,9 @@ DELTA_LADDER = (
     Fraction(1, 6),
 )
 
-# Largest ladder entry whose search succeeds, per B.  The full scan
-# finds a multiplier for delta = 1/2 at every supported B; the table
-# keeps the per-B shape in case a future range extension breaks that.
-DEFAULT_DELTA = {b: Fraction(1, 2) for b in range(1, B_MAX + 1)}
+# The full scan finds a multiplier for the top of the ladder at every
+# supported B, so that is the default everywhere.
+DEFAULT_DELTA = Fraction(1, 2)
 
 
 @dataclass(frozen=True)

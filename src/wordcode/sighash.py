@@ -157,10 +157,14 @@ def sig_eval(f: SignatureFn, x) -> WideInt:
 
 
 def verify_injective(f: SignatureFn, keys) -> bool:
-    """Full independent re-check: evaluate everything, compare all."""
+    """Full re-check: evaluate every key, compare all signatures.
+
+    Keys are encoded in bulk and the signature columns gathered, which
+    gives each key's `sig_eval` bits; the scalar route is the oracle.
+    """
     vals = _as_key_values(f.code, keys)
-    sigs = {int(sig_eval(f, v)) for v in vals}
-    return len(sigs) == len(vals)
+    sigs = _bit_matrix(f.code, vals)[:, list(f.positions)]
+    return len(np.unique(sigs, axis=0)) == len(vals)
 
 
 # ---------------------------------------------------------------------------

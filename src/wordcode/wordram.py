@@ -52,10 +52,6 @@ class WideInt:
     def __setattr__(self, name, _value):
         raise AttributeError(f"WideInt is immutable, cannot set {name!r}")
 
-    @classmethod
-    def from_hex(cls, text: str, bits: int) -> "WideInt":
-        return cls(int(text, 16), bits)
-
     def to_hex(self) -> str:
         digits = -(-self.bits // 4)
         return format(self.value, f"0{digits}x") if digits else ""
@@ -110,9 +106,6 @@ class OpLedger:
     def words(self, bits: int) -> int:
         return -(-bits // self.word_bits)
 
-    def charge_add(self, bits_a: int, bits_b: int = 0):
-        self.add += max(self.words(bits_a), self.words(bits_b))
-
     def charge_sub(self, bits_a: int, bits_b: int = 0):
         self.sub += max(self.words(bits_a), self.words(bits_b))
 
@@ -124,9 +117,6 @@ class OpLedger:
 
     def charge_bitwise(self, bits_a: int, bits_b: int = 0):
         self.bitwise += max(self.words(bits_a), self.words(bits_b))
-
-    def charge_cmp(self, bits_a: int, bits_b: int = 0):
-        self.cmp += max(self.words(bits_a), self.words(bits_b))
 
     def charge_counted(self, kind: str, count: int, word_units: int):
         """Post `count` operations of `word_units` words each in one go.
@@ -160,20 +150,6 @@ class OpLedger:
 # uses for building masks and other one-off constants.
 
 
-def wide_add(a: WideInt, b: WideInt, ledger: OpLedger | None = None) -> WideInt:
-    if ledger is not None:
-        ledger.charge_add(a.bits, b.bits)
-    return WideInt(a.value + b.value, max(a.bits, b.bits) + 1)
-
-
-def wide_sub(a: WideInt, b: WideInt, ledger: OpLedger | None = None) -> WideInt:
-    if b.value > a.value:
-        raise ValueError("wide_sub underflow: subtrahend exceeds minuend")
-    if ledger is not None:
-        ledger.charge_sub(a.bits, b.bits)
-    return WideInt(a.value - b.value, max(a.bits, b.bits))
-
-
 def wide_mul(a: WideInt, b: WideInt, ledger: OpLedger | None = None) -> WideInt:
     if ledger is not None:
         ledger.charge_mul(a.bits, b.bits)
@@ -188,30 +164,10 @@ def wide_shl(a: WideInt, amount: int, ledger: OpLedger | None = None) -> WideInt
     return WideInt(a.value << amount, a.bits + amount)
 
 
-def wide_shr(a: WideInt, amount: int, ledger: OpLedger | None = None) -> WideInt:
-    if amount < 0:
-        raise ValueError(f"negative shift {amount}")
-    if ledger is not None:
-        ledger.charge_shift(a.bits)
-    return WideInt(a.value >> amount, max(a.bits - amount, 0))
-
-
-def wide_and(a: WideInt, b: WideInt, ledger: OpLedger | None = None) -> WideInt:
-    if ledger is not None:
-        ledger.charge_bitwise(a.bits, b.bits)
-    return WideInt(a.value & b.value, max(a.bits, b.bits))
-
-
 def wide_or(a: WideInt, b: WideInt, ledger: OpLedger | None = None) -> WideInt:
     if ledger is not None:
         ledger.charge_bitwise(a.bits, b.bits)
     return WideInt(a.value | b.value, max(a.bits, b.bits))
-
-
-def wide_xor(a: WideInt, b: WideInt, ledger: OpLedger | None = None) -> WideInt:
-    if ledger is not None:
-        ledger.charge_bitwise(a.bits, b.bits)
-    return WideInt(a.value ^ b.value, max(a.bits, b.bits))
 
 
 def wide_trunc(a: WideInt, bits: int, ledger: OpLedger | None = None) -> WideInt:
@@ -405,19 +361,16 @@ def div_by_const(c: int, rec: Reciprocal, ledger: OpLedger | None = None) -> tup
 # parity the spill lands in a dead neighbour and never reaches the next
 # live slot.  Per parity: mask, one whole-word multiply by M, one shift
 # right by k plus a mask that isolates each quotient, one whole-word
-# multiply by the divisor, one subtract.  The parities are OR-ed back
-# together and a single conditional-correction sweep (compare all slots
-# to the divisor via an indicator bit, subtract the divisor from exactly
-# the slots at or above it) leaves every slot fully reduced.
+# multiply by the divisor, one subtract; the odd parity is OR-ed into the
+# even one.  Nothing follows.  The reciprocal's certificate makes every
+# slot's quotient exact, floor(c*M / 2**k) == c // divisor, and the
+# plan's window check keeps every slot's product below 2**(k + qbits) <=
+# 2**(2*slot_width), so no product or quotient window reaches a live
+# neighbour.  Each remainder is therefore already in [0, divisor).
 
 
 class _ParallelModPlan:
-    __slots__ = (
-        "layout", "divisor", "rec", "qbits",
-        "even_mask", "odd_mask", "q_even_mask", "q_odd_mask",
-        "field_bits", "slot_ones", "correction_addend", "indicator_mask",
-        "magic_bits", "divisor_bits",
-    )
+    __slots__ = ("layout", "divisor", "rec", "magic_bits", "divisor_bits", "parities")
 
     def __init__(self, layout: FieldLayout, divisor: int):
         s, n, v = layout.slot_width, layout.slot_count, layout.value_bound
@@ -425,49 +378,26 @@ class _ParallelModPlan:
         self.divisor = divisor
         rec = _reciprocal_any_width(divisor, v)
         self.rec = rec
-        top = (1 << v) - 1
-        prod_bits = (top * rec.magic).bit_length()
-        if prod_bits > 2 * s:
-            raise LayoutError(
-                f"product of a slot value and the magic constant needs {prod_bits} bits,"
-                f" more than two slots ({2 * s}); layout too tight for divisor {divisor}"
-            )
-        qbits = max((top // divisor).bit_length(), 1)
+        # With q = (2**v - 1) // divisor the certificate gives
+        # q * 2**k <= (2**v - 1) * M < (q + 1) * 2**k, so the largest
+        # slot product has exactly k + bit_length(q) bits when q >= 1 and
+        # at most k when q == 0: this one check also bounds the product.
+        qbits = max((((1 << v) - 1) // divisor).bit_length(), 1)
         if rec.shift + qbits > 2 * s:
             raise LayoutError(
                 f"quotient window (shift {rec.shift} + {qbits} bits) exceeds two slots"
                 f" ({2 * s}); layout too tight for divisor {divisor}"
             )
-        field = divisor.bit_length() + 1
-        if field + 1 > s:
-            raise LayoutError(
-                f"correction field needs {field + 1} bits, slot width is only {s}"
-            )
-        self.qbits = qbits
-        self.field_bits = field
         self.magic_bits = rec.magic.bit_length()
         self.divisor_bits = divisor.bit_length()
-        even = odd = 0
-        q_even = q_odd = 0
-        ones = 0
+        # (slot mask, quotient mask) of the even slots, then the odd ones.
+        masks = [[0, 0], [0, 0]]
         slot_full = (1 << s) - 1
         q_full = (1 << qbits) - 1
         for i in range(n):
-            pos = i * s
-            ones |= 1 << pos
-            if i % 2 == 0:
-                even |= slot_full << pos
-                q_even |= q_full << pos
-            else:
-                odd |= slot_full << pos
-                q_odd |= q_full << pos
-        self.even_mask = even
-        self.odd_mask = odd
-        self.q_even_mask = q_even
-        self.q_odd_mask = q_odd
-        self.slot_ones = ones
-        self.correction_addend = ((1 << field) - divisor) * ones
-        self.indicator_mask = ones
+            masks[i % 2][0] |= slot_full << (i * s)
+            masks[i % 2][1] |= q_full << (i * s)
+        self.parities = tuple(tuple(m) for m in masks[:min(n, 2)])
 
 
 @lru_cache(maxsize=256)
@@ -488,29 +418,16 @@ def parallel_mod(word: WideInt, layout: FieldLayout, divisor: int,
         raise LayoutError(
             f"word of {word.bits} bits shorter than layout ({layout.total_bits})"
         )
-    n = layout.slot_count
-    if n == 0:
+    if layout.slot_count == 0:
         return WideInt(0, 0)
     plan = _parallel_mod_plan(layout, divisor)
     bits = layout.total_bits
     wide = bits + plan.magic_bits
-
-    def _reduce_parity(selected: int, q_mask: int) -> int:
-        prod = selected * plan.rec.magic
-        quot = (prod >> plan.rec.shift) & q_mask
-        return selected - quot * plan.divisor
-
-    x = word.value
-    rem = _reduce_parity(x & plan.even_mask, plan.q_even_mask)
-    if ledger is not None:
-        ledger.charge_bitwise(bits)
-        ledger.charge_mul(bits, plan.magic_bits)
-        ledger.charge_shift(wide)
-        ledger.charge_bitwise(wide)
-        ledger.charge_mul(bits, plan.divisor_bits)
-        ledger.charge_sub(bits, bits)
-    if n > 1:
-        rem |= _reduce_parity(x & plan.odd_mask, plan.q_odd_mask)
+    x, out = word.value, 0
+    for parity, (mask, q_mask) in enumerate(plan.parities):
+        selected = x & mask
+        quot = ((selected * plan.rec.magic) >> plan.rec.shift) & q_mask
+        out |= selected - quot * plan.divisor
         if ledger is not None:
             ledger.charge_bitwise(bits)
             ledger.charge_mul(bits, plan.magic_bits)
@@ -518,18 +435,8 @@ def parallel_mod(word: WideInt, layout: FieldLayout, divisor: int,
             ledger.charge_bitwise(wide)
             ledger.charge_mul(bits, plan.divisor_bits)
             ledger.charge_sub(bits, bits)
-            ledger.charge_bitwise(bits)
-    # Single correction sweep: slot values here are < 2*divisor, one
-    # conditional subtract of the divisor finishes the reduction.
-    t = rem + plan.correction_addend
-    sel = (t >> plan.field_bits) & plan.indicator_mask
-    out = rem - sel * plan.divisor
-    if ledger is not None:
-        ledger.charge_add(bits, bits)
-        ledger.charge_shift(bits)
-        ledger.charge_bitwise(bits)
-        ledger.charge_mul(bits, plan.divisor_bits)
-        ledger.charge_sub(bits, bits)
+            if parity:
+                ledger.charge_bitwise(bits)  # merge into the even result
     return WideInt(out, bits)
 
 

@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -100,6 +101,9 @@ def test_build_rejects_bad_args():
         build_code(8193, None, 1)
     with pytest.raises(ParameterError):
         build_code(64, None, 3)
+    # No default delta past B_MAX: the symbols are too wide for level 1.
+    with pytest.raises(ParameterError, match="no inner code is searchable for 13-bit"):
+        build_code(8192, None, 1)
 
 
 def test_build_not_found_attaches_achievable_delta():
@@ -287,6 +291,38 @@ def test_distance_random_wide_word():
     code, _ = build_code(200, None, 1)
     rep = distance_report(code, "random", samples=200, seed=2)
     assert rep["min_bits"] >= code.guaranteed_min_bits()
+
+
+def test_distance_random_wide_pinned():
+    # Minimums recorded with the keys drawn as Python ints; sampling them
+    # as limb rows must draw the very same keys.
+    pinned = {(256, 0): 475, (256, 1): 467, (200, 0): 343, (200, 1): 334}
+    for (w, seed), min_bits in pinned.items():
+        code, _ = build_code(w, None, 1)
+        rep = distance_report(code, "random", samples=2000, seed=seed)
+        assert rep == {"min_bits": min_bits,
+                       "min_relative": min_bits / code.codeword_bits,
+                       "pairs_checked": 2000}
+
+
+def test_distance_random_redraws_equal_wide_keys(monkeypatch):
+    # An equal pair would measure 0 bits and fail the floor, so only a
+    # row-wise redraw lets this report through.
+    xs = np.arange(12, dtype=np.uint64).reshape(3, 4)
+    ys = xs + np.uint64(100)
+    ys[0, :3] = xs[0, :3]  # three limbs of four agree: a distinct key
+    ys[1] = xs[1]          # every limb agrees: the same key
+    draws = [xs, ys, xs[1:2] + np.uint64(200)]
+
+    class ScriptedRng:
+        def integers(self, low, high, size, dtype):
+            assert np.shape(draws[0]) == size
+            return draws.pop(0).copy()
+
+    code, _ = build_code(256, None, 1)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: ScriptedRng())
+    rep = distance_report(code, "random", samples=3, seed=0)
+    assert draws == [] and rep["pairs_checked"] == 3
 
 
 def test_distance_rejects_bad_mode_and_samples():

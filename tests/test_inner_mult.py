@@ -87,7 +87,7 @@ def test_frozen_multiplier_table():
 
 def test_found_multiplier_passes_exhaustive_oracle():
     for b in (4, 6):
-        ic = find_multiplier(b, DEFAULT_DELTA[b])
+        ic = find_multiplier(b, DEFAULT_DELTA)
         assert distance_oracle(ic.m, b) >= ic.threshold
 
 
@@ -100,9 +100,9 @@ def test_returned_multiplier_is_smallest():
 def test_default_delta_is_top_of_ladder():
     assert DELTA_LADDER[0] == Fraction(1, 2)
     assert max(DELTA_LADDER) == Fraction(1, 2)
+    assert DEFAULT_DELTA == DELTA_LADDER[0]
     for b in (3, 4, 5, 6, 7, 8):
-        assert DEFAULT_DELTA[b] == Fraction(1, 2)
-        find_multiplier(b, DEFAULT_DELTA[b])
+        find_multiplier(b, DEFAULT_DELTA)
 
 
 def test_impossible_threshold_rejected():

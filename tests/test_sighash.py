@@ -135,6 +135,29 @@ def test_verify_rejects_handmade_non_injective():
     assert verify_injective(bogus, [0, 1]) is False
 
 
+def test_verify_matches_scalar_oracle():
+    l1, _ = build_code(16, None, 1)
+    l2, _ = build_code(16, None, 2)
+    keys1 = distinct_keys(random.Random(2026), 16, 300)
+    keys2 = distinct_keys(random.Random(4), 16, 40)
+    k = keys1[0]
+    cases = [(build_signature(l1, keys1), keys1),
+             (build_signature(l2, keys2), keys2),
+             # A signature built on a few keys, read on many: collisions.
+             (build_signature(l2, keys2), keys1),
+             (build_signature(l1, keys1), []),
+             (build_signature(l1, keys1), [k]),
+             (build_signature(l1, keys1), [k, keys1[1], k]),
+             (build_signature(l1, [k]), [k]),
+             (SignatureFn(l1, (), 2), [0, 1])]
+    verdicts = []
+    for fn, keys in cases:
+        oracle = len({int(sig_eval(fn, x)) for x in keys}) == len(keys)
+        assert verify_injective(fn, keys) is oracle
+        verdicts.append(oracle)
+    assert verdicts == [True, True, False, True, True, False, True, False]
+
+
 def pair_greedy_oracle(code, keys):
     """The greedy over an explicit list of colliding pairs.
 

@@ -22,14 +22,10 @@ from wordcode.wordram import (
     parallel_mod,
     parallel_mod_reference,
     unpack_fields,
-    wide_add,
-    wide_and,
     wide_mul,
+    wide_or,
     wide_shl,
-    wide_shr,
-    wide_sub,
     wide_trunc,
-    wide_xor,
 )
 
 
@@ -80,7 +76,7 @@ def test_wideint_immutable():
 def test_wideint_hex_round_trip():
     x = WideInt(0xABC, 12)
     assert x.to_hex() == "abc"
-    assert WideInt.from_hex("abc", 12) == x
+    assert WideInt(int(x.to_hex(), 16), 12) == x
     assert WideInt(0x5, 12).to_hex() == "005"
     assert WideInt(0, 0).to_hex() == ""
 
@@ -123,20 +119,18 @@ def test_mul_charge_is_product_of_words():
 def test_linear_ops_charge_max_words():
     led = OpLedger(64)
     a, b = WideInt(0, 130), WideInt(0, 10)
-    wide_and(a, b, led)
-    wide_xor(a, b, led)
-    wide_add(a, b, led)
-    wide_sub(a, b, led)
-    assert led.bitwise == 3 + 3
-    assert led.add == 3
-    assert led.sub == 3
+    wide_or(a, b, led)
+    wide_or(b, a, led)
+    wide_trunc(a, 10, led)   # one mask over the whole operand
+    assert led.bitwise == 3 + 3 + 3
+    assert led.total() == led.bitwise
 
 
 def test_shift_charges_shifted_in_bits():
     led = OpLedger(64)
     wide_shl(WideInt(1, 60), 10, led)   # 70 bits moved
     assert led.shift == 2
-    wide_shr(WideInt(1, 60), 10, led)   # operand only
+    wide_shl(WideInt(1, 60), 4, led)    # 64 bits moved
     assert led.shift == 3
 
 
@@ -145,7 +139,7 @@ def test_ledger_determinism():
         led = OpLedger(32)
         x = WideInt(0x1234, 16)
         y = wide_mul(x, x, led)
-        y = wide_shr(y, 5, led)
+        y = wide_shl(y, 5, led)
         wide_trunc(y, 8, led)
         return led.as_dict()
 
@@ -157,10 +151,11 @@ def test_wide_ops_values():
     assert wide_mul(WideInt(0, 4), WideInt(9, 4)) == WideInt(0, 8)
     big = WideInt((1 << 64) + 1, 65)
     assert wide_mul(big, big).value == (1 << 128) + (1 << 65) + 1
-    assert wide_add(WideInt(255, 8), WideInt(1, 8)) == WideInt(256, 9)
-    assert wide_sub(WideInt(5, 8), WideInt(5, 8)) == WideInt(0, 8)
+    assert wide_shl(WideInt(3, 2), 5) == WideInt(96, 7)
     with pytest.raises(ValueError):
-        wide_sub(WideInt(4, 8), WideInt(5, 8))
+        wide_shl(WideInt(3, 2), -1)
+    assert wide_or(WideInt(0b1010, 4), WideInt(0b1, 9)) == WideInt(0b1011, 9)
+    assert wide_trunc(WideInt(0x1ff, 9), 4) == WideInt(0xf, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +475,12 @@ def test_parallel_mod_rejects_short_word_and_tight_layout():
     with pytest.raises(LayoutError):
         parallel_mod(WideInt(0, 30), layout, 67)
     with pytest.raises(LayoutError):
-        parallel_mod(WideInt(0, 16), FieldLayout(8, 2, 8), 67)  # correction field.
-    with pytest.raises(LayoutError):
         parallel_mod(WideInt(0, 60), layout, 1)
+    # Slots only a bit wider than the divisor need no spare field bits.
+    tight = FieldLayout(8, 2, 8)
+    for v in range(256):
+        word = pack_fields([v, 255 - v], tight)
+        assert unpack_fields(parallel_mod(word, tight, 67), tight) == [v % 67, (255 - v) % 67]
 
 
 @settings(deadline=None, max_examples=300, database=None)
@@ -494,8 +492,7 @@ def test_parallel_mod_matches_reference_on_random_layouts(data):
     # must judge most finely.
     slack = data.draw(st.integers(0, 2) | st.integers(0, width), label="slack")
     bound = width - slack
-    # Below 2**(width - 2) the correction field always fits a slot.
-    divisor = data.draw(st.integers(2, (1 << (width - 2)) - 1), label="divisor")
+    divisor = data.draw(st.integers(2, (1 << width) - 1), label="divisor")
     layout = FieldLayout(width, count, bound)
     try:
         _ParallelModPlan(layout, divisor)
@@ -510,6 +507,22 @@ def test_parallel_mod_matches_reference_on_random_layouts(data):
     packed = parallel_mod(word, layout, divisor)
     assert packed == parallel_mod_reference(word, layout, divisor)
     assert unpack_fields(packed, layout) == [v % divisor for v in values]
+
+
+@settings(deadline=None, max_examples=300, database=None)
+@given(value_bits=st.integers(0, 2_000), divisor=st.integers(2, 1 << 70))
+@example(value_bits=8, divisor=67)
+@example(value_bits=6, divisor=67)
+def test_slot_product_fits_quotient_window(value_bits, divisor):
+    # Why the plan checks only shift + qbits: the certificate bounds the
+    # largest slot product by the quotient window.
+    rec = _reciprocal_any_width(divisor, value_bits)
+    top = (1 << value_bits) - 1
+    qbits = max((top // divisor).bit_length(), 1)
+    prod_bits = (top * rec.magic).bit_length()
+    assert prod_bits <= rec.shift + qbits
+    if top >= divisor:
+        assert prod_bits == rec.shift + qbits
 
 
 def test_reference_route_charges_linearly_but_packed_does_not():
