@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 
 from .ecc_core import build_code, deserialize, distance_report, encode, serialize
-from .errors import ParameterError, WordcodeError
+from .errors import WordcodeError
 from .outer_rs import W_MAX, W_MIN
 from .sighash import (
     build_signature,
@@ -26,7 +26,6 @@ from .sighash import (
     sig_eval,
     verify_injective,
 )
-from .wordram import WideInt
 
 FORMAT_VERSION = 1
 
@@ -58,10 +57,7 @@ def _parse_hex(text: str, w: int) -> int:
     if len(text) != digits or any(c not in "0123456789abcdef" for c in text):
         raise _UsageError(
             f"value must be exactly {digits} lowercase hex digits")
-    val = int(text, 16)
-    if val >= (1 << w):
-        raise ParameterError(f"value {text} is not below 2^{w}")
-    return val
+    return int(text, 16)
 
 
 def _load_code(path):
@@ -126,7 +122,7 @@ def _cmd_verify(args) -> int:
 def _cmd_encode(args) -> int:
     code = _load_code(args.code)
     val = _parse_hex(args.hex, code.params.w)
-    print(encode(code, WideInt(val, code.params.w)).to_hex())
+    print(encode(code, val).to_hex())
     return 0
 
 

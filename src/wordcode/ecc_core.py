@@ -2,8 +2,8 @@
 
 A level-1 code carries the full pipeline for one word size: the split
 into 5 interleaved words, the packed Reed-Solomon residue over P, and
-the distance-amplifying multiplier on every residue slot.  A level-2
-code drops the multiplier and instead runs a complete level-1 code,
+the distance-amplifying multiplier on every residue slot, each stage one
+pass over all five words.  A level-2 code instead runs a level-1 code,
 built for the tiny word size B+1, over each residue slot; that trades
 constant-time encoding for a construction whose ledger cost is o(w).
 
@@ -15,6 +15,7 @@ the search outcome, so they never depend on how a kernel scans.
 from __future__ import annotations
 
 import json
+import operator
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -266,41 +267,45 @@ def build_code(w: int, delta=None, level: int = 1):
 # Encoding
 
 
+def _key_value(x, w: int, name: str = "input") -> int:
+    """x as an integer in [0, 2^w): a WideInt no wider than w, or what
+    `operator.index` takes (numpy integers too); else ParameterError."""
+    if isinstance(x, WideInt):
+        if x.bits > w:
+            raise ParameterError(f"{name} of {x.bits} bits exceeds word size {w}")
+        return x.value
+    try:
+        v = operator.index(x)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer or a WideInt, "
+                             f"not {type(x).__name__}") from None
+    if not 0 <= v < (1 << w):
+        raise ParameterError(f"{name} outside [0, 2^{w})")
+    return v
+
+
 def encode(code: EccCode, x, ledger: OpLedger | None = None) -> WideInt:
     """Map a w-bit word to its codeword_bits-bit codeword.
 
-    Word 1 of the split lands in the least-significant position, slot 0
-    of each word below its higher slots.
+    split5 and rs_encode leave the 5 * out_slots residues in codeword
+    order, word i from bit i * word_out_bits, slot 0 lowest.  Level 1
+    scales them all by m with one inner_encode; level 2 joins their
+    inner codewords, residue s from bit s * inner.codeword_bits.
     """
     p = code.params
-    if isinstance(x, int):
-        if not 0 <= x < (1 << p.w):
-            raise ParameterError(f"input must be in [0, 2^{p.w})")
-        x = WideInt(x, p.w)
-    elif x.bits > p.w:
-        raise ParameterError(
-            f"input of {x.bits} bits exceeds word size {p.w}")
-    words = split5(x.extend(p.w), p, ledger)
-    out_layout = p.out_layout()
+    x = WideInt(_key_value(x, p.w), p.w)
+    resid = rs_encode(split5(x, p, ledger), code.gen, p, ledger)
+    layout = p.out_layout().repeated(5)
 
     if code.level == 1:
-        seg_bits = p.word_out_bits
-        segments = []
-        for wd in words:
-            resid = rs_encode(wd, code.gen, p, ledger)
-            segments.append(inner_encode(resid, code.inner, out_layout, ledger))
+        acc = inner_encode(resid, code.inner, layout, ledger)
     else:
         inner = code.inner_ecc
-        seg_bits = inner.codeword_bits
-        segments = []
-        for wd in words:
-            resid = rs_encode(wd, code.gen, p, ledger)
-            for v in unpack_fields(resid, out_layout, ledger):
-                segments.append(encode(inner, WideInt(v, inner.params.w), ledger))
-
-    acc = segments[0]
-    for i, seg in enumerate(segments[1:], start=1):
-        acc = wide_or(acc, wide_shl(seg, i * seg_bits, ledger), ledger)
+        segments = [encode(inner, WideInt(v, inner.params.w), ledger)
+                    for v in unpack_fields(resid, layout, ledger)]
+        acc = segments[0]
+        for i, seg in enumerate(segments[1:], start=1):
+            acc = wide_or(acc, wide_shl(seg, i * inner.codeword_bits, ledger), ledger)
     if acc.bits != code.codeword_bits:
         raise CodeValidationError(
             f"codeword of {acc.bits} bits, expected {code.codeword_bits}")
@@ -401,6 +406,8 @@ def distance_report(code: EccCode, mode: str = "random",
     elif mode == "random":
         if samples < 1:
             raise ParameterError("need at least one sample pair")
+        if seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {seed}")
         rng = np.random.default_rng(seed)
         min_bits = 1 << 62
         pairs = 0

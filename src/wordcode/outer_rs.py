@@ -2,12 +2,13 @@
 
 A w-bit key is cut into n_blocks pieces of B = ceil(log2 w) bits (most
 significant block first, zero-padded at the tail) and dealt round-robin
-into 5 packed words, so that each word carries every fifth block.  Each
-word is then encoded as a polynomial over GF(P): multiplying the packed
-word by the packed generator z_r is exactly polynomial convolution, and
-one parallel_mod pass reduces every coefficient.  Encoding therefore
-costs a constant number of whole-word operations regardless of how many
-blocks a word carries.
+into 5 message words, each carrying every fifth block, side by side in
+one wide word where their residues sit in the codeword.  Each word is a
+polynomial over GF(P): multiplying the wide word by the packed
+generator z_r is, word by word, exactly polynomial convolution, and one
+parallel_mod pass reduces every coefficient of all five.  Encoding
+therefore costs a constant number of whole-word operations regardless
+of how many blocks a word carries.
 
 The generator g(gamma) = (gamma - alpha)(gamma - alpha^2)...(gamma -
 alpha^r_deg) makes every nonzero multiple have at least r_deg + 1
@@ -136,10 +137,10 @@ class _SplitPlan:
     word's first block means the natural comb extraction would deliver
     the blocks in reversed order; a log2(n_blocks)-round block-reversal
     butterfly fixes the order with shifts and masks only, after which
-    every word is one comb mask and one shift.
+    every word is one comb mask, one shift into its region and one OR.
     """
 
-    __slots__ = ("pad", "width", "rounds", "drop", "combs", "block_count2")
+    __slots__ = ("pad", "width", "rounds", "drop", "combs")
 
     def __init__(self, p: RsParams):
         if p.blocks_per_word > 1 and p.S != 5 * p.B:
@@ -148,7 +149,6 @@ class _SplitPlan:
             )
         nb, b = p.n_blocks, p.B
         n2 = 1 << _ceil_log2(max(nb, 1))
-        self.block_count2 = n2
         self.pad = nb * b - p.w
         self.width = n2 * b
         self.drop = (n2 - nb) * b
@@ -165,15 +165,8 @@ class _SplitPlan:
             half *= 2
         self.rounds = tuple(rounds)
         block_mask = (1 << b) - 1
-        combs = []
-        for i in range(5):
-            comb = 0
-            j = i
-            while j < nb:
-                comb |= block_mask << (j * b)
-                j += 5
-            combs.append(comb)
-        self.combs = tuple(combs)
+        self.combs = tuple(sum(block_mask << (j * b) for j in range(i, nb, 5))
+                           for i in range(5))
 
 
 @lru_cache(maxsize=64)
@@ -181,12 +174,13 @@ def _split_plan(p: RsParams) -> _SplitPlan:
     return _SplitPlan(p)
 
 
-def split5(x: WideInt, p: RsParams, ledger: OpLedger | None = None):
-    """Deal the blocks of x into 5 packed words, slot stride S.
+def split5(x: WideInt, p: RsParams, ledger: OpLedger | None = None) -> WideInt:
+    """Deal the blocks of x into 5 message words side by side in one word.
 
-    Word i (1-based) holds blocks b_i, b_{i+5}, ... with slot 0 = b_i;
+    Word i (0-based) starts at bit i * word_out_bits, where its residues
+    go, and holds blocks b_i, b_{i+5}, ... with slot t at bit t * S;
     blocks past n_blocks read as zero.  Cost: a shared O(log n_blocks)
-    reversal prologue per key, then two ops (mask, shift) per word.
+    reversal prologue per key, then mask, shift and OR per word.
     """
     if x.bits > p.w:
         raise ParameterError(f"key of {x.bits} bits exceeds w={p.w}")
@@ -206,26 +200,30 @@ def split5(x: WideInt, p: RsParams, ledger: OpLedger | None = None):
         v >>= plan.drop
         if ledger is not None:
             ledger.charge_shift(plan.width)
-    words = []
-    b = p.B
+    out = 0
     for i in range(5):
-        # Comb stride is 5B, which equals S whenever a word carries more
-        # than one block (checked in the plan); single-block words land
-        # wholly in slot 0 either way.
-        wv = (v & plan.combs[i]) >> (i * b)
+        # Block i + 5t sits at bit i*B + t*5B.  The comb stride 5B equals
+        # S whenever a word carries more than one block (checked in the
+        # plan), so one shift moves the whole word to i * word_out_bits;
+        # single-block words land wholly in slot 0 either way.
+        shift = i * (p.word_out_bits - p.B)
+        out |= (v & plan.combs[i]) << shift
         if ledger is not None:
             ledger.charge_bitwise(plan.width)
-            ledger.charge_shift(plan.width)
-        words.append(WideInt(wv, p.word_in_bits))
-    return tuple(words)
+            ledger.charge_shift(plan.width, shift)
+            if i:
+                ledger.charge_bitwise(plan.width + shift)
+    return WideInt(out, 4 * p.word_out_bits + p.word_in_bits)
 
 
-def split5_reassemble(words, p: RsParams) -> WideInt:
+def split5_reassemble(word: WideInt, p: RsParams) -> WideInt:
     """Inverse of split5; test and audit helper, not on the encode path."""
     blocks = [0] * p.n_blocks
-    layout = p.msg_layout()
-    for i, word in enumerate(words):
-        for t, val in enumerate(unpack_fields(word, layout)):
+    region_mask = (1 << p.word_in_bits) - 1
+    for i in range(5):
+        region = (word.value >> (i * p.word_out_bits)) & region_mask
+        for t, val in enumerate(unpack_fields(WideInt(region, p.word_in_bits),
+                                              p.msg_layout())):
             j = i + 5 * t
             if j < p.n_blocks:
                 blocks[j] = val
@@ -300,15 +298,18 @@ def build_generator(p: RsParams, ledger: OpLedger | None = None) -> GeneratorPol
 
 def rs_encode(x_word: WideInt, g: GeneratorPoly, p: RsParams,
               ledger: OpLedger | None = None) -> WideInt:
-    """f_1: multiply the packed message word by z_r, reduce mod P.
+    """f_1 on each message word of x_word: multiply by z_r, reduce mod P.
 
-    The integer product is the polynomial convolution of message slots
-    with generator slots; parallel_mod leaves each of the out_slots
-    coefficients in [0, P).  Two charged operations regardless of how
-    many slots the word has.
+    Word i sits at bit i * word_out_bits, as split5 lays them out, and
+    the declared width sets how many there are.  The product is, word by
+    word, the convolution of message and generator slots; with slots of
+    S >= conv_value_bound bits no word spills into the next region, so
+    one parallel_mod pass leaves every coefficient in [0, P).  Two
+    charged operations however many words and slots there are.
     """
+    regions = -(-x_word.bits // p.word_out_bits)
     prod = wide_mul(x_word, g.z_packed, ledger)
-    return parallel_mod(prod, p.conv_layout(), p.P, ledger)
+    return parallel_mod(prod, p.conv_layout().repeated(regions), p.P, ledger)
 
 
 def min_weight_multiple_check(g: GeneratorPoly, p: RsParams,
@@ -338,6 +339,8 @@ def min_weight_multiple_check(g: GeneratorPoly, p: RsParams,
     elif mode == "random":
         if samples < 1:
             raise ParameterError(f"need at least one sample, got {samples}")
+        if seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {seed}")
         rng = np.random.default_rng(seed)
         msgs = rng.integers(0, prime_p, size=(samples, bpw), dtype=np.int64)
         zero_rows = ~msgs.any(axis=1)

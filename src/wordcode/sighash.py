@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .ecc_core import EccCode, _batch_encode, _to_obj, _from_obj, encode
+from .ecc_core import EccCode, _batch_encode, _from_obj, _key_value, _to_obj, encode
 from .errors import (
     CodecFormatError,
     CodeValidationError,
@@ -44,21 +44,6 @@ class SignatureFn:
     code: EccCode
     positions: tuple
     n: int
-
-
-def _as_key_values(code: EccCode, keys) -> list:
-    w = code.params.w
-    vals = []
-    for i, k in enumerate(keys):
-        if isinstance(k, WideInt):
-            if k.bits > w:
-                raise ParameterError(
-                    f"key {i} is {k.bits} bits wide, word size is {w}")
-            k = int(k)
-        if not 0 <= k < (1 << w):
-            raise ParameterError(f"key {i} outside [0, 2^{w})")
-        vals.append(k)
-    return vals
 
 
 def _bit_matrix(code: EccCode, vals: list) -> np.ndarray:
@@ -98,7 +83,7 @@ def build_signature(code: EccCode, keys) -> SignatureFn:
     of C(size, 2).  Ties go to the lowest position index, so the result
     depends only on the key set, not on its order.
     """
-    vals = _as_key_values(code, keys)
+    vals = [_key_value(k, code.params.w, f"key {i}") for i, k in enumerate(keys)]
     n = len(vals)
     if n < 1:
         raise ParameterError("need at least one key")
@@ -162,7 +147,7 @@ def verify_injective(f: SignatureFn, keys) -> bool:
     Keys are encoded in bulk and the signature columns gathered, which
     gives each key's `sig_eval` bits; the scalar route is the oracle.
     """
-    vals = _as_key_values(f.code, keys)
+    vals = [_key_value(k, f.code.params.w, f"key {i}") for i, k in enumerate(keys)]
     sigs = _bit_matrix(f.code, vals)[:, list(f.positions)]
     return len(np.unique(sigs, axis=0)) == len(vals)
 

@@ -224,6 +224,10 @@ class FieldLayout:
     def total_bits(self) -> int:
         return self.slot_width * self.slot_count
 
+    def repeated(self, count: int) -> "FieldLayout":
+        """`count` copies end to end, copy j from bit j * total_bits."""
+        return FieldLayout(self.slot_width, count * self.slot_count, self.value_bound)
+
 
 def pack_fields(values, layout: FieldLayout, ledger: OpLedger | None = None) -> WideInt:
     """Assemble slot values into one wide integer.  Linear cost in slots.

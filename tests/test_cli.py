@@ -157,6 +157,14 @@ def test_distance_random_reproducible(code16_path, capsys):
     assert last_json(out1)["results"] == last_json(out2)["results"]
 
 
+def test_distance_negative_seed(code16_path, capsys):
+    rc, stdout, err = run(capsys, "distance", "--code", code16_path,
+                          "--random", "10", "--seed", "-1")
+    assert rc == 1
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_distance_exhaustive_too_wide(code16_path, capsys):
     rc, _, err = run(capsys, "distance", "--code", code16_path,
                      "--exhaustive")

@@ -157,18 +157,18 @@ def test_encode_pinned_w16_word4_segment():
 
 def test_encode_matches_oracle_level1():
     rng = random.Random(20260817)
-    for w in (10, 16, 64, 200):
+    for w, keys in ((10, 120), (16, 120), (64, 120), (200, 120), (256, 3), (1024, 3)):
         code, _ = build_code(w, None, 1)
-        for _ in range(120):
+        for _ in range(keys):
             x = rng.randrange(1 << w)
             assert int(encode(code, x)) == encode_oracle(code, x), (w, x)
 
 
 def test_encode_matches_oracle_level2():
     rng = random.Random(99)
-    for w in (10, 64):
+    for w, keys in ((10, 25), (64, 25), (256, 3), (1024, 3), (8192, 3)):
         code, _ = build_code(w, None, 2)
-        for _ in range(25):
+        for _ in range(keys):
             x = rng.randrange(1 << w)
             assert int(encode(code, x)) == encode_oracle(code, x), (w, x)
 
@@ -186,6 +186,23 @@ def test_encode_rejects_out_of_range():
         encode(code, -1)
     with pytest.raises(ParameterError):
         encode(code, WideInt(0, 17))
+
+
+def test_encode_key_rule():
+    # One rule for every key: a WideInt no wider than w, or anything
+    # operator.index accepts in [0, 2^w); anything else is a ParameterError.
+    code, _ = build_code(16, None, 1)
+    want = encode(code, 5)
+    for key in (np.uint64(5), np.int32(5), np.uint8(5), WideInt(5, 3)):
+        assert encode(code, key) == want
+    assert encode(code, np.uint64(0xFFFF)) == encode(code, 0xFFFF)
+    for bad in (5.0, np.float64(5), "5", None, [5], Fraction(5)):
+        with pytest.raises(ParameterError, match="must be an integer or a WideInt"):
+            encode(code, bad)
+    with pytest.raises(ParameterError, match=r"outside \[0, 2\^16\)"):
+        encode(code, np.uint64(1 << 16))
+    with pytest.raises(ParameterError, match=r"outside \[0, 2\^16\)"):
+        encode(code, np.int64(-1))
 
 
 def test_encode_cost_value_independent_and_matches_report():
@@ -331,6 +348,8 @@ def test_distance_rejects_bad_mode_and_samples():
         distance_report(code, "all")
     with pytest.raises(ParameterError):
         distance_report(code, "random", samples=0)
+    with pytest.raises(ParameterError, match="seed must be non-negative"):
+        distance_report(code, "random", samples=10, seed=-1)
 
 
 def test_serialize_round_trip():

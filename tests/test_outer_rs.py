@@ -44,6 +44,19 @@ def symbolic_poly_mul(msg, gen, P, out_len):
     return out
 
 
+def regions(word, p):
+    """The five message words of a split5 result, word i from region i.
+
+    Also checks that no bit is set outside the five words.
+    """
+    assert word.bits == 4 * p.word_out_bits + p.word_in_bits
+    mask = (1 << p.word_in_bits) - 1
+    words = tuple(WideInt((word.value >> (i * p.word_out_bits)) & mask, p.word_in_bits)
+                  for i in range(5))
+    assert sum(wd.value << (i * p.word_out_bits) for i, wd in enumerate(words)) == word.value
+    return words
+
+
 def blocks_of(x, w, p):
     """Most-significant-first B-bit blocks of x, zero-padded at the tail."""
     padded = x << (p.n_blocks * p.B - w)
@@ -107,16 +120,16 @@ def test_derive_params_deterministic():
 
 def test_split5_pinned_examples():
     p = derive_params(16)
-    words = split5(WideInt(0xABCD, 16), p)
+    words = regions(split5(WideInt(0xABCD, 16), p), p)
     slot0 = [unpack_fields(wd, p.msg_layout())[0] for wd in words]
     assert slot0 == [0xA, 0xB, 0xC, 0xD, 0]
 
     p = derive_params(64)
-    words = split5(WideInt(1 << 63, 64), p)
+    words = regions(split5(WideInt(1 << 63, 64), p), p)
     assert unpack_fields(words[0], p.msg_layout()) == [0b100000, 0, 0]
     assert all(wd.value == 0 for wd in words[1:])
 
-    assert all(wd.value == 0 for wd in split5(WideInt(0, 64), p))
+    assert all(wd.value == 0 for wd in regions(split5(WideInt(0, 64), p), p))
 
 
 def test_split5_block_placement_random():
@@ -127,7 +140,7 @@ def test_split5_block_placement_random():
         for _ in range(25):
             x = rng.getrandbits(w)
             expect = blocks_of(x, w, p)
-            words = split5(WideInt(x, w), p)
+            words = regions(split5(WideInt(x, w), p), p)
             for i, wd in enumerate(words):
                 slots = unpack_fields(wd, layout)
                 for t, val in enumerate(slots):
@@ -233,7 +246,7 @@ def test_generator_cost_linear_in_r_deg():
 def test_rs_encode_pinned_values():
     p = derive_params(16)
     g = build_generator(p)
-    x_word = split5(WideInt(0xF000, 16), p)[0]
+    x_word = regions(split5(WideInt(0xF000, 16), p), p)[0]
     assert unpack_fields(x_word, p.msg_layout()) == [15]
     assert unpack_fields(rs_encode(x_word, g, p), p.out_layout()) == [6, 15]
 
@@ -275,6 +288,23 @@ def test_rs_encode_linearity_over_field():
         assert [(a - b) % p.P for a, b in zip(fx, fy)] == want
 
 
+def test_rs_encode_five_regions_equal_five_single_words():
+    # One pass over the split word gives each word's own residues, in
+    # place: nothing carries from one region into the next.
+    rng = random.Random(7)
+    params = [derive_params(w) for w in (10, 16, 37, 64, 256, 1024)]
+    params += [_derive_params_any(w) for w in range(5, 15)]
+    for p in params:
+        g = build_generator(p)
+        for x in [0, (1 << p.w) - 1] + [rng.getrandbits(p.w) for _ in range(20)]:
+            word = split5(WideInt(x, p.w), p)
+            got = rs_encode(word, g, p)
+            want = 0
+            for i, wd in enumerate(regions(word, p)):
+                want |= rs_encode(wd, g, p).value << (i * p.word_out_bits)
+            assert got == WideInt(want, 5 * p.word_out_bits), (p.w, x)
+
+
 def test_rs_encode_cost_constant_per_w():
     rng = random.Random(6)
     for w in (16, 64, 1024):
@@ -284,8 +314,7 @@ def test_rs_encode_cost_constant_per_w():
         for _ in range(30):
             x = WideInt(rng.getrandbits(w), w)
             led = OpLedger(w)
-            for wd in split5(x, p, led):
-                rs_encode(wd, g, p, led)
+            rs_encode(split5(x, p, led), g, p, led)
             costs.add(tuple(sorted(led.as_dict().items())))
         assert len(costs) == 1
 
@@ -333,3 +362,5 @@ def test_min_weight_bad_mode_and_samples():
         min_weight_multiple_check(g, p, "typo")
     with pytest.raises(ParameterError):
         min_weight_multiple_check(g, p, "random", samples=0)
+    with pytest.raises(ParameterError, match="seed must be non-negative"):
+        min_weight_multiple_check(g, p, "random", samples=10, seed=-1)

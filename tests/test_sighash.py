@@ -77,6 +77,25 @@ def test_rejects_bad_keys():
         build_signature(code, [WideInt(0, 17)])
 
 
+def test_keys_follow_the_encode_key_rule():
+    code, _ = build_code(64, None, 1)
+    # Floats used to be truncated, which made 1.5 collide with 1 and
+    # end in a false "fell behind the distance guarantee" error.
+    for bad in ([1.5, 1, 2.0], [1, "2"], [None], [1, 2, 3.0]):
+        with pytest.raises(ParameterError, match="must be an integer or a WideInt"):
+            build_signature(code, bad)
+    f = build_signature(code, [1, 2, 3])
+    with pytest.raises(ParameterError, match="key 1 must be an integer"):
+        verify_injective(f, [1, 2.0, 3])
+    with pytest.raises(ParameterError, match=r"key 0 outside \[0, 2\^64\)"):
+        verify_injective(f, [-1])
+    # numpy integers are keys, equal to their Python spelling.
+    g = build_signature(code, [np.uint64(1), np.int64(2), 3])
+    assert g == f
+    assert verify_injective(f, np.array([1, 2, 3], dtype=np.uint64))
+    assert sig_eval(f, np.uint64(2)) == sig_eval(f, 2)
+
+
 def test_rejects_oversized_key_set():
     code, _ = build_code(16, None, 1)
     # 4473 keys make 10,001,628 pairs, just past the cap; the check

@@ -1,0 +1,64 @@
+"""The traced benchmark's span wrappers still see every encode charge.
+
+`perfbench/spans.py` replaces names in `ecc_core` (split5, rs_encode,
+inner_encode, unpack_fields, wide_or, wide_shl, ...) with wrappers that
+add each call's ledger delta to a section.  A renamed or bypassed name
+would make the sections stop summing to the ledger; this test catches
+that without a full `perfbench/run.py --trace 1` run.
+"""
+
+from collections import Counter
+from pathlib import Path
+
+from wordcode import ecc_core
+from wordcode.wordram import OpLedger
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+CODES = ((64, 1), (64, 2), (256, 1))
+
+
+def _children(spans, parent):
+    return Counter(s[0] for s in spans if s[3] == parent)
+
+
+def test_traced_sections_sum_to_ledger(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    original = ecc_core.encode
+    tracer = spans.Tracer()
+    tracer.install()
+    tracer.recording = True
+    try:
+        for w, level in CODES:
+            code, _ = ecc_core.build_code(w, None, level)
+            for x in (0, (1 << w) - 1):
+                ecc_core.encode(code, x, OpLedger(w))
+    finally:
+        tracer.recording = False
+        tracer.uninstall()
+    assert ecc_core.encode is original
+
+    builds, encodes, problems = spans.model_op_sections(tracer.spans)
+    assert problems == []
+    assert set(builds) == set(encodes) == set(CODES)
+    for (w, level), sections in encodes.items():
+        assert sections["split5"] and sections["rs_encode"]
+        assert (sections["concat"] == 0) == (level == 1), (w, level)
+
+    # Each stage runs once per encode: no loop over the five split words.
+    top = [i for i, s in enumerate(tracer.spans)
+           if s[0] == spans.ENCODE
+           and (s[3] < 0 or tracer.spans[s[3]][0] != spans.ENCODE)]
+    assert len(top) == 3 * len(CODES)
+    for i in top:
+        calls = _children(tracer.spans, i)
+        assert calls["outer_rs.split5"] == calls["outer_rs.rs_encode"] == 1
+        rs = next(j for j, s in enumerate(tracer.spans)
+                  if s[0] == "outer_rs.rs_encode" and s[3] == i)
+        assert _children(tracer.spans, rs)["wordram.parallel_mod"] == 1
+        if tracer.spans[i][5]["level"] == 1:
+            assert calls["inner_mult.inner_encode"] == 1
+        else:
+            assert calls["wordram.unpack_fields"] == 1
+            assert calls["inner_mult.inner_encode"] == 0
