@@ -4,8 +4,10 @@ A level-1 code carries the full pipeline for one word size: the split
 into 5 interleaved words, the packed Reed-Solomon residue over P, and
 the distance-amplifying multiplier on every residue slot, each stage one
 pass over all five words.  A level-2 code instead runs a level-1 code,
-built for the tiny word size B+1, over each residue slot; that trades
-constant-time encoding for a construction whose ledger cost is o(w).
+built for the tiny word size B+1, over each residue slot, which gives a
+construction whose ledger cost is o(w).  Its encode runs that inner
+pipeline once over all residue slots side by side, so it too is a
+constant number of whole-word operations.
 
 Construction, encoding, and distance estimation are deterministic.
 Ledger charges for the construction-time searches are closed forms in
@@ -289,26 +291,52 @@ def encode(code: EccCode, x, ledger: OpLedger | None = None) -> WideInt:
 
     split5 and rs_encode leave the 5 * out_slots residues in codeword
     order, word i from bit i * word_out_bits, slot 0 lowest.  Level 1
-    scales them all by m with one inner_encode; level 2 joins their
-    inner codewords, residue s from bit s * inner.codeword_bits.
+    scales them all by m with one inner_encode.  Level 2 runs the inner
+    level-1 pipeline once over every residue at the same time: one
+    split5 spreads the residues to stride inner.codeword_bits and deals
+    each into its five inner words, then one rs_encode and one
+    inner_encode leave residue s's inner codeword at bit
+    s * inner.codeword_bits.  Either way a constant number of
+    whole-word operations; `_encode_nested` is the per-residue route.
     """
     p = code.params
     x = WideInt(_key_value(x, p.w), p.w)
     resid = rs_encode(split5(x, p, ledger), code.gen, p, ledger)
-    layout = p.out_layout().repeated(5)
+    layout = p.out_layout(5)
 
     if code.level == 1:
         acc = inner_encode(resid, code.inner, layout, ledger)
     else:
         inner = code.inner_ecc
-        segments = [encode(inner, WideInt(v, inner.params.w), ledger)
-                    for v in unpack_fields(resid, layout, ledger)]
-        acc = segments[0]
-        for i, seg in enumerate(segments[1:], start=1):
-            acc = wide_or(acc, wide_shl(seg, i * inner.codeword_bits, ledger), ledger)
+        q = inner.params
+        words = split5(resid, q, ledger, layout)
+        acc = inner_encode(rs_encode(words, inner.gen, q, ledger), inner.inner,
+                           q.out_layout(5 * layout.slot_count), ledger)
     if acc.bits != code.codeword_bits:
         raise CodeValidationError(
             f"codeword of {acc.bits} bits, expected {code.codeword_bits}")
+    return acc
+
+
+def _encode_nested(code: EccCode, x, ledger: OpLedger | None = None) -> WideInt:
+    """Level-2 encode one residue at a time: the independent slow route
+    that the packed level-2 `encode` is checked against.
+
+    Unpacks the 5 * out_slots residues, encodes each with the inner
+    level-1 code and joins the inner codewords with shifts and ORs, so
+    its cost grows with the residue count.
+    """
+    if code.level != 2:
+        raise ParameterError(f"nested encode needs a level-2 code, got level {code.level}")
+    p = code.params
+    x = WideInt(_key_value(x, p.w), p.w)
+    resid = rs_encode(split5(x, p, ledger), code.gen, p, ledger)
+    inner = code.inner_ecc
+    segments = [encode(inner, WideInt(v, inner.params.w), ledger)
+                for v in unpack_fields(resid, p.out_layout(5), ledger)]
+    acc = segments[0]
+    for i, seg in enumerate(segments[1:], start=1):
+        acc = wide_or(acc, wide_shl(seg, i * inner.codeword_bits, ledger), ledger)
     return acc
 
 

@@ -33,6 +33,7 @@ from .wordram import (
     div_by_const,
     pack_fields,
     parallel_mod,
+    repeat_bits,
     unpack_fields,
     wide_mul,
 )
@@ -79,17 +80,29 @@ class RsParams:
     def msg_layout(self) -> FieldLayout:
         return FieldLayout(self.S, self.blocks_per_word, self.B)
 
-    def out_layout(self) -> FieldLayout:
-        """Slots holding field elements in [0, P)."""
-        return FieldLayout(self.S, self.out_slots, self.B + 1)
+    def out_layout(self, regions: int = 1) -> FieldLayout:
+        """Slots holding field elements in [0, P), `regions` words of
+        out_slots each; built once per (params, regions)."""
+        return _out_layout(self, regions)
 
     def conv_value_bound(self) -> int:
         terms = max(self.blocks_per_word, self.r_deg) + 1
         return 2 * (self.B + 1) + _ceil_log2(terms)
 
-    def conv_layout(self) -> FieldLayout:
-        """Slots wide enough for raw convolution sums, pre-reduction."""
-        return FieldLayout(self.S, self.out_slots, self.conv_value_bound())
+    def conv_layout(self, regions: int = 1) -> FieldLayout:
+        """Slots wide enough for raw convolution sums, pre-reduction,
+        `regions` words of out_slots each; built once per (params, regions)."""
+        return _conv_layout(self, regions)
+
+
+@lru_cache(maxsize=64)
+def _out_layout(p: RsParams, regions: int) -> FieldLayout:
+    return FieldLayout(p.S, regions * p.out_slots, p.B + 1)
+
+
+@lru_cache(maxsize=64)
+def _conv_layout(p: RsParams, regions: int) -> FieldLayout:
+    return FieldLayout(p.S, regions * p.out_slots, p.conv_value_bound())
 
 
 def _derive_params_any(w: int) -> RsParams:
@@ -131,75 +144,135 @@ def derive_params(w: int) -> RsParams:
 
 
 class _SplitPlan:
-    """Masks and shifts for the 5-way block deal, built once per params.
+    """Masks, shifts and charged widths for the 5-way block deal of
+    `count` keys at once, built once per (params, symbols layout).
 
     Reading blocks most-significant-first while keeping slot 0 = the
     word's first block means the natural comb extraction would deliver
     the blocks in reversed order; a log2(n_blocks)-round block-reversal
     butterfly fixes the order with shifts and masks only, after which
     every word is one comb mask, one shift into its region and one OR.
+    Several keys first spread from their input stride to the output
+    stride 5 * word_out_bits; every later mask repeats at that stride,
+    so each step acts on every key at once.  Constants are tiled by
+    doubling (`repeat_bits`), so a plan costs O(log count) big-integer
+    operations per mask, not one per key.
     """
 
-    __slots__ = ("pad", "width", "rounds", "drop", "combs")
+    __slots__ = ("pad", "width", "rounds", "drop", "combs", "spread", "spill",
+                 "base", "live")
 
-    def __init__(self, p: RsParams):
+    def __init__(self, p: RsParams, symbols: FieldLayout | None):
         if p.blocks_per_word > 1 and p.S != 5 * p.B:
             raise ParameterError(
                 f"slot stride {p.S} incompatible with 5-block comb at B={p.B}"
             )
         nb, b = p.n_blocks, p.B
         n2 = 1 << _ceil_log2(max(nb, 1))
+        stride = 5 * p.word_out_bits
+        count = 1 if symbols is None else symbols.slot_count
         self.pad = nb * b - p.w
         self.width = n2 * b
         self.drop = (n2 - nb) * b
+        self.base = (count - 1) * stride
+        self.live = self.base + nb * b
+        if count > 1 and stride < self.width + self.width // 2:
+            raise ParameterError(
+                f"key stride {stride} too narrow for a {self.width}-bit reversal")
         rounds = []
         half = 1
         while half < n2:
             g = b * half
-            mask = 0
-            period = 2 * g
-            low = (1 << g) - 1
-            for start in range(0, self.width, period):
-                mask |= low << start
-            rounds.append((g, mask))
+            mask = repeat_bits((1 << g) - 1, 2 * g, n2 // (2 * half))
+            rounds.append((g, repeat_bits(mask, stride, count)))
             half *= 2
         self.rounds = tuple(rounds)
         block_mask = (1 << b) - 1
-        self.combs = tuple(sum(block_mask << (j * b) for j in range(i, nb, 5))
-                           for i in range(5))
+        self.combs = tuple(
+            repeat_bits(repeat_bits(block_mask << (i * b), 5 * b, len(range(i, nb, 5))),
+                        stride, count)
+            for i in range(5))
+        # Key s moves from bit s * s_in to bit s * stride in one round per
+        # bit of s, highest first: round k moves every key with bit k set
+        # by 2^k (stride - s_in).  Before round k, key s sits at
+        # (s with bits below k+1 cleared) * stride + (s mod 2^(k+1)) * s_in,
+        # so in each group of 2^(k+1) keys the upper half is one run.
+        spread = []
+        spill = 0
+        if symbols is not None:
+            s_in, vb = symbols.slot_width, symbols.value_bound
+            if count < 1 or vb > p.w or s_in > stride:
+                raise ParameterError(
+                    f"{count} keys of {vb} bits at stride {s_in} do not fit "
+                    f"w={p.w}, output stride {stride}")
+            spill = repeat_bits(((1 << s_in) - 1) ^ ((1 << vb) - 1), s_in, count)
+            last = count - 1
+            for k in reversed(range(_ceil_log2(count))):
+                h = 1 << k
+                run = ((1 << (h * s_in)) - 1) << (h * s_in)
+                mask = repeat_bits(run, 2 * h * stride, -(-count // (2 * h)))
+                at = (last >> (k + 1) << (k + 1)) * stride + (last & (2 * h - 1)) * s_in
+                spread.append((h * (stride - s_in), mask, at + vb))
+        self.spread = tuple(spread)
+        self.spill = spill
 
 
 @lru_cache(maxsize=64)
-def _split_plan(p: RsParams) -> _SplitPlan:
-    return _SplitPlan(p)
+def _split_plan(p: RsParams, symbols: FieldLayout | None = None) -> _SplitPlan:
+    return _SplitPlan(p, symbols)
 
 
-def split5(x: WideInt, p: RsParams, ledger: OpLedger | None = None) -> WideInt:
+def split5(x: WideInt, p: RsParams, ledger: OpLedger | None = None,
+           symbols: FieldLayout | None = None) -> WideInt:
     """Deal the blocks of x into 5 message words side by side in one word.
 
     Word i (0-based) starts at bit i * word_out_bits, where its residues
     go, and holds blocks b_i, b_{i+5}, ... with slot t at bit t * S;
     blocks past n_blocks read as zero.  Cost: a shared O(log n_blocks)
     reversal prologue per key, then mask, shift and OR per word.
+
+    With `symbols`, x holds symbols.slot_count keys, key s in slot s of
+    that layout and below 2^value_bound <= w, and key s's five words
+    start at bit s * 5 * word_out_bits: level 2 runs its inner split on
+    every outer residue in one pass.  The keys first spread to that
+    stride in ceil(log2 count) mask, shift and OR rounds; every later
+    step is the single-key step over all keys at once.  Each operation
+    is charged at the width of the bits it spans, never the value.
     """
-    if x.bits > p.w:
-        raise ParameterError(f"key of {x.bits} bits exceeds w={p.w}")
-    plan = _split_plan(p)
-    v = x.value << plan.pad
+    plan = _split_plan(p, symbols)
+    if symbols is None:
+        if x.bits > p.w:
+            raise ParameterError(f"key of {x.bits} bits exceeds w={p.w}")
+    elif x.bits > symbols.total_bits or x.value & plan.spill:
+        raise ParameterError(
+            f"word of {x.bits} bits does not hold {symbols.slot_count} keys below "
+            f"2^{symbols.value_bound} at stride {symbols.slot_width}")
+    v = x.value
+    for shift, mask, live in plan.spread:
+        sel = v & mask
+        v = (v ^ sel) | (sel << shift)
+        if ledger is not None:
+            ledger.charge_bitwise(live)
+            ledger.charge_bitwise(live)
+            ledger.charge_shift(live, shift)
+            ledger.charge_bitwise(live + shift)
+    base, width = plan.base, plan.base + plan.width
+    v <<= plan.pad
     if ledger is not None:
-        ledger.charge_shift(p.w, plan.pad)
+        ledger.charge_shift(base + p.w, plan.pad)
     for g, mask in plan.rounds:
         v = ((v >> g) & mask) | ((v & mask) << g)
         if ledger is not None:
-            ledger.charge_shift(plan.width)
-            ledger.charge_bitwise(plan.width)
-            ledger.charge_bitwise(plan.width)
-            ledger.charge_shift(plan.width - g, g)
-            ledger.charge_bitwise(plan.width)
+            ledger.charge_shift(width)
+            ledger.charge_bitwise(width)
+            ledger.charge_bitwise(width)
+            ledger.charge_shift(width - g, g)
+            ledger.charge_bitwise(width)
     if plan.drop:
         v >>= plan.drop
         if ledger is not None:
-            ledger.charge_shift(plan.width)
+            ledger.charge_shift(width)
+    live = plan.live
     out = 0
     for i in range(5):
         # Block i + 5t sits at bit i*B + t*5B.  The comb stride 5B equals
@@ -209,11 +282,11 @@ def split5(x: WideInt, p: RsParams, ledger: OpLedger | None = None) -> WideInt:
         shift = i * (p.word_out_bits - p.B)
         out |= (v & plan.combs[i]) << shift
         if ledger is not None:
-            ledger.charge_bitwise(plan.width)
-            ledger.charge_shift(plan.width, shift)
+            ledger.charge_bitwise(live)
+            ledger.charge_shift(live, shift)
             if i:
-                ledger.charge_bitwise(plan.width + shift)
-    return WideInt(out, 4 * p.word_out_bits + p.word_in_bits)
+                ledger.charge_bitwise(live + shift)
+    return WideInt(out, base + 4 * p.word_out_bits + p.word_in_bits)
 
 
 def split5_reassemble(word: WideInt, p: RsParams) -> WideInt:
@@ -309,7 +382,7 @@ def rs_encode(x_word: WideInt, g: GeneratorPoly, p: RsParams,
     """
     regions = -(-x_word.bits // p.word_out_bits)
     prod = wide_mul(x_word, g.z_packed, ledger)
-    return parallel_mod(prod, p.conv_layout().repeated(regions), p.P, ledger)
+    return parallel_mod(prod, p.conv_layout(regions), p.P, ledger)
 
 
 def min_weight_multiple_check(g: GeneratorPoly, p: RsParams,

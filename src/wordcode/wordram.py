@@ -224,9 +224,24 @@ class FieldLayout:
     def total_bits(self) -> int:
         return self.slot_width * self.slot_count
 
-    def repeated(self, count: int) -> "FieldLayout":
-        """`count` copies end to end, copy j from bit j * total_bits."""
-        return FieldLayout(self.slot_width, count * self.slot_count, self.value_bound)
+
+def repeat_bits(unit: int, period: int, count: int) -> int:
+    """`count` copies of the bit pattern `unit`, copy j shifted left by
+    j * period, built by doubling in O(log count) big-integer operations.
+
+    For plan constants: a per-copy loop would build its growing mask
+    once per copy, quadratic in the mask's length.
+    """
+    out, shift, span = 0, 0, period
+    while count:
+        if count & 1:
+            out |= unit << shift
+            shift += span
+        count >>= 1
+        if count:
+            unit |= unit << span
+            span *= 2
+    return out
 
 
 def pack_fields(values, layout: FieldLayout, ledger: OpLedger | None = None) -> WideInt:
@@ -395,13 +410,10 @@ class _ParallelModPlan:
         self.magic_bits = rec.magic.bit_length()
         self.divisor_bits = divisor.bit_length()
         # (slot mask, quotient mask) of the even slots, then the odd ones.
-        masks = [[0, 0], [0, 0]]
-        slot_full = (1 << s) - 1
-        q_full = (1 << qbits) - 1
-        for i in range(n):
-            masks[i % 2][0] |= slot_full << (i * s)
-            masks[i % 2][1] |= q_full << (i * s)
-        self.parities = tuple(tuple(m) for m in masks[:min(n, 2)])
+        self.parities = tuple(
+            (repeat_bits(((1 << s) - 1) << (i * s), 2 * s, (n - i + 1) // 2),
+             repeat_bits(((1 << qbits) - 1) << (i * s), 2 * s, (n - i + 1) // 2))
+            for i in range(min(n, 2)))
 
 
 @lru_cache(maxsize=256)

@@ -187,6 +187,25 @@ def test_criterion_06_constant_time_encode(code64):
         assert totals[1024] <= totals[64]
 
 
+def test_criterion_06_constant_time_encode_level2():
+    # Criterion 06 at level 2, the level whose construction criterion 07
+    # checks: both of the paper's claims on one code.
+    with verdict(6, "constant-time encode, level 2"):
+        totals = {}
+        for w in (256, 1024, 4096, 8192):
+            code, report = build_code(w, None, 2)
+            rng = random.Random(w)
+            ledgers = set()
+            for _ in range(1000):
+                ledger = OpLedger(w)
+                encode(code, WideInt(rng.randrange(1 << w), w), ledger)
+                ledgers.add(tuple(sorted(ledger.as_dict().items())))
+            assert len(ledgers) == 1, f"w={w}: level-2 encode cost varies with input"
+            assert dict(next(iter(ledgers))) == report.encode_ops
+            totals[w] = sum(dict(next(iter(ledgers))).values())
+        assert totals[256] >= totals[1024] >= totals[4096] >= totals[8192], totals
+
+
 def test_criterion_07_sublinear_construction():
     with verdict(7, "sublinear construction"):
         per_word = []

@@ -192,6 +192,14 @@ def test_bench_table(tmp_path, capsys):
     report = last_json(stdout)
     assert [r["w"] for r in report["results"]["rows"]] == [64, 1024]
 
+    rc, _, _ = run(capsys, "bench", "--w-list", "64,1024", "--level", "2",
+                   "--out", str(out))
+    assert rc == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    encode_ops = [int(row[BENCH_HEADER.index("encode_ops")]) for row in rows[1:]]
+    assert len(encode_ops) == 2 and encode_ops[1] <= encode_ops[0]
+
 
 def test_bench_bad_w_list(tmp_path, capsys):
     rc, _, _ = run(capsys, "bench", "--w-list", "abc",

@@ -21,6 +21,8 @@ from wordcode.errors import (
 from wordcode.ecc_core import (
     CostReport,
     EccCode,
+    _batch_encode,
+    _encode_nested,
     build_code,
     deserialize,
     distance_report,
@@ -171,6 +173,28 @@ def test_encode_matches_oracle_level2():
         for _ in range(keys):
             x = rng.randrange(1 << w)
             assert int(encode(code, x)) == encode_oracle(code, x), (w, x)
+
+
+def test_encode_level2_packed_matches_nested_batch_and_oracle():
+    # The packed level-2 encode against the per-residue route, the batch
+    # encoder and the list-arithmetic oracle.
+    rng = random.Random(20261018)
+    for w in (10, 64, 256, 1024, 8192):
+        code, _ = build_code(w, None, 2)
+        keys = [0, (1 << w) - 1, rng.getrandbits(w), rng.getrandbits(w)]
+        rows = _batch_encode(code, np.array(keys, dtype=object))
+        for x, row in zip(keys, rows):
+            cw = encode(code, x)
+            assert cw.bits == code.codeword_bits
+            assert cw == _encode_nested(code, x), (w, x)
+            assert int(cw) == encode_oracle(code, x), (w, x)
+            assert int(cw) == sum(int(v) << (64 * t) for t, v in enumerate(row)), (w, x)
+
+
+def test_encode_nested_rejects_level1():
+    code, _ = build_code(16, None, 1)
+    with pytest.raises(ParameterError, match="level-2"):
+        _encode_nested(code, 0)
 
 
 def test_encode_accepts_narrower_wideint():

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wordcode.errors import ParameterError
 from wordcode.numtheory import find_field_prime, find_primitive_root
@@ -16,7 +17,7 @@ from wordcode.outer_rs import (
     split5,
     split5_reassemble,
 )
-from wordcode.wordram import OpLedger, WideInt, unpack_fields
+from wordcode.wordram import FieldLayout, OpLedger, WideInt, pack_fields, unpack_fields
 
 
 def ceil_div(a, b):
@@ -191,6 +192,91 @@ def test_split5_rejects_oversized_key():
     p = derive_params(16)
     with pytest.raises(ParameterError):
         split5(WideInt(0, 17), p)
+
+
+# Inner word sizes 5..14 (level 2) plus public ones whose words carry
+# several blocks.
+MANY_KEY_WIDTHS = (5, 7, 9, 11, 13, 14, 16, 37, 64)
+
+
+def split5_one_at_a_time(keys, p):
+    """Each key's split5 on its own, key s placed at s * 5 * word_out_bits."""
+    stride = 5 * p.word_out_bits
+    return sum(split5(WideInt(k, p.w), p).value << (s * stride)
+               for s, k in enumerate(keys))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(),
+       w=st.sampled_from(MANY_KEY_WIDTHS),
+       count=st.integers(1, 70) | st.sampled_from([1, 2, 3, 5, 6, 7, 9, 13, 33, 127]))
+@example(data=None, w=14, count=1270)
+def test_split5_many_keys_equals_one_key_at_a_time(data, w, count):
+    # Counts that are not powers of two leave a partial last group in
+    # some spread round; so does the w=8192 level-2 count, 1270.
+    p = _derive_params_any(w)
+    stride = 5 * p.word_out_bits
+    if data is None:
+        rng = random.Random(count)
+        s_in, vb = 65, w
+        keys = [rng.getrandbits(w) for _ in range(count)]
+    else:
+        vb = data.draw(st.integers(1, w), label="value_bound")
+        s_in = data.draw(st.integers(vb, min(stride, 4 * w)), label="input stride")
+        keys = data.draw(st.lists(st.integers(0, (1 << vb) - 1),
+                                  min_size=count, max_size=count), label="keys")
+    layout = FieldLayout(s_in, count, vb)
+    got = split5(pack_fields(keys, layout), p, None, layout)
+    assert got.value == split5_one_at_a_time(keys, p)
+    assert got.bits == (count - 1) * stride + 4 * p.word_out_bits + p.word_in_bits
+
+
+def test_split5_many_keys_cost_independent_of_values():
+    rng = random.Random(4)
+    for w, count, s_in in ((14, 1270, 65), (5, 85, 20), (11, 7, 35), (64, 3, 64)):
+        p = _derive_params_any(w)
+        layout = FieldLayout(s_in, count, w)
+        costs = set()
+        for keys in ([0] * count, [(1 << w) - 1] * count,
+                     [rng.getrandbits(w) for _ in range(count)]):
+            led = OpLedger(8192)
+            split5(pack_fields(keys, layout), p, led, layout)
+            costs.add(tuple(sorted(led.as_dict().items())))
+        assert len(costs) == 1
+        assert led.mul == led.add == led.sub == led.cmp == 0
+
+
+def test_split5_one_key_layout_charges_like_a_plain_key():
+    for w in (5, 14, 16, 64, 1024):
+        p = _derive_params_any(w)
+        x = WideInt((1 << w) - 1, w)
+        plain, laid_out = OpLedger(w), OpLedger(w)
+        want = split5(x, p, plain)
+        assert split5(x, p, laid_out, FieldLayout(w, 1, w)) == want
+        assert laid_out == plain
+
+
+def test_split5_charges_placements_at_live_width():
+    # The five placements act on the n_blocks * B bits left after the
+    # reversal's padding is dropped, not the power-of-two width.
+    for w, total in ((10, 120), (16, 73), (64, 122), (200, 107), (256, 88),
+                     (1024, 142), (8192, 172)):
+        led = OpLedger(w)
+        split5(WideInt(0, w), derive_params(w), led)
+        assert led.total() == total, w
+
+
+def test_split5_many_keys_rejects_bad_words():
+    p = _derive_params_any(14)
+    layout = FieldLayout(65, 4, 14)
+    with pytest.raises(ParameterError, match="does not hold 4 keys"):
+        split5(WideInt(1 << 14, 260), p, None, layout)
+    with pytest.raises(ParameterError, match="does not hold 4 keys"):
+        split5(WideInt(0, 261), p, None, layout)
+    with pytest.raises(ParameterError, match="do not fit"):
+        split5(WideInt(0, 60), p, None, FieldLayout(15, 4, 15))
+    with pytest.raises(ParameterError, match="do not fit"):
+        split5(WideInt(0, 0), p, None, FieldLayout(65, 0, 14))
 
 
 # ---------------------------------------------------------------------------

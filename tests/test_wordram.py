@@ -21,6 +21,7 @@ from wordcode.wordram import (
     pack_fields,
     parallel_mod,
     parallel_mod_reference,
+    repeat_bits,
     unpack_fields,
     wide_mul,
     wide_or,
@@ -237,6 +238,16 @@ def test_pack_unpack_match_per_slot_shifts():
         word = WideInt(rng.getrandbits(n * s + 70), n * s + 70)
         assert unpack_fields(word, layout) == [
             (word.value >> (i * s)) & mask for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit=st.integers(0, (1 << 40) - 1), period=st.integers(1, 80),
+       count=st.integers(0, 300))
+def test_repeat_bits_matches_per_copy_or(unit, period, count):
+    want = 0
+    for j in range(count):
+        want |= unit << (j * period)
+    assert repeat_bits(unit, period, count) == want
 
 
 def test_pack_unpack_ledger_charges():
