@@ -21,6 +21,7 @@ import operator
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .inner_mult import (
     DEFAULT_DELTA,
     DELTA_LADDER,
     InnerCode,
+    _MultPlan,
     find_multiplier,
     inner_encode,
 )
@@ -47,7 +49,9 @@ from .outer_rs import (
     RsParams,
     W_MAX,
     W_MIN,
+    _RsPlan,
     _derive_params_any,
+    _split_plan,
     build_generator,
     rs_encode,
     split5,
@@ -118,6 +122,43 @@ class EccCode:
         if self.level == 1:
             return (self.params.r_deg + 1) * self.inner.threshold
         return (self.params.r_deg + 1) * self.inner_ecc.guaranteed_min_bits()
+
+    @cached_property
+    def _plans(self) -> "_EncodePlans":
+        # Not a dataclass field: ==, hash and serialize never see it.
+        return _EncodePlans(self)
+
+
+class _EncodePlans:
+    """Every plan one code's encode runs, resolved on its first encode.
+
+    Level 1 runs split, rs and the inner multiply on the five words;
+    level 2 adds the inner code's split over every residue (`split2`)
+    and its rs (`rs2`), and multiplies on their layout.  A warm encode
+    then looks nothing up, and the codeword-width check, which depends
+    only on these plans, runs once here.
+    """
+
+    __slots__ = ("split", "rs", "out_layout", "split2", "rs2", "mult_layout", "mult")
+
+    def __init__(self, code: EccCode):
+        p = code.params
+        self.split = _split_plan(p)
+        self.rs = _RsPlan(p, self.split.out_bits, code.gen.z_packed.bits)
+        self.out_layout = layout = p.out_layout(5)
+        if code.level == 1:
+            self.split2 = self.rs2 = None
+            self.mult_layout, ic = layout, code.inner
+        else:
+            inner = code.inner_ecc
+            q = inner.params
+            self.split2 = _split_plan(q, layout)
+            self.rs2 = _RsPlan(q, self.split2.out_bits, inner.gen.z_packed.bits)
+            self.mult_layout, ic = q.out_layout(5 * layout.slot_count), inner.inner
+        self.mult = _MultPlan(ic, self.mult_layout)
+        if self.mult.bits != code.codeword_bits:
+            raise CodeValidationError(
+                f"codeword of {self.mult.bits} bits, expected {code.codeword_bits}")
 
 
 @dataclass(frozen=True)
@@ -298,24 +339,21 @@ def encode(code: EccCode, x, ledger: OpLedger | None = None) -> WideInt:
     inner_encode leave residue s's inner codeword at bit
     s * inner.codeword_bits.  Either way a constant number of
     whole-word operations; `_encode_nested` is the per-residue route.
+    The stages run on the code's resolved plans, and each posts its
+    plan's declared charges to the ledger in one call.
     """
     p = code.params
     x = WideInt(_key_value(x, p.w), p.w)
-    resid = rs_encode(split5(x, p, ledger), code.gen, p, ledger)
-    layout = p.out_layout(5)
-
+    plans = code._plans
+    resid = rs_encode(split5(x, p, ledger, plan=plans.split), code.gen, p, ledger,
+                      plan=plans.rs)
     if code.level == 1:
-        acc = inner_encode(resid, code.inner, layout, ledger)
-    else:
-        inner = code.inner_ecc
-        q = inner.params
-        words = split5(resid, q, ledger, layout)
-        acc = inner_encode(rs_encode(words, inner.gen, q, ledger), inner.inner,
-                           q.out_layout(5 * layout.slot_count), ledger)
-    if acc.bits != code.codeword_bits:
-        raise CodeValidationError(
-            f"codeword of {acc.bits} bits, expected {code.codeword_bits}")
-    return acc
+        return inner_encode(resid, code.inner, plans.out_layout, ledger, plan=plans.mult)
+    inner = code.inner_ecc
+    q = inner.params
+    words = split5(resid, q, ledger, plans.out_layout, plan=plans.split2)
+    return inner_encode(rs_encode(words, inner.gen, q, ledger, plan=plans.rs2),
+                        inner.inner, plans.mult_layout, ledger, plan=plans.mult)
 
 
 def _encode_nested(code: EccCode, x, ledger: OpLedger | None = None) -> WideInt:

@@ -21,7 +21,7 @@ from .errors import (
     MultiplierNotFoundError,
     ParameterError,
 )
-from .wordram import FieldLayout, OpLedger, WideInt, wide_mul, wide_trunc
+from .wordram import FieldLayout, OpLedger, OpList, WideInt
 
 B_MAX = 10
 
@@ -115,24 +115,46 @@ def find_multiplier(b: int, delta, ledger: OpLedger | None = None) -> InnerCode:
     return InnerCode(b, m, delta, t)
 
 
+class _MultPlan:
+    """inner_encode's multiplier, output width and charged operations on
+    one (InnerCode, layout), with the checks that depend only on them;
+    an encode resolves it once per code."""
+
+    __slots__ = ("m", "bits", "mask", "ops")
+
+    def __init__(self, ic: InnerCode, layout: FieldLayout):
+        if layout.slot_width < 4 * (ic.B + 1):
+            raise LayoutError(
+                f"slot width {layout.slot_width} below product bound "
+                f"{4 * (ic.B + 1)} bits"
+            )
+        m_bits = WideInt(ic.m, 3 * (ic.B + 1)).bits  # m must fit its word
+        self.m = ic.m
+        self.bits = layout.total_bits
+        self.mask = (1 << self.bits) - 1
+        # One whole-word multiply, then one mask over the product.
+        self.ops = OpList((("mul", self.bits, m_bits),
+                           ("bitwise", self.bits + m_bits, 0)))
+
+
 def inner_encode(word: WideInt, ic: InnerCode, layout: FieldLayout,
-                 ledger: OpLedger | None = None) -> WideInt:
+                 ledger: OpLedger | None = None, *,
+                 plan: _MultPlan | None = None) -> WideInt:
     """f_2: one whole-word multiply by m, then cut back to the layout.
 
     Requires each slot value below 2^(B+1); products then stay below
     2^(4(B+1)) <= 2^S and cannot carry across slot boundaries, which is
     what makes the single multiplication equal the per-slot map.
+    `plan`, when given, is `_MultPlan(ic, layout)` resolved by the
+    caller.
     """
-    if layout.slot_width < 4 * (ic.B + 1):
-        raise LayoutError(
-            f"slot width {layout.slot_width} below product bound "
-            f"{4 * (ic.B + 1)} bits"
-        )
-    if word.bits > layout.total_bits:
+    if plan is None:
+        plan = _MultPlan(ic, layout)
+    if word.bits > plan.bits:
         raise LayoutError(
             f"word of {word.bits} bits does not fit layout "
-            f"({layout.total_bits} bits)"
+            f"({plan.bits} bits)"
         )
-    m_word = WideInt(ic.m, 3 * (ic.B + 1))
-    prod = wide_mul(word.extend(layout.total_bits), m_word, ledger)
-    return wide_trunc(prod, layout.total_bits, ledger)
+    if ledger is not None:
+        ledger.post(plan.ops)
+    return WideInt((word.value * plan.m) & plan.mask, plan.bits)

@@ -28,7 +28,9 @@ from .numtheory import FieldPrime, PrimitiveRoot, find_field_prime, find_primiti
 from .wordram import (
     FieldLayout,
     OpLedger,
+    OpList,
     WideInt,
+    _parallel_mod_plan,
     _reciprocal_any_width,
     div_by_const,
     pack_fields,
@@ -144,7 +146,7 @@ def derive_params(w: int) -> RsParams:
 
 
 class _SplitPlan:
-    """Masks, shifts and charged widths for the 5-way block deal of
+    """Masks, shifts and charged operations for the 5-way block deal of
     `count` keys at once, built once per (params, symbols layout).
 
     Reading blocks most-significant-first while keeping slot 0 = the
@@ -156,11 +158,11 @@ class _SplitPlan:
     stride 5 * word_out_bits; every later mask repeats at that stride,
     so each step acts on every key at once.  Constants are tiled by
     doubling (`repeat_bits`), so a plan costs O(log count) big-integer
-    operations per mask, not one per key.
+    operations per mask, not one per key.  `ops` declares every
+    operation split5 runs, each at the width of the bits it spans.
     """
 
-    __slots__ = ("pad", "width", "rounds", "drop", "combs", "spread", "spill",
-                 "base", "live")
+    __slots__ = ("pad", "rounds", "drop", "combs", "spread", "spill", "out_bits", "ops")
 
     def __init__(self, p: RsParams, symbols: FieldLayout | None):
         if p.blocks_per_word > 1 and p.S != 5 * p.B:
@@ -172,26 +174,15 @@ class _SplitPlan:
         stride = 5 * p.word_out_bits
         count = 1 if symbols is None else symbols.slot_count
         self.pad = nb * b - p.w
-        self.width = n2 * b
+        width = n2 * b
         self.drop = (n2 - nb) * b
-        self.base = (count - 1) * stride
-        self.live = self.base + nb * b
-        if count > 1 and stride < self.width + self.width // 2:
+        base = (count - 1) * stride
+        live = base + nb * b
+        span = base + width
+        self.out_bits = base + 4 * p.word_out_bits + p.word_in_bits
+        if count > 1 and stride < width + width // 2:
             raise ParameterError(
-                f"key stride {stride} too narrow for a {self.width}-bit reversal")
-        rounds = []
-        half = 1
-        while half < n2:
-            g = b * half
-            mask = repeat_bits((1 << g) - 1, 2 * g, n2 // (2 * half))
-            rounds.append((g, repeat_bits(mask, stride, count)))
-            half *= 2
-        self.rounds = tuple(rounds)
-        block_mask = (1 << b) - 1
-        self.combs = tuple(
-            repeat_bits(repeat_bits(block_mask << (i * b), 5 * b, len(range(i, nb, 5))),
-                        stride, count)
-            for i in range(5))
+                f"key stride {stride} too narrow for a {width}-bit reversal")
         # Key s moves from bit s * s_in to bit s * stride in one round per
         # bit of s, highest first: round k moves every key with bit k set
         # by 2^k (stride - s_in).  Before round k, key s sits at
@@ -199,6 +190,7 @@ class _SplitPlan:
         # so in each group of 2^(k+1) keys the upper half is one run.
         spread = []
         spill = 0
+        ops = []
         if symbols is not None:
             s_in, vb = symbols.slot_width, symbols.value_bound
             if count < 1 or vb > p.w or s_in > stride:
@@ -212,9 +204,40 @@ class _SplitPlan:
                 run = ((1 << (h * s_in)) - 1) << (h * s_in)
                 mask = repeat_bits(run, 2 * h * stride, -(-count // (2 * h)))
                 at = (last >> (k + 1) << (k + 1)) * stride + (last & (2 * h - 1)) * s_in
-                spread.append((h * (stride - s_in), mask, at + vb))
+                shift = h * (stride - s_in)
+                spread.append((shift, mask))
+                ops += [("bitwise", at + vb, 0), ("bitwise", at + vb, 0),
+                        ("shift", at + vb, shift), ("bitwise", at + vb + shift, 0)]
         self.spread = tuple(spread)
         self.spill = spill
+        ops.append(("shift", base + p.w, self.pad))
+        rounds = []
+        half = 1
+        while half < n2:
+            g = b * half
+            mask = repeat_bits((1 << g) - 1, 2 * g, n2 // (2 * half))
+            rounds.append((g, repeat_bits(mask, stride, count)))
+            ops += [("shift", span, 0), ("bitwise", span, 0), ("bitwise", span, 0),
+                    ("shift", span - g, g), ("bitwise", span, 0)]
+            half *= 2
+        self.rounds = tuple(rounds)
+        if self.drop:
+            ops.append(("shift", span, 0))
+        # Block i + 5t sits at bit i*B + t*5B.  The comb stride 5B equals
+        # S whenever a word carries more than one block (checked above),
+        # so one shift moves the whole word to i * word_out_bits;
+        # single-block words land wholly in slot 0 either way.
+        block_mask = (1 << b) - 1
+        combs = []
+        for i in range(5):
+            comb = repeat_bits(block_mask << (i * b), 5 * b, len(range(i, nb, 5)))
+            shift = i * (p.word_out_bits - b)
+            combs.append((repeat_bits(comb, stride, count), shift))
+            ops += [("bitwise", live, 0), ("shift", live, shift)]
+            if i:
+                ops.append(("bitwise", live + shift, 0))
+        self.combs = tuple(combs)
+        self.ops = OpList(ops)
 
 
 @lru_cache(maxsize=64)
@@ -223,7 +246,8 @@ def _split_plan(p: RsParams, symbols: FieldLayout | None = None) -> _SplitPlan:
 
 
 def split5(x: WideInt, p: RsParams, ledger: OpLedger | None = None,
-           symbols: FieldLayout | None = None) -> WideInt:
+           symbols: FieldLayout | None = None, *,
+           plan: _SplitPlan | None = None) -> WideInt:
     """Deal the blocks of x into 5 message words side by side in one word.
 
     Word i (0-based) starts at bit i * word_out_bits, where its residues
@@ -237,9 +261,12 @@ def split5(x: WideInt, p: RsParams, ledger: OpLedger | None = None,
     every outer residue in one pass.  The keys first spread to that
     stride in ceil(log2 count) mask, shift and OR rounds; every later
     step is the single-key step over all keys at once.  Each operation
-    is charged at the width of the bits it spans, never the value.
+    is charged at the width of the bits it spans, never the value; the
+    plan declares them and they are posted at once.  `plan`, when
+    given, is `_split_plan(p, symbols)` resolved by the caller.
     """
-    plan = _split_plan(p, symbols)
+    if plan is None:
+        plan = _split_plan(p, symbols)
     if symbols is None:
         if x.bits > p.w:
             raise ParameterError(f"key of {x.bits} bits exceeds w={p.w}")
@@ -248,45 +275,19 @@ def split5(x: WideInt, p: RsParams, ledger: OpLedger | None = None,
             f"word of {x.bits} bits does not hold {symbols.slot_count} keys below "
             f"2^{symbols.value_bound} at stride {symbols.slot_width}")
     v = x.value
-    for shift, mask, live in plan.spread:
+    for shift, mask in plan.spread:
         sel = v & mask
         v = (v ^ sel) | (sel << shift)
-        if ledger is not None:
-            ledger.charge_bitwise(live)
-            ledger.charge_bitwise(live)
-            ledger.charge_shift(live, shift)
-            ledger.charge_bitwise(live + shift)
-    base, width = plan.base, plan.base + plan.width
     v <<= plan.pad
-    if ledger is not None:
-        ledger.charge_shift(base + p.w, plan.pad)
     for g, mask in plan.rounds:
         v = ((v >> g) & mask) | ((v & mask) << g)
-        if ledger is not None:
-            ledger.charge_shift(width)
-            ledger.charge_bitwise(width)
-            ledger.charge_bitwise(width)
-            ledger.charge_shift(width - g, g)
-            ledger.charge_bitwise(width)
-    if plan.drop:
-        v >>= plan.drop
-        if ledger is not None:
-            ledger.charge_shift(width)
-    live = plan.live
+    v >>= plan.drop
     out = 0
-    for i in range(5):
-        # Block i + 5t sits at bit i*B + t*5B.  The comb stride 5B equals
-        # S whenever a word carries more than one block (checked in the
-        # plan), so one shift moves the whole word to i * word_out_bits;
-        # single-block words land wholly in slot 0 either way.
-        shift = i * (p.word_out_bits - p.B)
-        out |= (v & plan.combs[i]) << shift
-        if ledger is not None:
-            ledger.charge_bitwise(live)
-            ledger.charge_shift(live, shift)
-            if i:
-                ledger.charge_bitwise(live + shift)
-    return WideInt(out, base + 4 * p.word_out_bits + p.word_in_bits)
+    for comb, shift in plan.combs:
+        out |= (v & comb) << shift
+    if ledger is not None:
+        ledger.post(plan.ops)
+    return WideInt(out, plan.out_bits)
 
 
 def split5_reassemble(word: WideInt, p: RsParams) -> WideInt:
@@ -369,8 +370,22 @@ def build_generator(p: RsParams, ledger: OpLedger | None = None) -> GeneratorPol
 # Encoding
 
 
+class _RsPlan:
+    """rs_encode's convolution layout, its parallel_mod plan and the
+    charged multiply, for `in_bits`-bit input and a `z_bits`-bit packed
+    generator; an encode resolves it once per code."""
+
+    __slots__ = ("layout", "mod", "ops")
+
+    def __init__(self, p: RsParams, in_bits: int, z_bits: int):
+        self.layout = p.conv_layout(-(-in_bits // p.word_out_bits))
+        self.mod = _parallel_mod_plan(self.layout, p.P)
+        self.ops = OpList((("mul", in_bits, z_bits),))
+
+
 def rs_encode(x_word: WideInt, g: GeneratorPoly, p: RsParams,
-              ledger: OpLedger | None = None) -> WideInt:
+              ledger: OpLedger | None = None, *,
+              plan: _RsPlan | None = None) -> WideInt:
     """f_1 on each message word of x_word: multiply by z_r, reduce mod P.
 
     Word i sits at bit i * word_out_bits, as split5 lays them out, and
@@ -378,11 +393,17 @@ def rs_encode(x_word: WideInt, g: GeneratorPoly, p: RsParams,
     word, the convolution of message and generator slots; with slots of
     S >= conv_value_bound bits no word spills into the next region, so
     one parallel_mod pass leaves every coefficient in [0, P).  Two
-    charged operations however many words and slots there are.
+    charged operations however many words and slots there are.  `plan`,
+    when given, is `_RsPlan(p, x_word.bits, g.z_packed.bits)` resolved
+    by the caller.
     """
-    regions = -(-x_word.bits // p.word_out_bits)
-    prod = wide_mul(x_word, g.z_packed, ledger)
-    return parallel_mod(prod, p.conv_layout(regions), p.P, ledger)
+    if plan is None:
+        plan = _RsPlan(p, x_word.bits, g.z_packed.bits)
+    if ledger is not None:
+        ledger.post(plan.ops)
+    z = g.z_packed
+    prod = WideInt(x_word.value * z.value, x_word.bits + z.bits)
+    return parallel_mod(prod, plan.layout, p.P, ledger, plan=plan.mod)
 
 
 def min_weight_multiple_check(g: GeneratorPoly, p: RsParams,

@@ -21,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .errors import (
     DuplicateKeyError,
     ParameterError,
 )
-from .wordram import WideInt
+from .wordram import OpLedger, OpList, WideInt
 
 MAX_PAIRS = 10 ** 7
 
@@ -44,6 +45,19 @@ class SignatureFn:
     code: EccCode
     positions: tuple
     n: int
+
+    @cached_property
+    def _gather(self) -> OpList:
+        """Charged operations of reading `positions` out of a codeword.
+
+        Per signature bit j: shift the codeword right to positions[j],
+        mask that bit, shift it left to j and OR it into the j bits so
+        far, each at the width it spans.  Not a dataclass field.
+        """
+        cw = self.code.codeword_bits
+        return OpList(op for j, pos in enumerate(self.positions) for op in (
+            ("shift", cw, 0), ("bitwise", cw - pos, 0),
+            ("shift", 1, j), ("bitwise", j, j + 1)))
 
 
 def _bit_matrix(code: EccCode, vals: list) -> np.ndarray:
@@ -132,9 +146,16 @@ def build_signature(code: EccCode, keys) -> SignatureFn:
     return SignatureFn(code, tuple(positions), n)
 
 
-def sig_eval(f: SignatureFn, x) -> WideInt:
-    """Signature of any w-bit value; bit j reads codeword bit positions[j]."""
-    cw = int(encode(f.code, x))
+def sig_eval(f: SignatureFn, x, ledger: OpLedger | None = None) -> WideInt:
+    """Signature of any w-bit value; bit j reads codeword bit positions[j].
+
+    A ledger is charged for the encode and then for the gather of the
+    positions (`SignatureFn._gather`), both by declared widths, so the
+    charge does not depend on x.
+    """
+    cw = int(encode(f.code, x, ledger))
+    if ledger is not None:
+        ledger.post(f._gather)
     out = 0
     for j, pos in enumerate(f.positions):
         out |= ((cw >> pos) & 1) << j

@@ -11,7 +11,11 @@ operation is charged in machine words:
 
 Values are held as host Python integers inside `WideInt`, which pins an
 explicit bit width so that charges depend only on declared widths, never
-on the numeric value that happens to be stored.
+on the numeric value that happens to be stored.  Since the widths are
+fixed per plan, each encode-stage plan declares its operations once as
+an `OpList` of (kind, bits_a, bits_b) records, and the stage posts them
+with one `OpLedger.post` call; the per-kind word units are tallied once
+per ledger word size and cached on the list.
 
 The packed-field routines treat one wide integer as an array of fixed
 width slots (slot 0 least significant).  `parallel_mod` reduces every
@@ -82,13 +86,37 @@ class WideInt:
         return f"WideInt({self.value:#x}, bits={self.bits})"
 
 
+_KINDS = ("add", "sub", "mul", "shift", "bitwise", "cmp")
+
+
+class OpList:
+    """The operations a plan declares, as (kind, bits_a, bits_b) records.
+
+    `OpLedger.post` charges all of them at once.  Their per-kind word
+    units depend only on the widths and the ledger word size, so they are
+    tallied once per word size and kept in `units`.
+    """
+
+    __slots__ = ("ops", "units")
+
+    def __init__(self, ops):
+        self.ops = tuple(ops)
+        for kind, _, _ in self.ops:
+            if kind not in _KINDS:
+                raise ValueError(f"unknown op kind {kind!r}")
+        self.units = {}
+
+
 @dataclass
 class OpLedger:
     """Counter of model operations, grouped by kind.
 
     `word_bits` is the model word size w.  The ledger never inspects
     operand values, only declared bit widths, so two runs over different
-    inputs of the same shape always charge identically.
+    inputs of the same shape always charge identically.  Single
+    operations go through the `charge_*` methods; an encode stage posts
+    its plan's whole `OpList` with `post`.  Both apply the one set of
+    cost rules in `op_units`.
     """
 
     word_bits: int
@@ -106,17 +134,42 @@ class OpLedger:
     def words(self, bits: int) -> int:
         return -(-bits // self.word_bits)
 
+    def op_units(self, kind: str, bits_a: int, bits_b: int = 0) -> int:
+        """Word units of one `kind` operation on operands of the given
+        widths; for a shift, bits_b is the count of bits shifted in."""
+        if kind == "mul":
+            return self.words(bits_a) * self.words(bits_b)
+        if kind == "shift":
+            return self.words(bits_a + bits_b)
+        return max(self.words(bits_a), self.words(bits_b))
+
     def charge_sub(self, bits_a: int, bits_b: int = 0):
-        self.sub += max(self.words(bits_a), self.words(bits_b))
+        self.sub += self.op_units("sub", bits_a, bits_b)
 
     def charge_mul(self, bits_a: int, bits_b: int):
-        self.mul += self.words(bits_a) * self.words(bits_b)
+        self.mul += self.op_units("mul", bits_a, bits_b)
 
     def charge_shift(self, bits_operand: int, bits_in: int = 0):
-        self.shift += self.words(bits_operand + bits_in)
+        self.shift += self.op_units("shift", bits_operand, bits_in)
 
     def charge_bitwise(self, bits_a: int, bits_b: int = 0):
-        self.bitwise += max(self.words(bits_a), self.words(bits_b))
+        self.bitwise += self.op_units("bitwise", bits_a, bits_b)
+
+    def post(self, ops: OpList):
+        """Charge every operation of `ops` in one call."""
+        units = ops.units.get(self.word_bits)
+        if units is None:
+            tally = dict.fromkeys(_KINDS, 0)
+            for kind, bits_a, bits_b in ops.ops:
+                tally[kind] += self.op_units(kind, bits_a, bits_b)
+            units = ops.units[self.word_bits] = tuple(tally.values())
+        add, sub, mul, shift, bitwise, cmp = units
+        self.add += add
+        self.sub += sub
+        self.mul += mul
+        self.shift += shift
+        self.bitwise += bitwise
+        self.cmp += cmp
 
     def charge_counted(self, kind: str, count: int, word_units: int):
         """Post `count` operations of `word_units` words each in one go.
@@ -124,7 +177,7 @@ class OpLedger:
         Bulk accounting for construction-time searches, where posting
         billions of unit charges one call at a time is not practical.
         """
-        if kind not in ("add", "sub", "mul", "shift", "bitwise", "cmp"):
+        if kind not in _KINDS:
             raise ValueError(f"unknown op kind {kind!r}")
         if count < 0 or word_units < 0:
             raise ValueError("counts must be non-negative")
@@ -389,14 +442,23 @@ def div_by_const(c: int, rec: Reciprocal, ledger: OpLedger | None = None) -> tup
 
 
 class _ParallelModPlan:
-    __slots__ = ("layout", "divisor", "rec", "magic_bits", "divisor_bits", "parities")
+    """Masks, reciprocal and charged operations of `parallel_mod` on one
+    (layout, divisor), built once; every check that depends only on them
+    runs here."""
+
+    __slots__ = ("bits", "divisor", "magic", "shift", "parities", "ops")
 
     def __init__(self, layout: FieldLayout, divisor: int):
+        if divisor < 2:
+            raise LayoutError(f"divisor must be at least 2, got {divisor}")
         s, n, v = layout.slot_width, layout.slot_count, layout.value_bound
-        self.layout = layout
+        self.bits = bits = layout.total_bits
         self.divisor = divisor
+        self.magic = self.shift = 0
+        self.parities, self.ops = (), OpList(())
+        if n == 0:
+            return
         rec = _reciprocal_any_width(divisor, v)
-        self.rec = rec
         # With q = (2**v - 1) // divisor the certificate gives
         # q * 2**k <= (2**v - 1) * M < (q + 1) * 2**k, so the largest
         # slot product has exactly k + bit_length(q) bits when q >= 1 and
@@ -407,13 +469,19 @@ class _ParallelModPlan:
                 f"quotient window (shift {rec.shift} + {qbits} bits) exceeds two slots"
                 f" ({2 * s}); layout too tight for divisor {divisor}"
             )
-        self.magic_bits = rec.magic.bit_length()
-        self.divisor_bits = divisor.bit_length()
+        self.magic, self.shift = rec.magic, rec.shift
         # (slot mask, quotient mask) of the even slots, then the odd ones.
         self.parities = tuple(
             (repeat_bits(((1 << s) - 1) << (i * s), 2 * s, (n - i + 1) // 2),
              repeat_bits(((1 << qbits) - 1) << (i * s), 2 * s, (n - i + 1) // 2))
             for i in range(min(n, 2)))
+        wide = bits + rec.magic.bit_length()
+        per_parity = (("bitwise", bits, 0), ("mul", bits, rec.magic.bit_length()),
+                      ("shift", wide, 0), ("bitwise", wide, 0),
+                      ("mul", bits, divisor.bit_length()), ("sub", bits, bits))
+        # The odd parity's result is OR-ed into the even one.
+        self.ops = OpList(per_parity + (per_parity + (("bitwise", bits, 0),)
+                                        if n > 1 else ()))
 
 
 @lru_cache(maxsize=256)
@@ -422,38 +490,29 @@ def _parallel_mod_plan(layout: FieldLayout, divisor: int) -> _ParallelModPlan:
 
 
 def parallel_mod(word: WideInt, layout: FieldLayout, divisor: int,
-                 ledger: OpLedger | None = None) -> WideInt:
+                 ledger: OpLedger | None = None, *,
+                 plan: _ParallelModPlan | None = None) -> WideInt:
     """Reduce every slot of `word` modulo `divisor` in one packed pass.
 
     Bits of `word` above layout.total_bits are ignored.  The charged
-    cost depends only on the layout and divisor, never on slot values.
+    cost depends only on the layout and divisor, never on slot values:
+    the plan's operations, posted at once.  `plan`, when given, is
+    `_parallel_mod_plan(layout, divisor)` resolved by the caller.
     """
-    if divisor < 2:
-        raise LayoutError(f"divisor must be at least 2, got {divisor}")
-    if word.bits < layout.total_bits:
+    if plan is None:
+        plan = _parallel_mod_plan(layout, divisor)
+    if word.bits < plan.bits:
         raise LayoutError(
-            f"word of {word.bits} bits shorter than layout ({layout.total_bits})"
+            f"word of {word.bits} bits shorter than layout ({plan.bits})"
         )
-    if layout.slot_count == 0:
-        return WideInt(0, 0)
-    plan = _parallel_mod_plan(layout, divisor)
-    bits = layout.total_bits
-    wide = bits + plan.magic_bits
     x, out = word.value, 0
-    for parity, (mask, q_mask) in enumerate(plan.parities):
+    magic, shift, divisor = plan.magic, plan.shift, plan.divisor
+    for mask, q_mask in plan.parities:
         selected = x & mask
-        quot = ((selected * plan.rec.magic) >> plan.rec.shift) & q_mask
-        out |= selected - quot * plan.divisor
-        if ledger is not None:
-            ledger.charge_bitwise(bits)
-            ledger.charge_mul(bits, plan.magic_bits)
-            ledger.charge_shift(wide)
-            ledger.charge_bitwise(wide)
-            ledger.charge_mul(bits, plan.divisor_bits)
-            ledger.charge_sub(bits, bits)
-            if parity:
-                ledger.charge_bitwise(bits)  # merge into the even result
-    return WideInt(out, bits)
+        out |= selected - (((selected * magic) >> shift) & q_mask) * divisor
+    if ledger is not None:
+        ledger.post(plan.ops)
+    return WideInt(out, plan.bits)
 
 
 def parallel_mod_reference(word: WideInt, layout: FieldLayout, divisor: int,

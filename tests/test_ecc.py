@@ -1,10 +1,12 @@
 """Full-code assembly: build, encode, distance, serialization."""
 
+import dataclasses
 import functools
 import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,8 @@ from wordcode.ecc_core import (
 )
 from wordcode.outer_rs import build_generator, derive_params
 from wordcode.wordram import FieldLayout, OpLedger, WideInt, unpack_fields
+
+BENCH_MODEL = Path(__file__).resolve().parents[1] / "BENCH_model.json"
 
 
 def encode_oracle(code, x):
@@ -239,6 +243,45 @@ def test_encode_cost_value_independent_and_matches_report():
         costs.add(tuple(sorted(led.as_dict().items())))
     assert len(costs) == 1
     assert dict(costs.pop()) == report.encode_ops
+
+
+def test_ledger_totals_match_bench_model():
+    # Every row of the committed `wordcode bench` table rebuilds to the
+    # same totals; a ledgered encode on warm plans charges the same.
+    table = json.loads(BENCH_MODEL.read_text(encoding="ascii"))
+    rows = [(1, row) for row in table["level_1"]] + [(2, row) for row in table["level_2"]]
+    assert [(level, row["w"]) for level, row in rows] == [
+        (1, 64), (1, 256), (1, 1024), (2, 64), (2, 256), (2, 1024), (2, 4096), (2, 8192)]
+    for level, row in rows:
+        w = row["w"]
+        code, report = build_code(w, None, level)
+        got = (report.construction_total(), report.encode_total(), code.codeword_bits)
+        assert got == (row["construction_ops"], row["encode_ops"], row["codeword_bits"]), \
+            (w, level)
+        led = OpLedger(w)
+        encode(code, (1 << w) - 1, led)
+        assert led.as_dict() == report.encode_ops, (w, level)
+
+
+@pytest.mark.parametrize("w, level", [(64, 1), (256, 1), (64, 2), (1024, 2)])
+def test_resolved_plans_are_invisible(w, level):
+    used, _ = build_code(w, None, level)   # its probe encode resolved the plans
+    fresh = deserialize(serialize(used))    # rebuilt, not yet encoded
+    assert "_plans" in vars(used) and "_plans" not in vars(fresh)
+    assert "_plans" not in {f.name for f in dataclasses.fields(EccCode)}
+    assert used is not fresh
+    assert used == fresh and hash(used) == hash(fresh)
+    assert serialize(used) == serialize(fresh)
+    assert deserialize(serialize(used)) == used
+    rng = random.Random(f"plans-{w}-{level}")
+    for x in (0, (1 << w) - 1, rng.getrandbits(w), rng.getrandbits(w)):
+        led_used, led_fresh = OpLedger(w), OpLedger(w)
+        assert encode(used, x, led_used) == encode(fresh, x, led_fresh)
+        assert led_used == led_fresh
+    assert fresh._plans is not used._plans
+    assert used == fresh and hash(used) == hash(fresh)
+    assert serialize(fresh) == serialize(used)
+    assert deserialize(serialize(fresh)) == fresh == used
 
 
 def test_encode_cost_endpoint_comparison():

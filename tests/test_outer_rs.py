@@ -9,7 +9,9 @@ from wordcode.errors import ParameterError
 from wordcode.numtheory import find_field_prime, find_primitive_root
 from wordcode.outer_rs import (
     GeneratorPoly,
+    _RsPlan,
     _derive_params_any,
+    _split_plan,
     build_generator,
     derive_params,
     min_weight_multiple_check,
@@ -17,7 +19,15 @@ from wordcode.outer_rs import (
     split5,
     split5_reassemble,
 )
-from wordcode.wordram import FieldLayout, OpLedger, WideInt, pack_fields, unpack_fields
+from wordcode.inner_mult import InnerCode, _MultPlan
+from wordcode.wordram import (
+    FieldLayout,
+    OpLedger,
+    WideInt,
+    _parallel_mod_plan,
+    pack_fields,
+    unpack_fields,
+)
 
 
 def ceil_div(a, b):
@@ -450,3 +460,53 @@ def test_min_weight_bad_mode_and_samples():
         min_weight_multiple_check(g, p, "random", samples=0)
     with pytest.raises(ParameterError, match="seed must be non-negative"):
         min_weight_multiple_check(g, p, "random", samples=10, seed=-1)
+
+
+# ---------------------------------------------------------------------------
+# Plan-declared charges
+
+
+def op_by_op(word_bits, *op_lists):
+    """A ledger charged one declared operation at a time."""
+    led = OpLedger(word_bits)
+    for ops in op_lists:
+        for kind, bits_a, bits_b in ops.ops:
+            getattr(led, f"charge_{kind}")(bits_a, bits_b)
+    return led
+
+
+@pytest.mark.parametrize("w", [10, 64, 256, 1024, 8192])
+def test_plan_posts_equal_op_by_op_charges(w):
+    # The outer plans of w, then the inner code's plans over all of w's
+    # residues, as level 2 runs them: posted at ledger word sizes other
+    # than the plan's own code too.
+    p = derive_params(w)
+    layout = p.out_layout(5)
+    q = _derive_params_any(p.B + 1)
+    split, inner_split = _split_plan(p), _split_plan(q, layout)
+    rs = _RsPlan(p, split.out_bits, (p.r_deg + 1) * p.S)
+    plans = [split, rs.mod, rs, inner_split,
+             _parallel_mod_plan(q.conv_layout(5 * layout.slot_count), q.P),
+             _RsPlan(q, inner_split.out_bits, (q.r_deg + 1) * q.S),
+             _MultPlan(InnerCode(q.B, 1, 1, 1), q.out_layout(5 * layout.slot_count))]
+    for word_bits in (8, 10, 64, w, q.w, 8192):
+        for plan in plans:
+            led = OpLedger(word_bits)
+            led.post(plan.ops)
+            led.post(plan.ops)
+            assert led == op_by_op(word_bits, plan.ops, plan.ops), (word_bits, type(plan))
+            assert word_bits in plan.ops.units
+
+    # The stages charge exactly what their plans declare.
+    g = build_generator(p)
+    x = WideInt((1 << w) - 1, w)
+    for word_bits in (8, w):
+        led = OpLedger(word_bits)
+        words = split5(x, p, led)
+        assert led == op_by_op(word_bits, split.ops)
+        led = OpLedger(word_bits)
+        rs_encode(words, g, p, led)
+        assert led == op_by_op(word_bits, rs.ops, rs.mod.ops)
+        led = OpLedger(word_bits)
+        split5(WideInt(0, layout.total_bits), q, led, layout)
+        assert led == op_by_op(word_bits, inner_split.ops)

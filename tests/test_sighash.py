@@ -22,7 +22,7 @@ from wordcode.sighash import (
     verify_injective,
     write_keys_file,
 )
-from wordcode.wordram import WideInt
+from wordcode.wordram import OpLedger, WideInt
 
 
 def distinct_keys(rng, w, n):
@@ -146,6 +146,32 @@ def test_eval_matches_codeword_bits():
         sig = sig_eval(fn, k)
         for j, pos in enumerate(fn.positions):
             assert sig.bit(j) == cw.bit(pos)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_ledgered_sig_eval_charges_encode_plus_gather(level):
+    w = 64
+    code, report = build_code(w, None, level)
+    keys = distinct_keys(random.Random(90 + level), w, 200)
+    fn = build_signature(code, keys)
+    # Per signature bit j: shift the codeword, mask bit positions[j],
+    # shift it to j, OR it into the j bits so far.
+    gather = OpLedger(w)
+    for j, pos in enumerate(fn.positions):
+        gather.charge_shift(code.codeword_bits)
+        gather.charge_bitwise(code.codeword_bits - pos)
+        gather.charge_shift(1, j)
+        gather.charge_bitwise(j, j + 1)
+    want = {k: report.encode_ops[k] + v for k, v in gather.as_dict().items()}
+    assert sum(gather.as_dict().values()) > 0
+    for x in keys:
+        led = OpLedger(w)
+        sig = sig_eval(fn, x, led)
+        assert led.as_dict() == want
+        plain = sig_eval(fn, x)
+        cw = encode(code, x)
+        assert sig == plain
+        assert int(plain) == sum(cw.bit(pos) << j for j, pos in enumerate(fn.positions))
 
 
 def test_verify_rejects_handmade_non_injective():
