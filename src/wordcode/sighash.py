@@ -8,11 +8,14 @@ greedy loop reaches an injective projection.  Signatures read the
 selected positions in order, giving O(log n)-bit values for fixed code
 parameters.
 
-The greedy never lists pairs.  Keys that agree on every position chosen
-so far form a class, and only pairs inside a class still collide; a
-position with `ones` set bits in a class of `size` keys separates
-ones * (size - ones) of that class's pairs.  Each round therefore costs
-O(n * codeword_bits), whatever the number of pairs.
+The greedy never lists pairs, so no cap on the number of keys applies.
+Keys that agree on every position chosen so far form a class, and only
+pairs inside a class still collide; a position with `ones` set bits in
+a class of `size` keys separates ones * (size - ones) of that class's
+pairs.  The rows of the colliding keys are kept grouped by class size,
+so one column sum per distinct size counts `ones` for every class of
+that size.  Each round therefore costs O(n * codeword_bits), whatever
+the number of pairs.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ from .errors import (
     ParameterError,
 )
 from .wordram import OpLedger, OpList, WideInt
-
-MAX_PAIRS = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -93,9 +94,10 @@ def build_signature(code: EccCode, keys) -> SignatureFn:
     Each round picks the position that separates the most colliding
     pairs: the sum over classes of ones * (size - ones), where a class
     holds the keys that agree on every position chosen so far.  The
-    chosen bit then splits every class, and the pairs left are the sum
-    of C(size, 2).  Ties go to the lowest position index, so the result
-    depends only on the key set, not on its order.
+    chosen bit then splits every class, classes of one key drop out,
+    and the pairs left are the sum of C(size, 2).  Ties go to the lowest
+    position index, so the result depends only on the key set, not on
+    its order.
     """
     vals = [_key_value(k, code.params.w, f"key {i}") for i, k in enumerate(keys)]
     n = len(vals)
@@ -107,34 +109,29 @@ def build_signature(code: EccCode, keys) -> SignatureFn:
             digits = -(-code.params.w // 4)
             raise DuplicateKeyError(seen[v], i, format(v, f"0{digits}x"))
         seen[v] = i
-    total_pairs = n * (n - 1) // 2
-    if total_pairs > MAX_PAIRS:
-        raise ParameterError(
-            f"{total_pairs} key pairs exceed the supported {MAX_PAIRS}")
     if n == 1:
         return SignatureFn(code, (), 1)
 
-    bits = _bit_matrix(code, vals)
+    total_pairs = n * (n - 1) // 2
     rho = code.delta_prime_bound
     decay = Fraction(1)
     positions = []
     cap = position_cap(code, n)
-    # `members` lists the keys of each still-colliding class, class by
-    # class; `sizes` holds the class sizes in the same order.
-    members = np.arange(n)
+    # `bits` holds the rows of the still-colliding keys in (class size,
+    # class) order; `sizes` holds the class sizes in the same order.
+    bits = _bit_matrix(code, vals)
     sizes = np.array([n])
     while sizes.size:
-        starts = np.cumsum(sizes) - sizes
-        ones = np.add.reduceat(bits[members], starts, axis=0, dtype=np.int64)
-        separated = (ones * (sizes[:, None] - ones)).sum(axis=0)
-        pos = int(np.argmax(separated))
+        pos = int(np.argmax(_separated(bits, sizes)))
         positions.append(pos)
-        side = np.repeat(2 * np.arange(sizes.size), sizes) + bits[members, pos]
-        order = np.argsort(side)
-        members, side = members[order], side[order]
-        _, sizes = np.unique(side, return_counts=True)
-        members = members[np.repeat(sizes > 1, sizes)]
-        sizes = sizes[sizes > 1]
+        # Side 2c + b holds the keys of class c that read b at `pos`.
+        side = np.repeat(2 * np.arange(sizes.size), sizes) + bits[:, pos]
+        counts = np.bincount(side, minlength=2 * sizes.size)
+        # Keep the rows of sides with two or more keys, by (size, side).
+        new_size = counts[side]
+        keep = np.flatnonzero(new_size > 1)
+        bits = bits[keep[np.lexsort((side[keep], new_size[keep]))]]
+        sizes = np.sort(counts[counts > 1])
         pairs_left = int((sizes * (sizes - 1) // 2).sum())
         # The distance floor promises a rho fraction separated per round.
         decay *= 1 - rho
@@ -144,6 +141,32 @@ def build_signature(code: EccCode, keys) -> SignatureFn:
     if not len(positions) <= cap:
         raise CodeValidationError("position count exceeded the greedy bound")
     return SignatureFn(code, tuple(positions), n)
+
+
+def _separated(bits: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Colliding pairs each position separates, summed over all classes.
+
+    `bits` holds the rows of every class in turn and `sizes` the class
+    sizes in ascending order, so the classes of one size s form one
+    contiguous block.  A position with `ones` set bits in a class
+    separates ones * (s - ones) of its pairs, so one column sum per
+    size scores every class of that size; `ones` is counted in the
+    narrowest unsigned type that holds s.  Two rows differ where their
+    XOR is set, which scores two-key classes.  The product reaches
+    s^2 / 4, past int32 once s > 92,681, so it is formed in int64.
+    """
+    separated = np.zeros(bits.shape[1], dtype=np.int64)
+    size_values, class_counts = np.unique(sizes, return_counts=True)
+    start = 0
+    for s, k in zip(size_values.tolist(), class_counts.tolist()):
+        block = bits[start:start + k * s]
+        start += k * s
+        if s == 2:
+            separated += (block[0::2] ^ block[1::2]).sum(axis=0, dtype=np.int64)
+        else:
+            ones = block.reshape(k, s, -1).sum(axis=1, dtype=np.min_scalar_type(s))
+            separated += np.multiply(ones, s - ones, dtype=np.int64).sum(axis=0)
+    return separated
 
 
 def sig_eval(f: SignatureFn, x, ledger: OpLedger | None = None) -> WideInt:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import random
 
 import pytest
 
@@ -249,6 +250,30 @@ def test_sighash_round_trip(tmp_path, code16_path, capsys):
                       "--hex", "00ff")
     assert rc == 0
     assert out1 != out2
+
+
+def test_sighash_five_thousand_keys(tmp_path, capsys):
+    # 5,000 keys make 12,497,500 pairs; the greedy counts per class of
+    # keys, so no cap on the pairs applies.
+    code_path = tmp_path / "c64.json"
+    code, _ = build_code(64, None, 1)
+    code_path.write_bytes(serialize(code))
+    rng = random.Random(5000)
+    vals = set()
+    while len(vals) < 5000:
+        vals.add(rng.randrange(1 << 64))
+    keys = tmp_path / "keys.txt"
+    write_keys_file(keys, sorted(vals), 64)
+    sig = tmp_path / "sig.json"
+    rc, stdout, _ = run(capsys, "sighash", "build", "--code", str(code_path),
+                        "--keys", str(keys), "--out", str(sig))
+    assert rc == 0
+    assert last_json(stdout)["results"]["n"] == 5000
+    assert sig.is_file()
+    rc, stdout, _ = run(capsys, "sighash", "verify", "--sig", str(sig),
+                        "--keys", str(keys))
+    assert rc == 0
+    assert last_json(stdout)["results"]["injective"] is True
 
 
 def test_sighash_build_duplicate_keys(tmp_path, code16_path, capsys):

@@ -8,9 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 from wordcode.errors import ParameterError
 from wordcode.numtheory import find_field_prime, find_primitive_root
 from wordcode.outer_rs import (
+    W_MAX,
     GeneratorPoly,
     _RsPlan,
+    _W_INTERNAL_MIN,
     _derive_params_any,
+    _gen_layout,
     _split_plan,
     build_generator,
     derive_params,
@@ -319,8 +322,28 @@ def test_generator_packed_form_matches_coeffs():
     for w in (16, 64, 256):
         p = derive_params(w)
         g = build_generator(p)
-        from wordcode.outer_rs import _gen_layout
         assert tuple(unpack_fields(g.z_packed, _gen_layout(p))) == g.coeffs
+
+
+def test_generator_product_slots_stay_below_the_layout_bound():
+    # build_generator reduces z * (gamma - a_i) without unpacking it.  Slot
+    # k of that product is z_k * (P - a_i) + z_{k-1} <= (P-1)^2 + (P-1),
+    # below P^2 <= 2^(2(B+1)) and so below the 2(B+1)+1-bit value bound.
+    # Widths with the same B share P and alpha, and their generator steps
+    # are a prefix of the widest one's, so replaying the widest width of
+    # each B checks every product slot of every generator a build expands.
+    for b in sorted({(w - 1).bit_length() for w in range(_W_INTERNAL_MIN, W_MAX + 1)}):
+        p = _derive_params_any(min(1 << b, W_MAX))
+        layout = _gen_layout(p)
+        assert p.P < 1 << (b + 1)
+        assert 2 * (b + 1) < layout.value_bound <= p.S
+        z = [p.P - p.alpha, 1]
+        for i in range(2, p.r_deg + 1):
+            a = pow(p.alpha, i, p.P)
+            raw = [c * (p.P - a) + (z[k - 1] if k else 0) for k, c in enumerate(z + [0])]
+            assert max(raw) <= (p.P - 1) ** 2 + (p.P - 1)
+            z = [c % p.P for c in raw]
+        assert tuple(z) == build_generator(p).coeffs, b
 
 
 def test_generator_cost_linear_in_r_deg():

@@ -10,6 +10,7 @@ from wordcode.ecc_core import build_code, encode
 from wordcode.errors import CodecFormatError, DuplicateKeyError, ParameterError
 from wordcode.sighash import (
     SignatureFn,
+    _separated,
     build_signature,
     cap_constant,
     load_signature,
@@ -96,12 +97,13 @@ def test_keys_follow_the_encode_key_rule():
     assert sig_eval(f, np.uint64(2)) == sig_eval(f, 2)
 
 
-def test_rejects_oversized_key_set():
-    code, _ = build_code(16, None, 1)
-    # 4473 keys make 10,001,628 pairs, just past the cap; the check
-    # fires before any encoding happens.
-    with pytest.raises(ParameterError):
-        build_signature(code, range(4473))
+def test_twenty_thousand_keys():
+    # Nearly 2 * 10^8 pairs; the greedy counts per class, never per pair.
+    code, _ = build_code(64, None, 1)
+    keys = distinct_keys(random.Random(20_000), 64, 20_000)
+    fn = build_signature(code, keys)
+    assert verify_injective(fn, keys)
+    assert len(fn.positions) <= position_cap(code, 20_000)
 
 
 def test_cap_constant_dominates_greedy_cap():
@@ -239,6 +241,57 @@ def test_greedy_matches_pair_oracle():
             # tie that the lowest index must win.
             assert (first == first.max()).sum() >= 2
             assert positions == (int(np.flatnonzero(first)[0]),)
+
+
+def class_greedy_reference(code, keys):
+    """The greedy with one `reduceat` row per class per round.
+
+    Codewords come from the scalar encoder.  `members` lists the keys of
+    each still-colliding class, class by class, and `sizes` the class
+    sizes in the same order.
+    """
+    nbytes = -(-code.codeword_bits // 8)
+    raw = b"".join(int(encode(code, k)).to_bytes(nbytes, "little") for k in keys)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(keys), nbytes),
+                         axis=1, count=code.codeword_bits, bitorder="little")
+    positions = []
+    members = np.arange(len(keys))
+    sizes = np.array([len(keys)])
+    while sizes.size:
+        starts = np.cumsum(sizes) - sizes
+        ones = np.add.reduceat(bits[members], starts, axis=0, dtype=np.int64)
+        separated = (ones * (sizes[:, None] - ones)).sum(axis=0)
+        pos = int(np.argmax(separated))
+        positions.append(pos)
+        side = np.repeat(2 * np.arange(sizes.size), sizes) + bits[members, pos]
+        order = np.argsort(side)
+        members, side = members[order], side[order]
+        _, sizes = np.unique(side, return_counts=True)
+        members = members[np.repeat(sizes > 1, sizes)]
+        sizes = sizes[sizes > 1]
+    return tuple(positions)
+
+
+@pytest.mark.parametrize("w, level, n", [(64, 1, 4000), (256, 1, 4000), (64, 2, 1000)])
+def test_greedy_matches_class_reference(w, level, n):
+    code, _ = build_code(w, None, level)
+    keys = distinct_keys(random.Random(w + n + level), w, n)
+    assert build_signature(code, keys).positions == class_greedy_reference(code, keys)
+
+
+def test_scores_past_int32_products():
+    # One class of 100,000 keys: column 0 splits it in half, separating
+    # 50,000^2 = 2.5 * 10^9 pairs, column 1 splits off one key.  An int32
+    # product wraps column 0 negative and would pick column 1.
+    s = 100_000
+    bits = np.zeros((s, 3), dtype=np.uint8)
+    bits[: s // 2, 0] = 1
+    bits[0, 1] = 1
+    ones = bits.sum(axis=0, dtype=np.int32)
+    assert int(np.argmax(ones * (np.int32(s) - ones))) == 1
+    separated = _separated(bits, np.array([s]))
+    assert separated.tolist() == [2_500_000_000, s - 1, 0]
+    assert int(np.argmax(separated)) == 0
 
 
 def test_greedy_deterministic():
