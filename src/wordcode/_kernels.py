@@ -1,10 +1,11 @@
 """Hot loops behind the model-level API, vectorised with numpy.
 
 Everything here is a bit-exact accelerator for searches and bulk
-measurements: multiplier scans, all-pairs Hamming minima, and the
-pieces of the batch encoder (Reed-Solomon residues of many keys at
-once, and bit-level joins of fields into limb rows), which serve every
-word size at both levels.  None of it touches the operation ledger;
+measurements: multiplier scans, all-pairs Hamming minima, and the two
+pieces of the batch encoder, which serve every word size at both
+levels: Reed-Solomon residues of many keys at once, with blocks cut
+straight from the key limbs, and the join of fields below 2^S, S < 64,
+at stride S into limb rows.  None of it touches the operation ledger;
 model costs are always charged by the calling layer from closed-form
 counts, so how a kernel orders or cuts short its work never changes a
 ledger.  `np.bitwise_count` needs NumPy 2.0 or later.
@@ -109,38 +110,65 @@ def bits_to_limbs(bits: np.ndarray, limbs: int) -> np.ndarray:
     return out.view("<u8")
 
 
-def batch_residues(key_rows, w, b_bits, n_blocks, bpw, prime, g_coeffs):
+def batch_residues(key_cols, w, b_bits, n_blocks, bpw, prime, g_coeffs):
     """Reed-Solomon residues of the 5 split words of many keys at once.
 
-    Each row of `key_rows` is a w-bit key in little-endian uint64 limbs.
-    Bit unpacking cuts its blocks (most significant first, the last one
-    zero-padded at its low end); word i carries blocks i, i+5, ...; one
-    int64 product with the banded generator matrix convolves all five
-    words of every key, and `% prime` reduces the coefficients.  Returns
-    int64 residues of shape (keys, 5, bpw + r_deg).
+    Keys are columns: row t of `key_cols` holds little-endian uint64
+    limb t of every key, so each step below runs along whole rows.
+    Blocks are B-bit cuts, most significant first, the last one
+    zero-padded at its low end: shifting the keys up by that padding
+    puts block i at bit (n_blocks - 1 - i) * B, and as B < 64 a block
+    straddles at most two limbs, so two gathers, shifts and a mask cut
+    every block.  Word j carries blocks j, j + 5, ...; its residue is
+    the banded convolution of its blocks with the generator, reduced
+    mod `prime`.  Returns uint64 residues of shape
+    (5 * (bpw + r_deg), keys), word j's slot k in row j * (bpw + r_deg) + k.
     """
-    n = key_rows.shape[0]
-    bits = np.zeros((n, n_blocks * b_bits), dtype=np.uint8)
-    bits[:, n_blocks * b_bits - w:] = limbs_to_bits(key_rows, w)
-    # Chunk c of the padded key, counted from its low end, is block
-    # n_blocks - 1 - c.
-    weights = 1 << np.arange(b_bits, dtype=np.int64)
-    chunks = bits.reshape(n, n_blocks, b_bits) @ weights
-    msg = np.zeros((n, 5 * bpw), dtype=np.int64)
-    msg[:, :n_blocks] = chunks[:, ::-1]
-    g = np.asarray(g_coeffs, dtype=np.int64)
-    band = np.zeros((bpw, bpw + g.size - 1), dtype=np.int64)
-    for t in range(bpw):
-        band[t, t:t + g.size] = g
-    return (msg.reshape(n, bpw, 5).transpose(0, 2, 1) @ band) % prime
+    limbs, n = key_cols.shape
+    pad = n_blocks * b_bits - w
+    keys = np.zeros((limbs + 1, n), dtype=np.uint64)
+    keys[:limbs] = key_cols << np.uint64(pad)
+    if pad:
+        keys[1:] |= key_cols >> np.uint64(64 - pad)
+    # Row j * bpw + t of the message holds block 5t + j; blocks past
+    # n_blocks are zero.
+    block = (5 * np.arange(bpw) + np.arange(5)[:, None]).ravel()
+    start = (n_blocks - 1 - np.minimum(block, n_blocks - 1)) * b_bits
+    q, off = start // 64, (start % 64).astype(np.uint64)[:, None]
+    msg = keys[q] >> off
+    cross = np.flatnonzero(off[:, 0] + np.uint64(b_bits) > 64)
+    msg[cross] |= keys[q[cross] + 1] << (np.uint64(64) - off[cross])
+    msg &= np.uint64((1 << b_bits) - 1)
+    msg[block >= n_blocks] = 0
+    # One multiply-add per generator coefficient.  A sum has at most
+    # bpw terms, each below 2^B * prime, so it is exact in uint64 at
+    # every word size (below 2^55 at w = 2^20).
+    msg = msg.reshape(5, bpw, n)
+    acc = np.zeros((5, bpw + len(g_coeffs) - 1, n), dtype=np.uint64)
+    for i, c in enumerate(g_coeffs):
+        acc[:, i:i + bpw] += msg * np.uint64(c)
+    p = np.uint64(prime)
+    acc -= acc // p * p
+    return acc.reshape(-1, n)
 
 
-def concat_fields(rows: np.ndarray, field_width: int, limbs: int) -> np.ndarray:
-    """Join the fields of every key into one limb row.
+def join_fields(fields: np.ndarray, width: int, limbs: int) -> np.ndarray:
+    """Join the fields of every key into one little-endian limb row.
 
-    `rows` has shape (keys, fields, field limbs); field f of a key, which
-    must fit in `field_width` bits, lands at bit f * field_width.
+    Keys are columns of `fields`: row f holds field f of every key,
+    below 2^width with width < 64, which lands at bit f * width of its
+    key's row.  Fields f and f + period, period = ceil(64 / width),
+    start in different limbs, so each of `period` OR passes writes
+    distinct limbs; one more pass ORs in the high parts that spill into
+    the next limb, at most one per limb.  Returns (keys, limbs).
     """
-    n, fields, field_limbs = rows.shape
-    bits = limbs_to_bits(rows.reshape(n * fields, field_limbs), field_width)
-    return bits_to_limbs(bits.reshape(n, fields * field_width), limbs)
+    count, n = fields.shape
+    start = np.arange(count) * width
+    q, off = start // 64, (start % 64).astype(np.uint64)[:, None]
+    out = np.zeros((limbs, n), dtype=np.uint64)
+    period = -(-64 // width)
+    for j in range(period):
+        out[q[j::period]] |= fields[j::period] << off[j::period]
+    spill = np.flatnonzero(off[:, 0] + np.uint64(width) > 64)
+    out[q[spill] + 1] |= fields[spill] >> (np.uint64(64) - off[spill])
+    return out.T

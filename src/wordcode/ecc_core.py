@@ -404,38 +404,55 @@ def _key_rows(keys: np.ndarray, w: int) -> np.ndarray:
     return np.frombuffer(data, dtype="<u8").reshape(-1, limbs)
 
 
-def _encode_rows(code: EccCode, rows: np.ndarray) -> np.ndarray:
+# Batch-encode chunks hold about this many innermost fields (1 MB of
+# uint64), which bounds every transient array of a chunk.
+_CHUNK_FIELDS = 1 << 17
+
+
+def _chunk_keys(code: EccCode) -> int:
+    """Keys per batch-encode chunk, about `_CHUNK_FIELDS` fields."""
+    stride = (code.inner_ecc or code).params.S
+    return max(1, _CHUNK_FIELDS * stride // code.codeword_bits)
+
+
+def _fields(code: EccCode, cols: np.ndarray) -> np.ndarray:
+    """Innermost fields of many keys in codeword order, keys as columns.
+
+    Level 1: residue * m of word i, slot k is field i * out_slots + k.
+    Level 2: the inner code's fields of residue s come right after those
+    of residue s - 1.  Either way field f belongs at bit f * S, S the
+    stride of the level-1 code that multiplies.
+    """
     p = code.params
     resid = _kernels.batch_residues(
-        rows, p.w, p.B, p.n_blocks, p.blocks_per_word, p.P, code.gen.coeffs)
+        cols, p.w, p.B, p.n_blocks, p.blocks_per_word, p.P, code.gen.coeffs)
     if code.level == 1:
-        fields = resid.astype(np.uint64) * np.uint64(code.inner.m)
-        field_width = p.S
-    else:
-        inner = code.inner_ecc
-        fields = _encode_rows(inner, resid.reshape(-1, 1).astype(np.uint64))
-        field_width = inner.codeword_bits
-    return _kernels.concat_fields(
-        fields.reshape(rows.shape[0], 5 * p.out_slots, -1), field_width,
-        _codeword_limb_count(code))
+        return resid * np.uint64(code.inner.m)
+    n = cols.shape[1]
+    # Inner key s * n + k is residue s of key k; regroup by key.
+    fields = _fields(code.inner_ecc, resid.reshape(1, -1))
+    return fields.reshape(-1, resid.shape[0], n).transpose(1, 0, 2).reshape(-1, n)
 
 
 def _batch_encode(code: EccCode, keys: np.ndarray) -> np.ndarray:
     """Codewords of many keys as little-endian uint64 limb rows.
 
     Bit-exact with `encode` at every word size and level; charges no
-    ledger.  Level 1 places residue * m of word i, slot k at bit
-    i * word_out_bits + k * S.  Level 2 runs the inner code's level-1
-    batch on the flattened residues and places symbol s at bit
-    s * inner.codeword_bits.  Keys go through in eighths, so no
-    transient bit matrix (a byte per bit) outgrows the output array.
+    ledger and builds no bit matrix.  Blocks are cut straight from the
+    key limbs.  Every codeword is a flat run of innermost fields (see
+    `_fields`), field f at bit f * S with S < 64, since level 2 places
+    residue s's inner codeword at s * inner.codeword_bits, a whole
+    number of inner fields.  So one stride-S join ends both levels.
+    Keys go through in chunks of `_chunk_keys` keys.
     """
     rows = _key_rows(keys, code.params.w)
-    n = rows.shape[0]
-    out = np.empty((n, _codeword_limb_count(code)), dtype=np.uint64)
-    step = max(1, n // 8)
-    for lo in range(0, n, step):
-        out[lo:lo + step] = _encode_rows(code, rows[lo:lo + step])
+    stride = (code.inner_ecc or code).params.S
+    limbs = _codeword_limb_count(code)
+    step = _chunk_keys(code)
+    out = np.empty((rows.shape[0], limbs), dtype=np.uint64)
+    for lo in range(0, rows.shape[0], step):
+        out[lo:lo + step] = _kernels.join_fields(
+            _fields(code, rows[lo:lo + step].T), stride, limbs)
     return out
 
 

@@ -188,12 +188,19 @@ def sig_eval(f: SignatureFn, x, ledger: OpLedger | None = None) -> WideInt:
 def verify_injective(f: SignatureFn, keys) -> bool:
     """Full re-check: evaluate every key, compare all signatures.
 
-    Keys are encoded in bulk and the signature columns gathered, which
-    gives each key's `sig_eval` bits; the scalar route is the oracle.
+    Keys are encoded in bulk; signature bit j of every key is read
+    straight from its limb row at positions[j], which gives each key's
+    `sig_eval` bits, and the signatures, packed into bytes, are compared
+    as single values.  The scalar route is the oracle.
     """
     vals = [_key_value(k, f.code.params.w, f"key {i}") for i, k in enumerate(keys)]
-    sigs = _bit_matrix(f.code, vals)[:, list(f.positions)]
-    return len(np.unique(sigs, axis=0)) == len(vals)
+    if not f.positions:
+        return len(vals) <= 1
+    rows = _batch_encode(f.code, np.array(vals, dtype=object))
+    pos = np.array(f.positions)
+    bits = (rows[:, pos // 64] >> (pos % 64).astype(np.uint64)) & np.uint64(1)
+    sigs = np.ascontiguousarray(np.packbits(bits.astype(np.uint8), axis=1))
+    return len(np.unique(sigs.view(f"V{sigs.shape[1]}"))) == len(vals)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ Model-level correctness of what they compute is covered by the module
 tests that consume them.
 """
 
+import math
+
 import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from wordcode import _kernels
 
@@ -88,6 +91,48 @@ def _batch_keys(rng, w, n):
     return [0, 1, (1 << w) - 1] + rand
 
 
+def join_oracle(rows, width):
+    """Field f of each row at bit f * width, by Python shifts and ORs."""
+    out = []
+    for row in rows:
+        acc = 0
+        for f, v in enumerate(row):
+            acc |= v << (f * width)
+        out.append(acc)
+    return out
+
+
+@st.composite
+def join_inputs(draw):
+    width = draw(st.integers(1, 63))
+    # The (limb, offset) pattern of the fields repeats every `period`
+    # fields; counts off that multiple end the run mid-pattern.
+    period = 64 // math.gcd(width, 64)
+    count = draw(st.integers(1, 3 * period).filter(lambda c: c % period))
+    keys = draw(st.sampled_from([0, 1, 2, 7]))
+    value = st.integers(0, (1 << width) - 1)
+    rows = draw(st.lists(st.lists(value, min_size=count, max_size=count),
+                         min_size=keys, max_size=keys))
+    return width, count, rows
+
+
+# Full fields set every bit of the run, so a lost spill or a field ORed
+# into the wrong limb shows; 1 and 63 are the extreme widths.
+@example((63, 65, [[(1 << 63) - 1] * 65] * 2))
+@example((1, 65, [[1] * 65]))
+@example((40, 9, [[(1 << 40) - 1] * 9] * 3))
+@settings(max_examples=100, deadline=None)
+@given(join_inputs())
+def test_join_fields_matches_shift_or_oracle(case):
+    width, count, rows = case
+    limbs = -(-count * width // 64)
+    fields = np.array(rows, dtype=np.uint64).reshape(len(rows), count).T
+    out = _kernels.join_fields(fields, width, limbs)
+    assert out.shape == (len(rows), limbs)
+    got = [sum(int(limb) << (64 * t) for t, limb in enumerate(row)) for row in out]
+    assert got == join_oracle(rows, width)
+
+
 def test_batch_encode_backends_agree():
     from wordcode import ecc_core
 
@@ -95,10 +140,20 @@ def test_batch_encode_backends_agree():
     # levels: uint64 keys up to w=64, Python-int keys everywhere.
     rng = np.random.default_rng(19)
     cases = [(w, 1, 60) for w in (10, 16, 63, 64, 65, 100, 256, 1024)]
-    cases += [(10, 2, 12), (64, 2, 8), (256, 2, 4)]
-    for w, level, n in cases:
+    cases += [(10, 2, 12), (64, 2, 8), (256, 2, 4), (1024, 2, 3), (8192, 2, 2)]
+    cases = [(w, level, _batch_keys(rng, w, n)) for w, level, n in cases]
+    cases.append((64, 1, []))
+    # Batches one chunk and three keys long.
+    for w, level in ((1024, 1), (8192, 2)):
         code, _ = ecc_core.build_code(w, None, level)
-        keys = _batch_keys(rng, w, n)
+        cases.append((w, level, _batch_keys(rng, w, ecc_core._chunk_keys(code))))
+    # All-ones keys give every block its largest value, so the
+    # convolution sums peak: the widest w of each level-1 block width,
+    # and the widest level-2 code.
+    cases += [(w, 1, [(1 << w) - 1] * 2) for w in (16, 32, 64, 128, 256, 512, 1024)]
+    cases.append((8192, 2, [(1 << 8192) - 1]))
+    for w, level, keys in cases:
+        code, _ = ecc_core.build_code(w, None, level)
         spellings = [np.array(keys, dtype=object)]
         if w <= 64:
             spellings.append(np.array(keys, dtype=np.uint64))
@@ -106,6 +161,7 @@ def test_batch_encode_backends_agree():
         for arr in spellings:
             rows = ecc_core._batch_encode(code, arr)
             assert rows.shape == (len(keys), -(-code.codeword_bits // 64))
+            assert rows.dtype == np.uint64
             for k, row, want in zip(keys, rows, expected):
                 batch = sum(int(limb) << (64 * t) for t, limb in enumerate(row))
-                assert batch == want, (w, level, k)
+                assert batch == want, (w, level, hex(k))
