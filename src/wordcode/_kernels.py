@@ -85,14 +85,16 @@ def min_pairwise_hamming(limbs: np.ndarray, stop_below: int = 0) -> int:
 
 
 def paired_min_hamming(a: np.ndarray, b: np.ndarray) -> int:
-    if a.shape[0] == 0:
+    """Least Hamming distance between columns a[:, k] and b[:, k].
+
+    Keys are columns, as `batch_residues` returns them: row f holds
+    field f of every key.  Fields of one key must not share a bit
+    position once joined (they sit at disjoint strides), so a key pair's
+    distance is the sum over rows of popcount(a ^ b).
+    """
+    if a.shape[1] == 0:
         return 1 << 62
-    best = 1 << 62
-    chunk = 1 << 16
-    for lo in range(0, a.shape[0], chunk):
-        d = np.bitwise_count(a[lo:lo + chunk] ^ b[lo:lo + chunk]).sum(axis=1).min()
-        best = min(best, int(d))
-    return best
+    return int(np.bitwise_count(a ^ b).sum(axis=0).min())
 
 
 def limbs_to_bits(rows: np.ndarray, nbits: int) -> np.ndarray:

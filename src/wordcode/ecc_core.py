@@ -386,6 +386,12 @@ def _codeword_limb_count(code: EccCode) -> int:
     return -(-code.codeword_bits // 64)
 
 
+def _field_width(code: EccCode) -> int:
+    """S of the level-1 code that multiplies: field f of a codeword sits
+    at bit f * S."""
+    return (code.inner_ecc or code).params.S
+
+
 def _key_rows(keys: np.ndarray, w: int) -> np.ndarray:
     """Keys as little-endian uint64 limb rows.
 
@@ -404,6 +410,28 @@ def _key_rows(keys: np.ndarray, w: int) -> np.ndarray:
     return np.frombuffer(data, dtype="<u8").reshape(-1, limbs)
 
 
+def _key_array(keys, w: int) -> np.ndarray:
+    """A key sequence, each key checked as `_key_value` checks key i.
+
+    Returns a uint64 array for w <= 64, else limb rows.  Plain ints at
+    w <= 64 are converted and range-checked in one step; any other key
+    type, and any failed check, takes the per-key `_key_value` loop,
+    which raises the same error for the same first bad key.
+    """
+    keys = list(keys)
+    if w <= 64 and all(type(k) is int for k in keys):
+        try:
+            arr = np.array(keys, dtype=np.uint64)
+        except OverflowError:
+            arr = None
+        if arr is not None and int(arr.max(initial=0)) >> w == 0:
+            return arr
+    vals = [_key_value(k, w, f"key {i}") for i, k in enumerate(keys)]
+    if w <= 64:
+        return np.array(vals, dtype=np.uint64)
+    return _key_rows(np.array(vals, dtype=object), w)
+
+
 # Batch-encode chunks hold about this many innermost fields (1 MB of
 # uint64), which bounds every transient array of a chunk.
 _CHUNK_FIELDS = 1 << 17
@@ -411,27 +439,59 @@ _CHUNK_FIELDS = 1 << 17
 
 def _chunk_keys(code: EccCode) -> int:
     """Keys per batch-encode chunk, about `_CHUNK_FIELDS` fields."""
-    stride = (code.inner_ecc or code).params.S
-    return max(1, _CHUNK_FIELDS * stride // code.codeword_bits)
+    return max(1, _CHUNK_FIELDS * _field_width(code) // code.codeword_bits)
 
 
-def _fields(code: EccCode, cols: np.ndarray) -> np.ndarray:
-    """Innermost fields of many keys in codeword order, keys as columns.
+def _outer_chunk_keys(code: EccCode) -> int:
+    """Keys per outer residue pass, about `_CHUNK_FIELDS` residues.
+
+    At level 1 the residues are the fields, so this is `_chunk_keys`.
+    A level-2 key has far fewer residues than innermost fields, and the
+    outer pass loops over every generator coefficient, so it runs on
+    many inner chunks' keys at once.
+    """
+    return max(1, _CHUNK_FIELDS // (5 * code.params.out_slots))
+
+
+def _residues(code: EccCode, cols: np.ndarray) -> np.ndarray:
+    """Outer residues of many keys, keys as columns; see batch_residues."""
+    p = code.params
+    return _kernels.batch_residues(
+        cols, p.w, p.B, p.n_blocks, p.blocks_per_word, p.P, code.gen.coeffs)
+
+
+def _residue_fields(code: EccCode, resid: np.ndarray) -> np.ndarray:
+    """Innermost fields in codeword order from `_residues`, keys as columns.
 
     Level 1: residue * m of word i, slot k is field i * out_slots + k.
     Level 2: the inner code's fields of residue s come right after those
     of residue s - 1.  Either way field f belongs at bit f * S, S the
-    stride of the level-1 code that multiplies.
+    stride of the level-1 code that multiplies (`_field_width`).
     """
-    p = code.params
-    resid = _kernels.batch_residues(
-        cols, p.w, p.B, p.n_blocks, p.blocks_per_word, p.P, code.gen.coeffs)
     if code.level == 1:
         return resid * np.uint64(code.inner.m)
-    n = cols.shape[1]
+    inner = code.inner_ecc
+    n = resid.shape[1]
     # Inner key s * n + k is residue s of key k; regroup by key.
-    fields = _fields(code.inner_ecc, resid.reshape(1, -1))
+    fields = _residue_fields(inner, _residues(inner, resid.reshape(1, -1)))
     return fields.reshape(-1, resid.shape[0], n).transpose(1, 0, 2).reshape(-1, n)
+
+
+def _batch_fields(code: EccCode, keys):
+    """Innermost fields of many keys, one `_chunk_keys` chunk at a time.
+
+    Yields uint64 arrays of shape (fields, keys in the chunk), in key
+    order; see `_residue_fields`.  A codeword is its fields joined at
+    stride `_field_width`, so Hamming distances and single bits can be
+    read from the fields without the join.  The outer residues are
+    computed `_outer_chunk_keys` keys at a time.
+    """
+    rows = _key_rows(keys, code.params.w)
+    step, outer = _chunk_keys(code), _outer_chunk_keys(code)
+    for lo in range(0, rows.shape[0], outer):
+        resid = _residues(code, rows[lo:lo + outer].T)
+        for k in range(0, resid.shape[1], step):
+            yield _residue_fields(code, resid[:, k:k + step])
 
 
 def _batch_encode(code: EccCode, keys: np.ndarray) -> np.ndarray:
@@ -440,19 +500,19 @@ def _batch_encode(code: EccCode, keys: np.ndarray) -> np.ndarray:
     Bit-exact with `encode` at every word size and level; charges no
     ledger and builds no bit matrix.  Blocks are cut straight from the
     key limbs.  Every codeword is a flat run of innermost fields (see
-    `_fields`), field f at bit f * S with S < 64, since level 2 places
-    residue s's inner codeword at s * inner.codeword_bits, a whole
-    number of inner fields.  So one stride-S join ends both levels.
-    Keys go through in chunks of `_chunk_keys` keys.
+    `_residue_fields`), field f at bit f * S with S < 64, since level 2
+    places residue s's inner codeword at s * inner.codeword_bits, a
+    whole number of inner fields.  So one stride-S join of each
+    `_batch_fields` chunk ends both levels.
     """
-    rows = _key_rows(keys, code.params.w)
-    stride = (code.inner_ecc or code).params.S
+    stride = _field_width(code)
     limbs = _codeword_limb_count(code)
-    step = _chunk_keys(code)
-    out = np.empty((rows.shape[0], limbs), dtype=np.uint64)
-    for lo in range(0, rows.shape[0], step):
-        out[lo:lo + step] = _kernels.join_fields(
-            _fields(code, rows[lo:lo + step].T), stride, limbs)
+    out = np.empty((len(keys), limbs), dtype=np.uint64)
+    lo = 0
+    for fields in _batch_fields(code, keys):
+        hi = lo + fields.shape[1]
+        out[lo:hi] = _kernels.join_fields(fields, stride, limbs)
+        lo = hi
     return out
 
 
@@ -471,7 +531,9 @@ def distance_report(code: EccCode, mode: str = "random",
     """Minimum codeword distance over checked pairs.
 
     exhaustive: all pairs of all 2^w inputs; only for w <= 12.
-    random: `samples` pairs of distinct inputs from a seeded generator.
+    random: `samples` pairs of distinct inputs from a seeded generator,
+    scored from their innermost fields one `_batch_fields` chunk at a
+    time, so no codeword is joined.
 
     Raises CodeValidationError if any checked pair lands below the
     construction's guaranteed floor, since that would disprove the code.
@@ -505,9 +567,10 @@ def distance_report(code: EccCode, mode: str = "random",
             while bool(np.any(dup)):
                 ys[dup] = _sample_keys(rng, p.w, int(np.sum(dup)))
                 dup = (xs == ys).reshape(take, -1).all(axis=1)
-            d = int(_kernels.paired_min_hamming(
-                _batch_encode(code, xs), _batch_encode(code, ys)))
-            min_bits = min(min_bits, d)
+            # A distance is the sum over fields of popcount(f_x ^ f_y):
+            # the fields sit at disjoint S-bit strides.
+            for fx, fy in zip(_batch_fields(code, xs), _batch_fields(code, ys)):
+                min_bits = min(min_bits, _kernels.paired_min_hamming(fx, fy))
             pairs += take
             remaining -= take
     else:

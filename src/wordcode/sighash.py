@@ -29,7 +29,16 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .ecc_core import EccCode, _batch_encode, _from_obj, _key_value, _to_obj, encode
+from .ecc_core import (
+    EccCode,
+    _batch_encode,
+    _batch_fields,
+    _field_width,
+    _from_obj,
+    _key_array,
+    _to_obj,
+    encode,
+)
 from .errors import (
     CodecFormatError,
     CodeValidationError,
@@ -61,10 +70,9 @@ class SignatureFn:
             ("shift", 1, j), ("bitwise", j, j + 1)))
 
 
-def _bit_matrix(code: EccCode, vals: list) -> np.ndarray:
+def _bit_matrix(code: EccCode, keys: np.ndarray) -> np.ndarray:
     """Rows of codeword bits, column j = codeword bit j."""
-    limbs = _batch_encode(code, np.array(vals, dtype=object))
-    return _kernels.limbs_to_bits(limbs, code.codeword_bits)
+    return _kernels.limbs_to_bits(_batch_encode(code, keys), code.codeword_bits)
 
 
 def position_cap(code: EccCode, n: int) -> int:
@@ -99,16 +107,20 @@ def build_signature(code: EccCode, keys) -> SignatureFn:
     position index, so the result depends only on the key set, not on
     its order.
     """
-    vals = [_key_value(k, code.params.w, f"key {i}") for i, k in enumerate(keys)]
-    n = len(vals)
+    w = code.params.w
+    keys = _key_array(keys, w)
+    n = len(keys)
     if n < 1:
         raise ParameterError("need at least one key")
-    seen = {}
-    for i, v in enumerate(vals):
-        if v in seen:
-            digits = -(-code.params.w // 4)
-            raise DuplicateKeyError(seen[v], i, format(v, f"0{digits}x"))
-        seen[v] = i
+    rows = keys.reshape(n, -1)
+    if not _distinct(rows):
+        # Name the first key equal to an earlier one.
+        seen = {}
+        for i, row in enumerate(rows.astype("<u8")):
+            v = int.from_bytes(row.tobytes(), "little")
+            if v in seen:
+                raise DuplicateKeyError(seen[v], i, format(v, f"0{-(-w // 4)}x"))
+            seen[v] = i
     if n == 1:
         return SignatureFn(code, (), 1)
 
@@ -119,7 +131,7 @@ def build_signature(code: EccCode, keys) -> SignatureFn:
     cap = position_cap(code, n)
     # `bits` holds the rows of the still-colliding keys in (class size,
     # class) order; `sizes` holds the class sizes in the same order.
-    bits = _bit_matrix(code, vals)
+    bits = _bit_matrix(code, keys)
     sizes = np.array([n])
     while sizes.size:
         pos = int(np.argmax(_separated(bits, sizes)))
@@ -141,6 +153,19 @@ def build_signature(code: EccCode, keys) -> SignatureFn:
     if not len(positions) <= cap:
         raise CodeValidationError("position count exceeded the greedy bound")
     return SignatureFn(code, tuple(positions), n)
+
+
+def _distinct(rows: np.ndarray) -> bool:
+    """Whether the rows of a 2-D uint64 array are pairwise different.
+
+    One-word rows are sorted as plain values, which is many times faster
+    than `np.unique`; wider rows, which need a row-wise compare, go
+    through `np.unique(axis=0)`.
+    """
+    if rows.shape[1] == 1:
+        s = np.sort(rows[:, 0])
+        return not bool((s[1:] == s[:-1]).any())
+    return len(np.unique(rows, axis=0)) == len(rows)
 
 
 def _separated(bits: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -188,19 +213,27 @@ def sig_eval(f: SignatureFn, x, ledger: OpLedger | None = None) -> WideInt:
 def verify_injective(f: SignatureFn, keys) -> bool:
     """Full re-check: evaluate every key, compare all signatures.
 
-    Keys are encoded in bulk; signature bit j of every key is read
-    straight from its limb row at positions[j], which gives each key's
-    `sig_eval` bits, and the signatures, packed into bytes, are compared
-    as single values.  The scalar route is the oracle.
+    Keys are encoded in bulk to their innermost fields; codeword bit
+    positions[j] is bit positions[j] % S of field positions[j] // S, so
+    each key's `sig_eval` bits are read without joining its codeword.
+    Each signature is packed into uint64 words, bit j at bit j % 64 of
+    word j // 64, and the words are compared row by row.  The scalar
+    route is the oracle.
     """
-    vals = [_key_value(k, f.code.params.w, f"key {i}") for i, k in enumerate(keys)]
+    keys = _key_array(keys, f.code.params.w)
+    if len(keys) < 2:
+        return True
     if not f.positions:
-        return len(vals) <= 1
-    rows = _batch_encode(f.code, np.array(vals, dtype=object))
+        return False
+    stride = _field_width(f.code)
     pos = np.array(f.positions)
-    bits = (rows[:, pos // 64] >> (pos % 64).astype(np.uint64)) & np.uint64(1)
-    sigs = np.ascontiguousarray(np.packbits(bits.astype(np.uint8), axis=1))
-    return len(np.unique(sigs.view(f"V{sigs.shape[1]}"))) == len(vals)
+    field, shift = pos // stride, (pos % stride).astype(np.uint64)[:, None]
+    place = (np.arange(pos.size) % 64).astype(np.uint64)[:, None]
+    words = np.concatenate(
+        [np.add.reduceat(((fields[field] >> shift) & np.uint64(1)) << place,
+                         np.arange(0, pos.size, 64), axis=0)
+         for fields in _batch_fields(f.code, keys)], axis=1)
+    return _distinct(words.T)
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,8 @@ class WideInt:
             raise LayoutError(f"negative width {bits}")
         if value < 0 or value >> bits:
             raise LayoutError(f"value {value:#x} does not fit in {bits} bits")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "bits", bits)
+        _set_value(self, value)
+        _set_bits(self, bits)
 
     def __setattr__(self, name, _value):
         raise AttributeError(f"WideInt is immutable, cannot set {name!r}")
@@ -84,6 +84,12 @@ class WideInt:
 
     def __repr__(self) -> str:
         return f"WideInt({self.value:#x}, bits={self.bits})"
+
+
+# The slot descriptors' own setters: they bypass the immutability guard
+# in `__setattr__`, and cost less per call than `object.__setattr__`.
+_set_value = WideInt.value.__set__
+_set_bits = WideInt.bits.__set__
 
 
 _KINDS = ("add", "sub", "mul", "shift", "bitwise", "cmp")

@@ -24,13 +24,18 @@ from wordcode.ecc_core import (
     CostReport,
     EccCode,
     _batch_encode,
+    _chunk_keys,
     _encode_nested,
+    _key_array,
+    _key_value,
+    _sample_keys,
     build_code,
     deserialize,
     distance_report,
     encode,
     serialize,
 )
+from wordcode._kernels import paired_min_hamming
 from wordcode.outer_rs import build_generator, derive_params
 from wordcode.wordram import FieldLayout, OpLedger, WideInt, unpack_fields
 
@@ -233,6 +238,30 @@ def test_encode_key_rule():
         encode(code, np.int64(-1))
 
 
+@pytest.mark.parametrize("w", [10, 63, 64, 65, 256])
+def test_key_array_matches_key_value(w):
+    # The bulk intake keeps the per-key rule: the same values, or the
+    # same error naming the same first bad key.
+    top = (1 << w) - 1
+    cases = [[], [0, 1, top], [3, -1, 4], [5, 1 << w, 6], [7, 1 << 64, -2],
+             [(1 << 64) | 1], [1, 1.5], [2.0], [1, "2"], [None], [True, False, 3],
+             [np.uint64(5), 9], [4, WideInt(1, w + 1)], [WideInt(top, w), 0],
+             [-1, 2.5]]
+    for keys in cases:
+        try:
+            want = [_key_value(k, w, f"key {i}") for i, k in enumerate(keys)]
+        except ParameterError as exc:
+            with pytest.raises(ParameterError) as got:
+                _key_array(keys, w)
+            assert (type(got.value), str(got.value)) == (type(exc), str(exc)), keys
+            continue
+        arr = _key_array(keys, w)
+        assert arr.dtype == np.uint64
+        assert arr.shape == ((len(keys),) if w <= 64 else (len(keys), -(-w // 64)))
+        rows = (arr[:, None] if arr.ndim == 1 else arr).astype("<u8")
+        assert [int.from_bytes(r.tobytes(), "little") for r in rows] == want, keys
+
+
 def test_encode_cost_value_independent_and_matches_report():
     code, report = build_code(64, None, 1)
     rng = random.Random(5)
@@ -407,6 +436,31 @@ def test_distance_random_redraws_equal_wide_keys(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", lambda seed: ScriptedRng())
     rep = distance_report(code, "random", samples=3, seed=0)
     assert draws == [] and rep["pairs_checked"] == 3
+
+
+def random_distance_on_rows(code, samples, seed):
+    """The random mode scored on joined codewords: `_batch_encode` limb
+    rows, whose limbs are fields at stride 64."""
+    w = code.params.w
+    rng = np.random.default_rng(seed)
+    xs, ys = _sample_keys(rng, w, samples), _sample_keys(rng, w, samples)
+    dup = (xs == ys).reshape(samples, -1).all(axis=1)
+    while dup.any():
+        ys[dup] = _sample_keys(rng, w, int(dup.sum()))
+        dup = (xs == ys).reshape(samples, -1).all(axis=1)
+    return paired_min_hamming(_batch_encode(code, xs).T, _batch_encode(code, ys).T)
+
+
+@pytest.mark.parametrize("w, level", [(10, 1), (64, 1), (100, 1), (1024, 1),
+                                      (10, 2), (64, 2), (1024, 2), (8192, 2)])
+def test_distance_random_fields_match_limb_rows(w, level):
+    # Field-by-field scoring equals scoring the joined codewords, over
+    # runs that span several field chunks where the code allows.
+    code, _ = build_code(w, None, level)
+    samples = min(2 * _chunk_keys(code) + 3, 2000)
+    for seed in (0, 1, 2):
+        rep = distance_report(code, "random", samples=samples, seed=seed)
+        assert rep["min_bits"] == random_distance_on_rows(code, samples, seed)
 
 
 def test_distance_rejects_bad_mode_and_samples():

@@ -12,10 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 from wordcode import _kernels
 
 
-def popcount_rows_oracle(a, b):
-    return [bin(int(x) ^ int(y)).count("1") for x, y in zip(a, b)]
-
-
 def pair_min_distance_oracle(m, bits):
     mask = (1 << (4 * (bits + 1))) - 1
     codes = [(a * m) & mask for a in range(1 << (bits + 1))]
@@ -75,12 +71,16 @@ def test_min_pairwise_hamming_matches_oracle():
 
 
 def test_paired_min_hamming_matches_oracle():
+    # Keys as columns of fields below 2^width: the distance of a pair is
+    # that of its two codewords, the fields joined by Python shifts.
     rng = np.random.default_rng(13)
-    a = rng.integers(0, 1 << 63, size=(100, 4), dtype=np.uint64)
-    b = rng.integers(0, 1 << 63, size=(100, 4), dtype=np.uint64)
-    per_limb = [popcount_rows_oracle(a[:, t], b[:, t]) for t in range(4)]
-    expected = min(sum(row) for row in zip(*per_limb))
-    assert _kernels.paired_min_hamming(a, b) == expected
+    for width, count in ((20, 9), (63, 4), (1, 70)):
+        a = rng.integers(0, 1 << width, size=(count, 100), dtype=np.uint64)
+        b = rng.integers(0, 1 << width, size=(count, 100), dtype=np.uint64)
+        pairs = zip(join_oracle(a.T.tolist(), width), join_oracle(b.T.tolist(), width))
+        expected = min(bin(x ^ y).count("1") for x, y in pairs)
+        assert _kernels.paired_min_hamming(a, b) == expected
+    assert _kernels.paired_min_hamming(a[:, :0], b[:, :0]) == 1 << 62
 
 
 def _batch_keys(rng, w, n):

@@ -66,6 +66,18 @@ def test_duplicate_keys_rejected():
         build_signature(code, [WideInt(9, 16), 9])
 
 
+@pytest.mark.parametrize("w", [10, 63, 64, 65, 256])
+def test_duplicate_names_first_repeat_at_every_width(w):
+    code, _ = build_code(w, None, 1)
+    b = (1 << w) - 2
+    with pytest.raises(DuplicateKeyError) as exc_info:
+        build_signature(code, [5, b, 7, WideInt(b, w), 5])
+    err = exc_info.value
+    digits = -(-w // 4)
+    assert (err.index_a, err.index_b, err.key_hex) == (1, 3, format(b, f"0{digits}x"))
+    assert str(err) == f"duplicate key at positions 1 and 3: {format(b, f'0{digits}x')}"
+
+
 def test_rejects_bad_keys():
     code, _ = build_code(16, None, 1)
     with pytest.raises(ParameterError):
@@ -188,6 +200,18 @@ def test_verify_matches_scalar_oracle():
     keys1 = distinct_keys(random.Random(2026), 16, 300)
     keys2 = distinct_keys(random.Random(4), 16, 40)
     k = keys1[0]
+    # Wider codes: multi-limb keys, and reads over several field chunks
+    # (a level-2 w=1024 chunk holds 62 keys).
+    wide1, _ = build_code(256, None, 1)
+    wide2, _ = build_code(1024, None, 2)
+    keys3 = distinct_keys(random.Random(7), 256, 50)
+    keys4 = distinct_keys(random.Random(8), 1024, 150)
+    # Keys a and b agree on signature bits 1..63 and swap bits 0 and 64,
+    # so they stay apart only if bit 64 starts a second word.
+    a, b = keys2[:2]
+    ca, cb = int(encode(l2, a)), int(encode(l2, b))
+    diff = [((ca >> p) & 1) - ((cb >> p) & 1) for p in range(l2.codeword_bits)]
+    swapped = (diff.index(1), *[p for p, d in enumerate(diff) if d == 0][:63], diff.index(-1))
     cases = [(build_signature(l1, keys1), keys1),
              (build_signature(l2, keys2), keys2),
              # A signature built on a few keys, read on many: collisions.
@@ -196,13 +220,21 @@ def test_verify_matches_scalar_oracle():
              (build_signature(l1, keys1), [k]),
              (build_signature(l1, keys1), [k, keys1[1], k]),
              (build_signature(l1, [k]), [k]),
-             (SignatureFn(l1, (), 2), [0, 1])]
+             (SignatureFn(l1, (), 2), [0, 1]),
+             (build_signature(wide1, keys3), keys3),
+             (build_signature(wide2, keys4), keys4),
+             (build_signature(wide2, keys4[:5]), keys4),
+             # More than 64 positions: signatures span two words.
+             (SignatureFn(l2, tuple(range(3, 1600, 11)), 2), keys2 + keys2[:1]),
+             (SignatureFn(l2, tuple(range(3, 1600, 11)), 2), keys2),
+             (SignatureFn(l2, swapped, 2), [a, b])]
     verdicts = []
     for fn, keys in cases:
         oracle = len({int(sig_eval(fn, x)) for x in keys}) == len(keys)
         assert verify_injective(fn, keys) is oracle
         verdicts.append(oracle)
-    assert verdicts == [True, True, False, True, True, False, True, False]
+    assert verdicts == [True, True, False, True, True, False, True, False,
+                        True, True, False, False, True, True]
 
 
 def pair_greedy_oracle(code, keys):

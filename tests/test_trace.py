@@ -4,13 +4,15 @@
 inner_encode, unpack_fields, wide_or, wide_shl, ...) with wrappers that
 add each call's ledger delta to a section.  A renamed or bypassed name
 would make the sections stop summing to the ledger; this test catches
-that without a full `perfbench/run.py --trace 1` run.
+that without a full `perfbench/run.py --trace 1` run.  The keyset calls
+are checked the same way: a renamed or bypassed kernel would leave its
+per-layer metric reading 0.
 """
 
 from collections import Counter
 from pathlib import Path
 
-from wordcode import ecc_core
+from wordcode import ecc_core, sighash
 from wordcode.wordram import OpLedger
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -65,3 +67,36 @@ def test_traced_sections_sum_to_ledger(monkeypatch):
         assert calls["inner_mult.inner_encode"] == 1
         assert calls["wordram.unpack_fields"] == 0
         assert calls[spans.ENCODE] == 0
+
+
+def test_traced_keyset_calls_record_their_kernels(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    small, _ = ecc_core.build_code(64)
+    wide, _ = ecc_core.build_code(256)
+    keys = list(range(1, 200, 3))
+    tracer = spans.Tracer()
+    tracer.install()
+    tracer.recording = True
+    tracer.request = 1
+    try:
+        f = sighash.build_signature(small, keys)
+        ok = sighash.verify_injective(f, keys)
+        report = ecc_core.distance_report(wide, "random", 500, 3)
+    finally:
+        tracer.recording = False
+        tracer.uninstall()
+    assert ok is True
+    assert report["min_bits"] >= wide.guaranteed_min_bits()
+
+    names = [s[0] for s in tracer.spans]
+    (verify,) = [i for i, name in enumerate(names) if name == "sighash.verify_injective"]
+    (distance,) = [i for i, name in enumerate(names) if name == "ecc_core.distance_report"]
+    assert _children(tracer.spans, distance)["_kernels.paired_min_hamming"] >= 1
+    assert _children(tracer.spans, verify) == Counter()
+    layers, problems = spans.layer_metrics(tracer.spans, 1)
+    assert problems == []
+    assert layers["kernels.paired_min_hamming.s"] > 0
+    assert layers["ecc_core._batch_encode.kernel.us_per_key"] > 0
+    assert layers["sighash.rounds"] == len(f.positions)
