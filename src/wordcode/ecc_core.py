@@ -135,8 +135,11 @@ class _EncodePlans:
     Level 1 runs split, rs and the inner multiply on the five words;
     level 2 adds the inner code's split over every residue (`split2`)
     and its rs (`rs2`), and multiplies on their layout.  A warm encode
-    then looks nothing up, and the codeword-width check, which depends
-    only on these plans, runs once here.
+    then looks nothing up.  The width checks, which depend only on these
+    plans, run once here: each stage's output fits the next stage's
+    input, each rs product reaches its reduction's layout, and the last
+    output is the codeword.  `run` chains the plans'
+    `apply` on a plain int.
     """
 
     __slots__ = ("split", "rs", "out_layout", "split2", "rs2", "mult_layout", "mult")
@@ -144,7 +147,7 @@ class _EncodePlans:
     def __init__(self, code: EccCode):
         p = code.params
         self.split = _split_plan(p)
-        self.rs = _RsPlan(p, self.split.out_bits, code.gen.z_packed.bits)
+        self.rs = _RsPlan(p, self.split.out_bits, code.gen.z_packed)
         self.out_layout = layout = p.out_layout(5)
         if code.level == 1:
             self.split2 = self.rs2 = None
@@ -153,12 +156,29 @@ class _EncodePlans:
             inner = code.inner_ecc
             q = inner.params
             self.split2 = _split_plan(q, layout)
-            self.rs2 = _RsPlan(q, self.split2.out_bits, inner.gen.z_packed.bits)
+            self.rs2 = _RsPlan(q, self.split2.out_bits, inner.gen.z_packed)
             self.mult_layout, ic = q.out_layout(5 * layout.slot_count), inner.inner
         self.mult = _MultPlan(ic, self.mult_layout)
         if self.mult.bits != code.codeword_bits:
             raise CodeValidationError(
                 f"codeword of {self.mult.bits} bits, expected {code.codeword_bits}")
+        fits = self.split.out_bits + self.rs.z_bits >= self.rs.mod.bits
+        if code.level == 1:
+            fits = fits and self.rs.mod.bits <= self.mult.bits
+        else:
+            fits = (fits and self.rs.mod.bits <= layout.total_bits
+                    and self.split2.out_bits + self.rs2.z_bits >= self.rs2.mod.bits
+                    and self.rs2.mod.bits <= self.mult.bits)
+        if not fits:
+            raise CodeValidationError("encode stage widths do not chain")
+
+    def run(self, v: int) -> WideInt:
+        """The codeword of key v, a plain int already checked to be in
+        [0, 2^w)."""
+        v = self.rs.apply(self.split.apply(v))
+        if self.split2 is not None:
+            v = self.rs2.apply(self.split2.apply(v))
+        return WideInt(self.mult.apply(v), self.mult.bits)
 
 
 @dataclass(frozen=True)
@@ -339,10 +359,15 @@ def encode(code: EccCode, x, ledger: OpLedger | None = None) -> WideInt:
     inner_encode leave residue s's inner codeword at bit
     s * inner.codeword_bits.  Either way a constant number of
     whole-word operations; `_encode_nested` is the per-residue route.
-    The stages run on the code's resolved plans, and each posts its
-    plan's declared charges to the ledger in one call.
+
+    Without a ledger, the code's resolved plans run straight through on
+    the key's int (`_EncodePlans.run`).  With one, the spec route calls
+    each stage by name, and each posts its plan's declared charges to
+    the ledger in one call; both routes run the same plan arithmetic.
     """
     p = code.params
+    if ledger is None:
+        return code._plans.run(_key_value(x, p.w))
     x = WideInt(_key_value(x, p.w), p.w)
     plans = code._plans
     resid = rs_encode(split5(x, p, ledger, plan=plans.split), code.gen, p, ledger,

@@ -136,6 +136,10 @@ class _MultPlan:
         self.ops = OpList((("mul", self.bits, m_bits),
                            ("bitwise", self.bits + m_bits, 0)))
 
+    def apply(self, v: int) -> int:
+        """Every slot of v times m, cut back to the layout."""
+        return (v * self.m) & self.mask
+
 
 def inner_encode(word: WideInt, ic: InnerCode, layout: FieldLayout,
                  ledger: OpLedger | None = None, *,
@@ -157,4 +161,4 @@ def inner_encode(word: WideInt, ic: InnerCode, layout: FieldLayout,
         )
     if ledger is not None:
         ledger.post(plan.ops)
-    return WideInt((word.value * plan.m) & plan.mask, plan.bits)
+    return WideInt(plan.apply(word.value), plan.bits)

@@ -159,10 +159,12 @@ class _SplitPlan:
     so each step acts on every key at once.  Constants are tiled by
     doubling (`repeat_bits`), so a plan costs O(log count) big-integer
     operations per mask, not one per key.  `ops` declares every
-    operation split5 runs, each at the width of the bits it spans.
+    operation split5 runs, each at the width of the bits it spans, and
+    `apply` runs them.
     """
 
-    __slots__ = ("pad", "rounds", "drop", "combs", "spread", "spill", "out_bits", "ops")
+    __slots__ = ("symbols", "pad", "rounds", "drop", "combs", "spread", "spill",
+                 "out_bits", "ops")
 
     def __init__(self, p: RsParams, symbols: FieldLayout | None):
         if p.blocks_per_word > 1 and p.S != 5 * p.B:
@@ -173,6 +175,7 @@ class _SplitPlan:
         n2 = 1 << _ceil_log2(max(nb, 1))
         stride = 5 * p.word_out_bits
         count = 1 if symbols is None else symbols.slot_count
+        self.symbols = symbols
         self.pad = nb * b - p.w
         width = n2 * b
         self.drop = (n2 - nb) * b
@@ -239,6 +242,30 @@ class _SplitPlan:
         self.combs = tuple(combs)
         self.ops = OpList(ops)
 
+    def apply(self, v: int) -> int:
+        """The five words of every key in v, side by side.
+
+        Raises ParameterError when a key of a many-key word reaches past
+        its value bound into the gap before the next key; `spill` is 0
+        for a single key.
+        """
+        if v & self.spill:
+            sym = self.symbols
+            raise ParameterError(
+                f"word does not hold {sym.slot_count} keys below "
+                f"2^{sym.value_bound} at stride {sym.slot_width}")
+        for shift, mask in self.spread:
+            sel = v & mask
+            v = (v ^ sel) | (sel << shift)
+        v <<= self.pad
+        for g, mask in self.rounds:
+            v = ((v >> g) & mask) | ((v & mask) << g)
+        v >>= self.drop
+        out = 0
+        for comb, shift in self.combs:
+            out |= (v & comb) << shift
+        return out
+
 
 @lru_cache(maxsize=64)
 def _split_plan(p: RsParams, symbols: FieldLayout | None = None) -> _SplitPlan:
@@ -270,21 +297,11 @@ def split5(x: WideInt, p: RsParams, ledger: OpLedger | None = None,
     if symbols is None:
         if x.bits > p.w:
             raise ParameterError(f"key of {x.bits} bits exceeds w={p.w}")
-    elif x.bits > symbols.total_bits or x.value & plan.spill:
+    elif x.bits > symbols.total_bits:
         raise ParameterError(
-            f"word of {x.bits} bits does not hold {symbols.slot_count} keys below "
-            f"2^{symbols.value_bound} at stride {symbols.slot_width}")
-    v = x.value
-    for shift, mask in plan.spread:
-        sel = v & mask
-        v = (v ^ sel) | (sel << shift)
-    v <<= plan.pad
-    for g, mask in plan.rounds:
-        v = ((v >> g) & mask) | ((v & mask) << g)
-    v >>= plan.drop
-    out = 0
-    for comb, shift in plan.combs:
-        out |= (v & comb) << shift
+            f"word of {x.bits} bits does not hold {symbols.slot_count} keys "
+            f"in {symbols.total_bits} bits")
+    out = plan.apply(x.value)
     if ledger is not None:
         ledger.post(plan.ops)
     return WideInt(out, plan.out_bits)
@@ -370,16 +387,21 @@ def build_generator(p: RsParams, ledger: OpLedger | None = None) -> GeneratorPol
 
 
 class _RsPlan:
-    """rs_encode's convolution layout, its parallel_mod plan and the
-    charged multiply, for `in_bits`-bit input and a `z_bits`-bit packed
-    generator; an encode resolves it once per code."""
+    """rs_encode's convolution layout, its parallel_mod plan, the packed
+    generator `z` and the charged multiply, for `in_bits`-bit input; an
+    encode resolves it once per code."""
 
-    __slots__ = ("layout", "mod", "ops")
+    __slots__ = ("layout", "mod", "z", "z_bits", "ops")
 
-    def __init__(self, p: RsParams, in_bits: int, z_bits: int):
+    def __init__(self, p: RsParams, in_bits: int, z: WideInt):
         self.layout = p.conv_layout(-(-in_bits // p.word_out_bits))
         self.mod = _parallel_mod_plan(self.layout, p.P)
-        self.ops = OpList((("mul", in_bits, z_bits),))
+        self.z, self.z_bits = z.value, z.bits
+        self.ops = OpList((("mul", in_bits, z.bits),))
+
+    def apply(self, v: int) -> int:
+        """Every message word of v times the generator, reduced mod P."""
+        return self.mod.apply(v * self.z)
 
 
 def rs_encode(x_word: WideInt, g: GeneratorPoly, p: RsParams,
@@ -393,15 +415,16 @@ def rs_encode(x_word: WideInt, g: GeneratorPoly, p: RsParams,
     S >= conv_value_bound bits no word spills into the next region, so
     one parallel_mod pass leaves every coefficient in [0, P).  Two
     charged operations however many words and slots there are.  `plan`,
-    when given, is `_RsPlan(p, x_word.bits, g.z_packed.bits)` resolved
-    by the caller.
+    when given, is `_RsPlan(p, x_word.bits, g.z_packed)` resolved by the
+    caller, and the generator is read from it.  The multiply stays here,
+    outside `_RsPlan.apply`, so the reduction runs as its own
+    `parallel_mod` call.
     """
     if plan is None:
-        plan = _RsPlan(p, x_word.bits, g.z_packed.bits)
+        plan = _RsPlan(p, x_word.bits, g.z_packed)
     if ledger is not None:
         ledger.post(plan.ops)
-    z = g.z_packed
-    prod = WideInt(x_word.value * z.value, x_word.bits + z.bits)
+    prod = WideInt(x_word.value * plan.z, x_word.bits + plan.z_bits)
     return parallel_mod(prod, plan.layout, p.P, ledger, plan=plan.mod)
 
 

@@ -69,6 +69,12 @@ class SignatureFn:
             ("shift", cw, 0), ("bitwise", cw - pos, 0),
             ("shift", 1, j), ("bitwise", j, j + 1)))
 
+    @cached_property
+    def _bit_pairs(self) -> tuple:
+        """(codeword position, signature bit) pairs that `sig_eval`
+        reads, built once.  Not a dataclass field."""
+        return tuple(zip(self.positions, range(len(self.positions))))
+
 
 def _bit_matrix(code: EccCode, keys: np.ndarray) -> np.ndarray:
     """Rows of codeword bits, column j = codeword bit j."""
@@ -205,7 +211,7 @@ def sig_eval(f: SignatureFn, x, ledger: OpLedger | None = None) -> WideInt:
     if ledger is not None:
         ledger.post(f._gather)
     out = 0
-    for j, pos in enumerate(f.positions):
+    for pos, j in f._bit_pairs:
         out |= ((cw >> pos) & 1) << j
     return WideInt(out, len(f.positions))
 

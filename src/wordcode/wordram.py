@@ -489,6 +489,16 @@ class _ParallelModPlan:
         self.ops = OpList(per_parity + (per_parity + (("bitwise", bits, 0),)
                                         if n > 1 else ()))
 
+    def apply(self, x: int) -> int:
+        """Every slot of x reduced modulo the divisor; bits above the
+        layout are dropped."""
+        out = 0
+        magic, shift, divisor = self.magic, self.shift, self.divisor
+        for mask, q_mask in self.parities:
+            selected = x & mask
+            out |= selected - (((selected * magic) >> shift) & q_mask) * divisor
+        return out
+
 
 @lru_cache(maxsize=256)
 def _parallel_mod_plan(layout: FieldLayout, divisor: int) -> _ParallelModPlan:
@@ -511,14 +521,9 @@ def parallel_mod(word: WideInt, layout: FieldLayout, divisor: int,
         raise LayoutError(
             f"word of {word.bits} bits shorter than layout ({plan.bits})"
         )
-    x, out = word.value, 0
-    magic, shift, divisor = plan.magic, plan.shift, plan.divisor
-    for mask, q_mask in plan.parities:
-        selected = x & mask
-        out |= selected - (((selected * magic) >> shift) & q_mask) * divisor
     if ledger is not None:
         ledger.post(plan.ops)
-    return WideInt(out, plan.bits)
+    return WideInt(plan.apply(word.value), plan.bits)
 
 
 def parallel_mod_reference(word: WideInt, layout: FieldLayout, divisor: int,

@@ -36,7 +36,7 @@ from wordcode.ecc_core import (
     serialize,
 )
 from wordcode._kernels import paired_min_hamming
-from wordcode.outer_rs import build_generator, derive_params
+from wordcode.outer_rs import build_generator, derive_params, split5
 from wordcode.wordram import FieldLayout, OpLedger, WideInt, unpack_fields
 
 BENCH_MODEL = Path(__file__).resolve().parents[1] / "BENCH_model.json"
@@ -200,6 +200,90 @@ def test_encode_level2_packed_matches_nested_batch_and_oracle():
             assert int(cw) == sum(int(v) << (64 * t) for t, v in enumerate(row)), (w, x)
 
 
+@functools.cache
+def _route_code(w, level):
+    """Codes the plain and ledgered routes are compared on; w=5 is the
+    level-1 inner code of the level-2 w=10 code (below the public W_MIN)."""
+    if w == 5:
+        return build_code(10, None, 2)[0].inner_ecc
+    return build_code(w, None, level)[0]
+
+
+ROUTE_CODES = [(5, 1), (10, 1), (16, 1), (64, 1), (256, 1), (1024, 1),
+               (10, 2), (16, 2), (64, 2), (8192, 2)]
+
+
+def _check_routes(code, x):
+    w = code.params.w
+    led = OpLedger(w)
+    plain = encode(code, x)
+    ledgered = encode(code, x, led)
+    assert plain == ledgered, (w, code.level, x)
+    assert plain.bits == code.codeword_bits
+    if code.level == 2:
+        assert plain == _encode_nested(code, x), (w, x)
+
+
+@pytest.mark.parametrize("w, level", ROUTE_CODES)
+def test_plain_encode_equals_ledgered_route(w, level):
+    # The plain route chains the plans' `apply`; the ledgered route calls
+    # every stage by name.  Bit for bit equal, and the ledger of the
+    # ledgered route is what the CostReport probe charged.
+    code = _route_code(w, level)
+    rng = random.Random(f"routes-{w}-{level}")
+    keys = [0, 1, (1 << w) - 1, 1 << (w - 1)] + [rng.getrandbits(w) for _ in range(6)]
+    for x in keys:
+        _check_routes(code, x)
+    led = OpLedger(w)
+    encode(code, keys[-1], led)
+    probe = OpLedger(w)
+    encode(code, 0, probe)
+    assert led == probe
+
+
+@settings(deadline=None, max_examples=60, database=None)
+@given(data=st.data())
+def test_plain_encode_equals_ledgered_route_on_any_key(data):
+    w, level = data.draw(st.sampled_from(ROUTE_CODES))
+    _check_routes(_route_code(w, level), data.draw(st.integers(0, (1 << w) - 1)))
+
+
+def test_plain_encode_keeps_the_level2_spill_guard():
+    # A residue that reaches past the inner key's value bound would spill
+    # into its neighbour; the data check lives in the split plan's apply,
+    # so both routes refuse it.
+    code = _route_code(64, 2)
+    plans = code._plans
+    layout = plans.out_layout
+    q = code.inner_ecc.params
+    bad = 1 << layout.value_bound  # slot 0 one bit past the bound
+    assert plans.split2.spill & bad
+    with pytest.raises(ParameterError, match="does not hold"):
+        plans.split2.apply(bad)
+    with pytest.raises(ParameterError, match="does not hold"):
+        split5(WideInt(bad, layout.total_bits), q, OpLedger(64), layout,
+               plan=plans.split2)
+    # At level 1 there is no gap to guard.
+    assert _route_code(64, 1)._plans.split.spill == 0
+
+
+@pytest.mark.parametrize("w, level, inner", [(64, 1, False), (64, 2, False),
+                                             (64, 2, True)])
+def test_both_routes_refuse_a_generator_too_narrow_for_the_reduction(w, level, inner):
+    # rs reduces the product of its input and the packed generator; a
+    # product narrower than the reduction's layout is a width fault that
+    # only the plans see, so the plain route refuses it as the ledgered
+    # route's parallel_mod would.
+    code = _route_code(w, level)
+    short = lambda c: dataclasses.replace(  # noqa: E731
+        c, gen=dataclasses.replace(c.gen, z_packed=WideInt(1, 1)))
+    bad = (dataclasses.replace(code, inner_ecc=short(code.inner_ecc)) if inner
+           else short(code))
+    for ledger in (None, OpLedger(w)):
+        with pytest.raises(CodeValidationError, match="do not chain"):
+            encode(bad, 1, ledger)
+
+
 def test_encode_nested_rejects_level1():
     code, _ = build_code(16, None, 1)
     with pytest.raises(ParameterError, match="level-2"):
@@ -238,15 +322,20 @@ def test_encode_key_rule():
         encode(code, np.int64(-1))
 
 
-@pytest.mark.parametrize("w", [10, 63, 64, 65, 256])
+@pytest.mark.parametrize("w", [10, 63, 64, 65, 128, 256, 1000])
 def test_key_array_matches_key_value(w):
     # The bulk intake keeps the per-key rule: the same values, or the
-    # same error naming the same first bad key.
+    # same error naming the same first bad key.  The cases include keys
+    # one limb too wide, keys that fit the limbs but not w, and a bad key
+    # after many good ones.
     top = (1 << w) - 1
+    limb_top = 1 << (64 * -(-w // 64))
     cases = [[], [0, 1, top], [3, -1, 4], [5, 1 << w, 6], [7, 1 << 64, -2],
              [(1 << 64) | 1], [1, 1.5], [2.0], [1, "2"], [None], [True, False, 3],
              [np.uint64(5), 9], [4, WideInt(1, w + 1)], [WideInt(top, w), 0],
-             [-1, 2.5]]
+             [-1, 2.5], [top, limb_top], [top, limb_top - 1], [2, True],
+             [top, np.int64(-1)], [top, np.uint64(7)], [WideInt(3, w), top],
+             list(range(40)) + [top + 1], list(range(40)) + [-3]]
     for keys in cases:
         try:
             want = [_key_value(k, w, f"key {i}") for i, k in enumerate(keys)]
@@ -260,6 +349,21 @@ def test_key_array_matches_key_value(w):
         assert arr.shape == ((len(keys),) if w <= 64 else (len(keys), -(-w // 64)))
         rows = (arr[:, None] if arr.ndim == 1 else arr).astype("<u8")
         assert [int.from_bytes(r.tobytes(), "little") for r in rows] == want, keys
+
+
+@pytest.mark.parametrize("w", [10, 63, 64])
+def test_key_array_takes_plain_ints_in_bulk(monkeypatch, w):
+    # Valid plain ints at w <= 64 never reach the per-key loop.
+    import wordcode.ecc_core as ecc_core
+
+    def per_key(*_):
+        raise AssertionError("per-key loop on plain ints")
+
+    rng = random.Random(w)
+    keys = [0, (1 << w) - 1] + [rng.getrandbits(w) for _ in range(100)]
+    want = _key_array(keys, w)
+    monkeypatch.setattr(ecc_core, "_key_value", per_key)
+    assert np.array_equal(_key_array(keys, w), want)
 
 
 def test_encode_cost_value_independent_and_matches_report():

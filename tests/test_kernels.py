@@ -42,6 +42,36 @@ def test_scan_multiplier_backends_agree():
     assert _kernels.scan_multiplier(5, 8, 4096, 3) == 23
 
 
+def test_scan_multiplier_across_block_boundaries(monkeypatch):
+    # With the cap set to 64 candidates per block at B=3, blocks start at
+    # offsets 0, 64, 128, ... from m_lo.  At B=3, T=5 the first
+    # qualifying m is 557, so windows ending there put the answer, or
+    # m_hi, on each side of a boundary.  The default cap holds every
+    # window in one block.
+    first = 557
+    assert scan_multiplier_oracle(3, 1, first + 1, 5) == first
+    for cap in (_kernels._SCAN_BLOCK_ENTRIES, 64 * 16):
+        monkeypatch.setattr(_kernels, "_SCAN_BLOCK_ENTRIES", cap)
+        for edge in (64, 192, 448):
+            for k in (edge - 1, edge, edge + 1):
+                lo = first - k
+                # The answer at offset k from m_lo.
+                assert _kernels.scan_multiplier(3, lo, lo + 600, 5) == first, (cap, k)
+                # m_hi just below, at and just above the answer.
+                for hi in (first, first + 1):
+                    assert (_kernels.scan_multiplier(3, lo, hi, 5)
+                            == scan_multiplier_oracle(3, lo, hi, 5)), (cap, k, hi)
+            # m_hi on a boundary, the window empty of answers.
+            lo = first - edge - 5
+            assert _kernels.scan_multiplier(3, lo, lo + edge, 5) == -1
+        # Empty and reversed windows.
+        assert _kernels.scan_multiplier(3, first, first, 5) == -1
+        assert _kernels.scan_multiplier(3, first + 1, first, 5) == -1
+        # A later answer at B=4, T=6 (4887), in windows across many blocks.
+        for lo in (4887 - 448, 4887 - 447, 4887 - 1000):
+            assert _kernels.scan_multiplier(4, lo, 5000, 6) == 4887
+
+
 def test_pair_min_distance_backends_agree():
     for bits in (3, 4, 5):
         for m in (1, 13, 977, 4095):

@@ -507,10 +507,11 @@ def test_plan_posts_equal_op_by_op_charges(w):
     layout = p.out_layout(5)
     q = _derive_params_any(p.B + 1)
     split, inner_split = _split_plan(p), _split_plan(q, layout)
-    rs = _RsPlan(p, split.out_bits, (p.r_deg + 1) * p.S)
+    g = build_generator(p)
+    rs = _RsPlan(p, split.out_bits, g.z_packed)
     plans = [split, rs.mod, rs, inner_split,
              _parallel_mod_plan(q.conv_layout(5 * layout.slot_count), q.P),
-             _RsPlan(q, inner_split.out_bits, (q.r_deg + 1) * q.S),
+             _RsPlan(q, inner_split.out_bits, build_generator(q).z_packed),
              _MultPlan(InnerCode(q.B, 1, 1, 1), q.out_layout(5 * layout.slot_count))]
     for word_bits in (8, 10, 64, w, q.w, 8192):
         for plan in plans:
@@ -521,7 +522,6 @@ def test_plan_posts_equal_op_by_op_charges(w):
             assert word_bits in plan.ops.units
 
     # The stages charge exactly what their plans declare.
-    g = build_generator(p)
     x = WideInt((1 << w) - 1, w)
     for word_bits in (8, w):
         led = OpLedger(word_bits)

@@ -1,5 +1,6 @@
 """Signature construction: greedy selection, evaluation, file formats."""
 
+import dataclasses
 import json
 import random
 
@@ -160,6 +161,11 @@ def test_eval_matches_codeword_bits():
         sig = sig_eval(fn, k)
         for j, pos in enumerate(fn.positions):
             assert sig.bit(j) == cw.bit(pos)
+    # The cached (position, bit) pairs stay off the dataclass fields, so
+    # equality and the saved description never see them.
+    assert "_bit_pairs" in vars(fn)
+    assert "_bit_pairs" not in {f.name for f in dataclasses.fields(fn)}
+    assert fn == SignatureFn(code, fn.positions, fn.n)
 
 
 @pytest.mark.parametrize("level", [1, 2])

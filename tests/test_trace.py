@@ -4,8 +4,10 @@
 inner_encode, unpack_fields, wide_or, wide_shl, ...) with wrappers that
 add each call's ledger delta to a section.  A renamed or bypassed name
 would make the sections stop summing to the ledger; this test catches
-that without a full `perfbench/run.py --trace 1` run.  The keyset calls
-are checked the same way: a renamed or bypassed kernel would leave its
+that without a full `perfbench/run.py --trace 1` run.  Only ledgered
+encodes call the stages by name: a plain encode runs the code's plans
+straight through and records no stage span.  The keyset calls are
+checked the same way: a renamed or bypassed kernel would leave its
 per-layer metric reading 0.
 """
 
@@ -32,10 +34,13 @@ def test_traced_sections_sum_to_ledger(monkeypatch):
     tracer.install()
     tracer.recording = True
     try:
-        for w, level in CODES:
-            code, _ = ecc_core.build_code(w, None, level)
+        codes = [ecc_core.build_code(w, None, level)[0] for w, level in CODES]
+        tracer.request = 1  # the encodes are timed calls, the builds set-up
+        for code in codes:
+            w = code.params.w
             for x in (0, (1 << w) - 1):
-                ecc_core.encode(code, x, OpLedger(w))
+                led = ecc_core.encode(code, x, OpLedger(w))
+                assert ecc_core.encode(code, x) == led
     finally:
         tracer.recording = False
         tracer.uninstall()
@@ -49,12 +54,18 @@ def test_traced_sections_sum_to_ledger(monkeypatch):
         assert sections["concat"] == 0, (w, level)
         assert sections["unpack_fields"] == 0, (w, level)
 
-    # Each stage runs once per encode, and once more for the inner code
-    # at level 2: no loop over the five split words or the residues.
+    # Each stage runs once per ledgered encode, and once more for the
+    # inner code at level 2: no loop over the five split words or the
+    # residues.  A plain encode calls no stage by name.
     top = [i for i, s in enumerate(tracer.spans)
-           if s[0] == spans.ENCODE
+           if s[0] == spans.ENCODE and s[5]["ops"] is not None
            and (s[3] < 0 or tracer.spans[s[3]][0] != spans.ENCODE)]
+    plain = [i for i, s in enumerate(tracer.spans)
+             if s[0] == spans.ENCODE and s[5]["ops"] is None]
     assert len(top) == 3 * len(CODES)
+    assert len(plain) == 2 * len(CODES)
+    assert all(s[3] < 0 for s in map(tracer.spans.__getitem__, plain))
+    assert all(not _children(tracer.spans, i) for i in plain)
     assert all(s[0] != spans.ENCODE or s[3] < 0
                or tracer.spans[s[3]][0] != spans.ENCODE for s in tracer.spans)
     for i in top:
@@ -67,6 +78,17 @@ def test_traced_sections_sum_to_ledger(monkeypatch):
         assert calls["inner_mult.inner_encode"] == 1
         assert calls["wordram.unpack_fields"] == 0
         assert calls[spans.ENCODE] == 0
+
+    # The per-layer metrics see the stage spans of ledgered encodes only:
+    # one parallel_mod per pipeline over every timed encode, plain ones
+    # included.
+    layers, problems = spans.layer_metrics(tracer.spans, 1)
+    assert problems == []
+    timed_encodes = 4 * len(CODES)  # two ledgered and two plain per code
+    ledgered_pipelines = 2 * sum(level for _, level in CODES)
+    assert layers["wordram.parallel_mod.calls"] == ledgered_pipelines / timed_encodes
+    assert layers["ecc_core.encode.inner_calls"] == 0
+    assert layers["outer_rs.split5.us"] > 0
 
 
 def test_traced_keyset_calls_record_their_kernels(monkeypatch):
