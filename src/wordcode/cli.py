@@ -16,9 +16,10 @@ import time
 from fractions import Fraction
 
 from .ecc_core import build_code, deserialize, distance_report, encode, serialize
-from .errors import WordcodeError
+from .errors import ParameterError, WordcodeError
 from .outer_rs import W_MAX, W_MIN
 from .sighash import (
+    _hex_key,
     build_signature,
     load_signature,
     read_keys_file,
@@ -53,11 +54,10 @@ def _parse_delta(text):
 
 
 def _parse_hex(text: str, w: int) -> int:
-    digits = -(-w // 4)
-    if len(text) != digits or any(c not in "0123456789abcdef" for c in text):
-        raise _UsageError(
-            f"value must be exactly {digits} lowercase hex digits")
-    return int(text, 16)
+    try:
+        return _hex_key(text, w, "value")
+    except ParameterError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _load_code(path):

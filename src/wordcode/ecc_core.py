@@ -47,11 +47,12 @@ from .numtheory import _prime_factors
 from .outer_rs import (
     GeneratorPoly,
     RsParams,
-    W_MAX,
-    W_MIN,
     _RsPlan,
+    _check_sampling,
     _derive_params_any,
+    _index,
     _split_plan,
+    _word_size,
     build_generator,
     rs_encode,
     split5,
@@ -254,7 +255,11 @@ def _resolve_delta(b: int, delta) -> Fraction:
                 f"no inner code is searchable for {b}-bit symbols; "
                 f"the word size needs a level-2 construction")
         return DEFAULT_DELTA
-    return Fraction(delta)
+    try:
+        return Fraction(delta)
+    except (TypeError, ValueError, ArithmeticError):
+        raise ParameterError(
+            f"delta must be a rational number, got {reprlib.repr(delta)}") from None
 
 
 def _find_multiplier_reporting(b: int, delta: Fraction,
@@ -298,11 +303,12 @@ def _build(w: int, delta, level: int, ledger: OpLedger):
     return EccCode(level, params, gen, inner, inner_ecc), generator_ops
 
 
-def _check_build_args(w: int, level: int):
+def _check_build_args(w, level) -> tuple:
+    """(w, level) as ints, each checked; ParameterError otherwise."""
+    level = _index(level, "level")
     if level not in (1, 2):
         raise ParameterError(f"level must be 1 or 2, got {level}")
-    if not W_MIN <= w <= W_MAX:
-        raise ParameterError(f"word size must be in [{W_MIN}, {W_MAX}], got {w}")
+    return _word_size(w), level
 
 
 def build_code(w: int, delta=None, level: int = 1):
@@ -312,7 +318,7 @@ def build_code(w: int, delta=None, level: int = 1):
     builds its inner stage as a level-1 code for word size B+1; the
     construction ledger covers both levels, charged at word size w.
     """
-    _check_build_args(w, level)
+    w, level = _check_build_args(w, level)
     ledger = OpLedger(w)
     code, generator_ops = _build(w, delta, level, ledger)
     probe = OpLedger(w)
@@ -417,44 +423,35 @@ def _field_width(code: EccCode) -> int:
     return (code.inner_ecc or code).params.S
 
 
-def _key_rows(keys: np.ndarray, w: int) -> np.ndarray:
-    """Keys as little-endian uint64 limb rows.
+def _key_rows(keys, w: int) -> np.ndarray:
+    """A key sequence as little-endian uint64 limb rows, one row per key,
+    each key checked as `_key_value` checks key i.
 
-    Takes limb rows (a 2-D uint64 array, returned as is), a 1-D uint64
-    array, or an object array of Python ints of any width.
-    """
-    limbs = -(-w // 64)
-    keys = np.asarray(keys)
-    if keys.ndim == 2:
-        return keys
-    if keys.dtype != object:
-        rows = np.zeros((keys.shape[0], limbs), dtype=np.uint64)
-        rows[:, 0] = keys
-        return rows
-    data = b"".join(int(k).to_bytes(8 * limbs, "little") for k in keys)
-    return np.frombuffer(data, dtype="<u8").reshape(-1, limbs)
-
-
-def _key_array(keys, w: int) -> np.ndarray:
-    """A key sequence, each key checked as `_key_value` checks key i.
-
-    Returns a uint64 array for w <= 64, else limb rows.  Plain ints at
-    w <= 64 are converted and range-checked in one step; any other key
-    type, and any failed check, takes the per-key `_key_value` loop,
-    which raises the same error for the same first bad key.
+    Plain ints are converted in one step and range-checked on the top
+    limb; any other key type, and any failed check, takes the per-key
+    `_key_value` loop, which raises the same error for the same first
+    bad key.
     """
     keys = list(keys)
-    if w <= 64 and all(type(k) is int for k in keys):
+    limbs = -(-w // 64)
+    if all(type(k) is int for k in keys):
         try:
-            arr = np.array(keys, dtype=np.uint64)
+            rows = _int_rows(keys, limbs)
         except OverflowError:
-            arr = None
-        if arr is not None and int(arr.max(initial=0)) >> w == 0:
-            return arr
-    vals = [_key_value(k, w, f"key {i}") for i, k in enumerate(keys)]
-    if w <= 64:
-        return np.array(vals, dtype=np.uint64)
-    return _key_rows(np.array(vals, dtype=object), w)
+            pass
+        else:
+            if int(rows[:, -1].max(initial=0)) >> (w - 64 * (limbs - 1)) == 0:
+                return rows
+    return _int_rows([_key_value(k, w, f"key {i}") for i, k in enumerate(keys)], limbs)
+
+
+def _int_rows(vals: list, limbs: int) -> np.ndarray:
+    """Ints as `limbs`-limb rows; OverflowError for one outside
+    [0, 2^(64 * limbs))."""
+    if limbs == 1:
+        return np.array(vals, dtype=np.uint64).reshape(-1, 1)
+    data = b"".join(v.to_bytes(8 * limbs, "little") for v in vals)
+    return np.frombuffer(data, dtype="<u8").reshape(-1, limbs)
 
 
 # Batch-encode chunks hold about this many innermost fields (1 MB of
@@ -505,13 +502,14 @@ def _residue_fields(code: EccCode, resid: np.ndarray) -> np.ndarray:
 def _batch_fields(code: EccCode, keys):
     """Innermost fields of many keys, one `_chunk_keys` chunk at a time.
 
-    Yields uint64 arrays of shape (fields, keys in the chunk), in key
-    order; see `_residue_fields`.  A codeword is its fields joined at
-    stride `_field_width`, so Hamming distances and single bits can be
-    read from the fields without the join.  The outer residues are
-    computed `_outer_chunk_keys` keys at a time.
+    `keys` are checked uint64 limb rows (`_key_rows`), or a 1-D uint64
+    array of keys below 2^64.  Yields uint64 arrays of shape (fields,
+    keys in the chunk), in key order; see `_residue_fields`.  A codeword
+    is its fields joined at stride `_field_width`, so Hamming distances
+    and single bits can be read from the fields without the join.  The
+    outer residues are computed `_outer_chunk_keys` keys at a time.
     """
-    rows = _key_rows(keys, code.params.w)
+    rows = keys[:, None] if keys.ndim == 1 else keys
     step, outer = _chunk_keys(code), _outer_chunk_keys(code)
     for lo in range(0, rows.shape[0], outer):
         resid = _residues(code, rows[lo:lo + outer].T)
@@ -542,10 +540,8 @@ def _batch_encode(code: EccCode, keys: np.ndarray) -> np.ndarray:
 
 
 def _sample_keys(rng, w: int, n: int) -> np.ndarray:
-    """n uniform w-bit keys: a uint64 array, or limb rows for w > 64."""
-    if w <= 64:
-        return rng.integers(0, 1 << w, size=n, dtype=np.uint64)
-    rows = rng.integers(0, 1 << 64, size=(n, -(-w // 64)), dtype=np.uint64)
+    """n uniform w-bit keys as limb rows."""
+    rows = rng.integers(0, 1 << min(w, 64), size=(n, -(-w // 64)), dtype=np.uint64)
     if w % 64:
         rows[:, -1] &= np.uint64((1 << (w % 64)) - 1)
     return rows
@@ -574,10 +570,7 @@ def distance_report(code: EccCode, mode: str = "random",
         min_bits = _kernels.min_pairwise_hamming(limbs)
         pairs = n * (n - 1) // 2
     elif mode == "random":
-        if samples < 1:
-            raise ParameterError("need at least one sample pair")
-        if seed < 0:
-            raise ParameterError(f"seed must be non-negative, got {seed}")
+        samples, seed = _check_sampling(samples, seed)
         rng = np.random.default_rng(seed)
         min_bits = 1 << 62
         pairs = 0
@@ -588,10 +581,10 @@ def distance_report(code: EccCode, mode: str = "random",
             xs = _sample_keys(rng, p.w, take)
             ys = _sample_keys(rng, p.w, take)
             # Row-wise: a wide key is equal only when all its limbs are.
-            dup = (xs == ys).reshape(take, -1).all(axis=1)
+            dup = (xs == ys).all(axis=1)
             while bool(np.any(dup)):
                 ys[dup] = _sample_keys(rng, p.w, int(np.sum(dup)))
-                dup = (xs == ys).reshape(take, -1).all(axis=1)
+                dup = (xs == ys).all(axis=1)
             # A distance is the sum over fields of popcount(f_x ^ f_y):
             # the fields sit at disjoint S-bit strides.
             for fx, fy in zip(_batch_fields(code, xs), _batch_fields(code, ys)):

@@ -18,6 +18,7 @@ comes from; min_weight_multiple_check measures that bound directly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -135,10 +136,37 @@ def _derive_params_any(w: int) -> RsParams:
     return params
 
 
-def derive_params(w: int) -> RsParams:
+def _index(value, name: str) -> int:
+    """value as an int, by `operator.index`; ParameterError naming the
+    argument otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(
+            f"{name} must be an integer, not {type(value).__name__}") from None
+
+
+def _check_sampling(samples, seed) -> tuple:
+    """A random probe's pair or message count (at least 1) and seed (at
+    least 0) as ints; ParameterError naming the bad argument otherwise."""
+    samples, seed = _index(samples, "samples"), _index(seed, "seed")
+    if samples < 1:
+        raise ParameterError(f"samples must be at least 1, got {samples}")
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed}")
+    return samples, seed
+
+
+def _word_size(w) -> int:
+    """w as an int in [W_MIN, W_MAX]; ParameterError otherwise."""
+    w = _index(w, "word size")
     if not W_MIN <= w <= W_MAX:
         raise ParameterError(f"word size must be in [{W_MIN}, {W_MAX}], got {w}")
-    return _derive_params_any(w)
+    return w
+
+
+def derive_params(w: int) -> RsParams:
+    return _derive_params_any(_word_size(w))
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +481,7 @@ def min_weight_multiple_check(g: GeneratorPoly, p: RsParams,
         for j in range(bpw):
             msgs[:, j] = (idx // prime_p**j) % prime_p
     elif mode == "random":
-        if samples < 1:
-            raise ParameterError(f"need at least one sample, got {samples}")
-        if seed < 0:
-            raise ParameterError(f"seed must be non-negative, got {seed}")
+        samples, seed = _check_sampling(samples, seed)
         rng = np.random.default_rng(seed)
         msgs = rng.integers(0, prime_p, size=(samples, bpw), dtype=np.int64)
         zero_rows = ~msgs.any(axis=1)

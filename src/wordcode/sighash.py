@@ -35,7 +35,7 @@ from .ecc_core import (
     _batch_fields,
     _field_width,
     _from_obj,
-    _key_array,
+    _key_rows,
     _to_obj,
     encode,
 )
@@ -114,11 +114,10 @@ def build_signature(code: EccCode, keys) -> SignatureFn:
     its order.
     """
     w = code.params.w
-    keys = _key_array(keys, w)
-    n = len(keys)
+    rows = _key_rows(keys, w)
+    n = len(rows)
     if n < 1:
         raise ParameterError("need at least one key")
-    rows = keys.reshape(n, -1)
     if not _distinct(rows):
         # Name the first key equal to an earlier one.
         seen = {}
@@ -137,7 +136,7 @@ def build_signature(code: EccCode, keys) -> SignatureFn:
     cap = position_cap(code, n)
     # `bits` holds the rows of the still-colliding keys in (class size,
     # class) order; `sizes` holds the class sizes in the same order.
-    bits = _bit_matrix(code, keys)
+    bits = _bit_matrix(code, rows)
     sizes = np.array([n])
     while sizes.size:
         pos = int(np.argmax(_separated(bits, sizes)))
@@ -226,8 +225,8 @@ def verify_injective(f: SignatureFn, keys) -> bool:
     word j // 64, and the words are compared row by row.  The scalar
     route is the oracle.
     """
-    keys = _key_array(keys, f.code.params.w)
-    if len(keys) < 2:
+    rows = _key_rows(keys, f.code.params.w)
+    if len(rows) < 2:
         return True
     if not f.positions:
         return False
@@ -238,7 +237,7 @@ def verify_injective(f: SignatureFn, keys) -> bool:
     words = np.concatenate(
         [np.add.reduceat(((fields[field] >> shift) & np.uint64(1)) << place,
                          np.arange(0, pos.size, 64), axis=0)
-         for fields in _batch_fields(f.code, keys)], axis=1)
+         for fields in _batch_fields(f.code, rows)], axis=1)
     return _distinct(words.T)
 
 
@@ -246,9 +245,17 @@ def verify_injective(f: SignatureFn, keys) -> bool:
 # File formats
 
 
-def read_keys_file(path, w: int) -> list:
-    """One lowercase-hex key per line, exactly ceil(w/4) digits each."""
+def _hex_key(text: str, w: int, name: str) -> int:
+    """A key spelled as exactly ceil(w/4) lowercase hex digits, else
+    ParameterError naming it `name`; the value may still be >= 2^w."""
     digits = -(-w // 4)
+    if len(text) != digits or any(c not in "0123456789abcdef" for c in text):
+        raise ParameterError(f"{name} must be exactly {digits} lowercase hex digits")
+    return int(text, 16)
+
+
+def read_keys_file(path, w: int) -> list:
+    """One key per line, as `_hex_key` spells it, each below 2^w."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
@@ -259,12 +266,7 @@ def read_keys_file(path, w: int) -> list:
         line = line.strip()
         if not line:
             continue
-        if len(line) != digits or line != line.lower() \
-                or any(c not in "0123456789abcdef" for c in line):
-            raise ParameterError(
-                f"{path}:{lineno}: keys must be exactly {digits} "
-                "lowercase hex digits")
-        val = int(line, 16)
+        val = _hex_key(line, w, f"{path}:{lineno}: keys")
         if val >= (1 << w):
             raise ParameterError(
                 f"{path}:{lineno}: key exceeds 2^{w}")

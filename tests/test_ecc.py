@@ -26,7 +26,7 @@ from wordcode.ecc_core import (
     _batch_encode,
     _chunk_keys,
     _encode_nested,
-    _key_array,
+    _key_rows,
     _key_value,
     _sample_keys,
     build_code,
@@ -112,6 +112,19 @@ def test_build_rejects_bad_args():
         build_code(8193, None, 1)
     with pytest.raises(ParameterError):
         build_code(64, None, 3)
+    # w and level go through operator.index, delta through Fraction; a
+    # failure of either is a ParameterError naming the argument.
+    for args, msg in (((64.0,), "word size must be an integer, not float"),
+                      (("64",), "word size must be an integer, not str"),
+                      ((64, None, 1.0), "level must be an integer, not float"),
+                      ((64, float("nan")), "delta must be a rational number"),
+                      ((64, float("inf")), "delta must be a rational number"),
+                      ((64, "1/0"), "delta must be a rational number"),
+                      ((64, [1]), "delta must be a rational number"),
+                      ((64, float("nan"), 2), "delta must be a rational number")):
+        with pytest.raises(ParameterError, match=msg):
+            build_code(*args)
+    assert build_code(np.int64(64), None, np.int8(2)) == build_code(64, None, 2)
     # No default delta past B_MAX: the symbols are too wide for level 1.
     with pytest.raises(ParameterError, match="no inner code is searchable for 13-bit"):
         build_code(8192, None, 1)
@@ -191,7 +204,7 @@ def test_encode_level2_packed_matches_nested_batch_and_oracle():
     for w in (10, 64, 256, 1024, 8192):
         code, _ = build_code(w, None, 2)
         keys = [0, (1 << w) - 1, rng.getrandbits(w), rng.getrandbits(w)]
-        rows = _batch_encode(code, np.array(keys, dtype=object))
+        rows = _batch_encode(code, _key_rows(keys, w))
         for x, row in zip(keys, rows):
             cw = encode(code, x)
             assert cw.bits == code.codeword_bits
@@ -341,19 +354,19 @@ def test_key_array_matches_key_value(w):
             want = [_key_value(k, w, f"key {i}") for i, k in enumerate(keys)]
         except ParameterError as exc:
             with pytest.raises(ParameterError) as got:
-                _key_array(keys, w)
+                _key_rows(keys, w)
             assert (type(got.value), str(got.value)) == (type(exc), str(exc)), keys
             continue
-        arr = _key_array(keys, w)
+        arr = _key_rows(keys, w)
         assert arr.dtype == np.uint64
-        assert arr.shape == ((len(keys),) if w <= 64 else (len(keys), -(-w // 64)))
-        rows = (arr[:, None] if arr.ndim == 1 else arr).astype("<u8")
+        assert arr.shape == (len(keys), -(-w // 64))
+        rows = arr.astype("<u8")
         assert [int.from_bytes(r.tobytes(), "little") for r in rows] == want, keys
 
 
-@pytest.mark.parametrize("w", [10, 63, 64])
+@pytest.mark.parametrize("w", [10, 63, 64, 65, 256, 1000])
 def test_key_array_takes_plain_ints_in_bulk(monkeypatch, w):
-    # Valid plain ints at w <= 64 never reach the per-key loop.
+    # Valid plain ints never reach the per-key loop, at any width.
     import wordcode.ecc_core as ecc_core
 
     def per_key(*_):
@@ -361,9 +374,9 @@ def test_key_array_takes_plain_ints_in_bulk(monkeypatch, w):
 
     rng = random.Random(w)
     keys = [0, (1 << w) - 1] + [rng.getrandbits(w) for _ in range(100)]
-    want = _key_array(keys, w)
+    want = _key_rows(keys, w)
     monkeypatch.setattr(ecc_core, "_key_value", per_key)
-    assert np.array_equal(_key_array(keys, w), want)
+    assert np.array_equal(_key_rows(keys, w), want)
 
 
 def test_encode_cost_value_independent_and_matches_report():
@@ -511,9 +524,11 @@ def test_distance_random_wide_word():
 
 
 def test_distance_random_wide_pinned():
-    # Minimums recorded with the keys drawn as Python ints; sampling them
-    # as limb rows must draw the very same keys.
-    pinned = {(256, 0): 475, (256, 1): 467, (200, 0): 343, (200, 1): 334}
+    # Minimums recorded with the keys drawn as Python ints (w > 64) or as
+    # a 1-D uint64 array (w <= 64); sampling every width as limb rows
+    # must draw the very same keys.
+    pinned = {(256, 0): 475, (256, 1): 467, (200, 0): 343, (200, 1): 334,
+              (64, 0): 105, (64, 1): 102, (16, 0): 5}
     for (w, seed), min_bits in pinned.items():
         code, _ = build_code(w, None, 1)
         rep = distance_report(code, "random", samples=2000, seed=seed)
@@ -575,6 +590,13 @@ def test_distance_rejects_bad_mode_and_samples():
         distance_report(code, "random", samples=0)
     with pytest.raises(ParameterError, match="seed must be non-negative"):
         distance_report(code, "random", samples=10, seed=-1)
+    for kwargs, msg in (({"samples": 10.0}, "samples must be an integer, not float"),
+                        ({"samples": "10"}, "samples must be an integer, not str"),
+                        ({"seed": 1.5}, "seed must be an integer, not float")):
+        with pytest.raises(ParameterError, match=msg):
+            distance_report(code, "random", **kwargs)
+    assert (distance_report(code, "random", samples=np.int64(50), seed=np.uint8(3))
+            == distance_report(code, "random", samples=50, seed=3))
 
 
 def test_serialize_round_trip():

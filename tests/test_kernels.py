@@ -167,7 +167,8 @@ def test_batch_encode_backends_agree():
     from wordcode import ecc_core
 
     # The batch path against the scalar encoder, bit for bit, at both
-    # levels: uint64 keys up to w=64, Python-int keys everywhere.
+    # levels: a 1-D uint64 array up to w=64, `_key_rows` limb rows
+    # everywhere.
     rng = np.random.default_rng(19)
     cases = [(w, 1, 60) for w in (10, 16, 63, 64, 65, 100, 256, 1024)]
     cases += [(10, 2, 12), (64, 2, 8), (256, 2, 4), (1024, 2, 3), (8192, 2, 2)]
@@ -184,7 +185,7 @@ def test_batch_encode_backends_agree():
     cases.append((8192, 2, [(1 << 8192) - 1]))
     for w, level, keys in cases:
         code, _ = ecc_core.build_code(w, None, level)
-        spellings = [np.array(keys, dtype=object)]
+        spellings = [ecc_core._key_rows(keys, w)]
         if w <= 64:
             spellings.append(np.array(keys, dtype=np.uint64))
         expected = [int(ecc_core.encode(code, k)) for k in keys]

@@ -102,6 +102,8 @@ def test_derive_params_range():
         derive_params(9)
     with pytest.raises(ParameterError):
         derive_params(8193)
+    with pytest.raises(ParameterError, match="word size must be an integer, not float"):
+        derive_params(64.0)
     derive_params(10)
     derive_params(8192)
 
@@ -483,6 +485,10 @@ def test_min_weight_bad_mode_and_samples():
         min_weight_multiple_check(g, p, "random", samples=0)
     with pytest.raises(ParameterError, match="seed must be non-negative"):
         min_weight_multiple_check(g, p, "random", samples=10, seed=-1)
+    with pytest.raises(ParameterError, match="samples must be an integer, not float"):
+        min_weight_multiple_check(g, p, "random", samples=10.0)
+    with pytest.raises(ParameterError, match="seed must be an integer, not float"):
+        min_weight_multiple_check(g, p, "random", samples=10, seed=1.5)
 
 
 # ---------------------------------------------------------------------------
