@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .ecc_core import build_code, deserialize, distance_report, encode, serialize
 from .errors import ParameterError, WordcodeError
-from .outer_rs import W_MAX, W_MIN
+from .outer_rs import _word_size
 from .sighash import (
     _hex_key,
     build_signature,
@@ -39,8 +39,10 @@ class _UsageError(Exception):
 
 
 def _check_w(w: int):
-    if not W_MIN <= w <= W_MAX:
-        raise _UsageError(f"word size must be in [{W_MIN}, {W_MAX}], got {w}")
+    try:
+        _word_size(w)
+    except ParameterError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _parse_delta(text):
@@ -105,9 +107,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_verify(args) -> int:
     started = time.monotonic()
-    with open(args.code, "rb") as fh:
-        blob = fh.read()
-    code = deserialize(blob)
+    code = _load_code(args.code)
     _print_report(
         "verify",
         {"code": args.code},

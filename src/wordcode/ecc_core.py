@@ -43,7 +43,7 @@ from .inner_mult import (
     find_multiplier,
     inner_encode,
 )
-from .numtheory import _prime_factors
+from .numtheory import _prime_factors, _trial_division
 from .outer_rs import (
     GeneratorPoly,
     RsParams,
@@ -67,10 +67,9 @@ from .wordram import (
 
 FORMAT_VERSION = 1
 
-_DESCRIPTION_KEYS = {
-    "version", "level", "w", "B", "P", "alpha", "r_deg", "S",
-    "g_coeffs", "m", "delta_num", "delta_den", "inner",
-}
+_DESCRIPTION_INTS = ("version", "level", "w", "B", "P", "alpha", "r_deg", "S",
+                     "delta_num", "delta_den")
+_DESCRIPTION_KEYS = {*_DESCRIPTION_INTS, "g_coeffs", "m", "inner"}
 
 
 @dataclass(frozen=True)
@@ -213,20 +212,6 @@ class CostReport:
 # Construction
 
 
-def _trial_division_steps(n: int) -> int:
-    # Mirrors the is_prime loop shape so the charge tracks its work.
-    if n % 2 == 0:
-        return 1
-    steps = 1
-    d = 3
-    while d * d <= n:
-        steps += 1
-        if n % d == 0:
-            break
-        d += 2
-    return steps
-
-
 def _charge_param_search(p: RsParams, ledger: OpLedger):
     """Model cost of the prime scan and the primitive-root search.
 
@@ -235,7 +220,7 @@ def _charge_param_search(p: RsParams, ledger: OpLedger):
     as a deterministic function of the parameters found.
     """
     for n in range(1 << p.B, p.P + 1):
-        steps = _trial_division_steps(n)
+        steps = _trial_division(n)[1]
         nw = ledger.words(n.bit_length())
         ledger.charge_counted("mul", steps, nw * nw)
         ledger.charge_counted("cmp", steps, nw)
@@ -643,22 +628,27 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _check_fields(obj, what: str, fields: set, ints: tuple, prefix: str = "") -> None:
+    """`obj`, a `what`, is an object with exactly `fields`, each of `ints`
+    an int but not a bool; else CodecFormatError naming a field as
+    `prefix` + key ("inner." for a level-2 inner object)."""
+    _require(isinstance(obj, dict), f"{what} must be an object")
+    missing = fields - obj.keys()
+    _require(not missing, f"missing fields: {sorted(prefix + k for k in missing)}")
+    extra = obj.keys() - fields
+    _require(not extra, f"unknown fields: {sorted(prefix + k for k in extra)}")
+    for key in ints:
+        _require(_is_int(obj[key]), f"field {prefix + key!r} must be an integer")
+
+
 def _check_shape(obj, prefix: str = "") -> None:
     """Field names, types and format rules of one description level.
 
     Values are left to the rebuild-and-compare in `_from_obj`.  Messages
-    name fields by their path, `prefix` ("inner." for a level-2 inner
-    object) followed by the key.
+    name fields as `_check_fields` does.
     """
     at = f" at {prefix[:-1]}" if prefix else ""
-    _require(isinstance(obj, dict), "code description must be an object")
-    missing = _DESCRIPTION_KEYS - obj.keys()
-    _require(not missing, f"missing fields: {sorted(prefix + k for k in missing)}")
-    extra = obj.keys() - _DESCRIPTION_KEYS
-    _require(not extra, f"unknown fields: {sorted(prefix + k for k in extra)}")
-    for key in ("version", "level", "w", "B", "P", "alpha", "r_deg", "S",
-                "delta_num", "delta_den"):
-        _require(_is_int(obj[key]), f"field {prefix + key!r} must be an integer")
+    _check_fields(obj, "code description", _DESCRIPTION_KEYS, _DESCRIPTION_INTS, prefix)
     _require(isinstance(obj["g_coeffs"], list)
              and all(_is_int(c) for c in obj["g_coeffs"]),
              f"{prefix}g_coeffs must be a list of integers")
@@ -725,15 +715,19 @@ def deserialize(data) -> EccCode:
     CodeValidationError when any stored field differs from what the
     construction rebuilds from the stored w, delta and level.
     """
+    return _from_obj(_parse_json(data))
+
+
+def _parse_json(data):
+    """The JSON value of UTF-8 bytes or a str, else CodecFormatError."""
     if isinstance(data, (bytes, bytearray)):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CodecFormatError(f"not a text description: {exc}") from exc
     try:
-        obj = json.loads(data)
+        return json.loads(data)
     except (ValueError, RecursionError) as exc:
         # ValueError covers malformed JSON and integers past Python's
         # digit limit; RecursionError covers nesting past the stack.
         raise CodecFormatError(f"not a JSON description: {exc}") from exc
-    return _from_obj(obj)

@@ -23,14 +23,21 @@ def is_prime(n: int) -> bool:
     """Trial division up to the square root.  Valid for n < 2**32."""
     if not 0 <= n < IS_PRIME_MAX:
         raise ParameterError(f"is_prime range is [0, 2**32), got {n}")
-    if n < 2:
-        return False
+    return n >= 2 and _trial_division(n)[0]
+
+
+def _trial_division(n: int) -> tuple[bool, int]:
+    """(n is prime, divisors tried) for n >= 2: 2, then odd d up to the
+    square root, until one divides n.  The prime-scan charge counts the
+    tries."""
     if n % 2 == 0:
-        return n == 2
+        return n == 2, 1
+    steps = 1
     for d in range(3, math.isqrt(n) + 1, 2):
+        steps += 1
         if n % d == 0:
-            return False
-    return True
+            return False, steps
+    return True, steps
 
 
 @dataclass(frozen=True)

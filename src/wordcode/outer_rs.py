@@ -85,8 +85,8 @@ class RsParams:
 
     def out_layout(self, regions: int = 1) -> FieldLayout:
         """Slots holding field elements in [0, P), `regions` words of
-        out_slots each; built once per (params, regions)."""
-        return _out_layout(self, regions)
+        out_slots each."""
+        return FieldLayout(self.S, regions * self.out_slots, self.B + 1)
 
     def conv_value_bound(self) -> int:
         terms = max(self.blocks_per_word, self.r_deg) + 1
@@ -94,18 +94,8 @@ class RsParams:
 
     def conv_layout(self, regions: int = 1) -> FieldLayout:
         """Slots wide enough for raw convolution sums, pre-reduction,
-        `regions` words of out_slots each; built once per (params, regions)."""
-        return _conv_layout(self, regions)
-
-
-@lru_cache(maxsize=64)
-def _out_layout(p: RsParams, regions: int) -> FieldLayout:
-    return FieldLayout(p.S, regions * p.out_slots, p.B + 1)
-
-
-@lru_cache(maxsize=64)
-def _conv_layout(p: RsParams, regions: int) -> FieldLayout:
-    return FieldLayout(p.S, regions * p.out_slots, p.conv_value_bound())
+        `regions` words of out_slots each."""
+        return FieldLayout(self.S, regions * self.out_slots, self.conv_value_bound())
 
 
 def _derive_params_any(w: int) -> RsParams:

@@ -33,13 +33,18 @@ from .ecc_core import (
     EccCode,
     _batch_encode,
     _batch_fields,
+    _check_fields,
     _field_width,
     _from_obj,
+    _is_int,
     _key_rows,
+    _key_value,
+    _parse_json,
     _to_obj,
     encode,
 )
 from .errors import (
+    CodecError,
     CodecFormatError,
     CodeValidationError,
     DuplicateKeyError,
@@ -275,10 +280,12 @@ def read_keys_file(path, w: int) -> list:
 
 
 def write_keys_file(path, vals, bits: int):
+    """Keys as `read_keys_file` reads them, each checked first as `encode` checks it."""
     digits = -(-bits // 4)
+    lines = [format(_key_value(v, bits, f"key {i}"), f"0{digits}x") + "\n"
+             for i, v in enumerate(vals)]
     with open(path, "w", encoding="ascii") as fh:
-        for v in vals:
-            fh.write(format(v, f"0{digits}x") + "\n")
+        fh.writelines(lines)
 
 
 def signature_to_obj(f: SignatureFn) -> dict:
@@ -291,20 +298,15 @@ def signature_to_obj(f: SignatureFn) -> dict:
 
 
 def signature_from_obj(obj) -> SignatureFn:
-    if not isinstance(obj, dict):
-        raise CodecFormatError("signature description must be an object")
-    missing = {"version", "n", "positions", "code"} - obj.keys()
-    if missing:
-        raise CodecFormatError(f"missing fields: {sorted(missing)}")
+    _check_fields(obj, "signature description", {"version", "n", "positions", "code"},
+                  ("version", "n"))
     if obj["version"] != 1:
         raise CodecFormatError(
             f"unsupported signature version {obj['version']}")
-    n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    n, pos = obj["n"], obj["positions"]
+    if n < 1:
         raise CodecFormatError("n must be a positive integer")
-    pos = obj["positions"]
-    if not isinstance(pos, list) or not all(
-            isinstance(p, int) and not isinstance(p, bool) for p in pos):
+    if not isinstance(pos, list) or not all(_is_int(p) for p in pos):
         raise CodecFormatError("positions must be a list of integers")
     if len(set(pos)) != len(pos):
         # The greedy build never picks a bit twice: once chosen, no
@@ -323,12 +325,11 @@ def save_signature(path, f: SignatureFn):
 
 
 def load_signature(path) -> SignatureFn:
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            obj = json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise CodecFormatError(
-                f"{path}: signature file is not ASCII: {exc}") from exc
-        except (ValueError, RecursionError) as exc:
-            raise CodecFormatError(f"not a JSON description: {exc}") from exc
-    return signature_from_obj(obj)
+    """The signature saved at `path`, checked as `signature_from_obj`
+    checks it; every CodecError it raises starts with the path."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return signature_from_obj(_parse_json(data))
+    except CodecError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

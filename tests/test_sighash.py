@@ -356,7 +356,7 @@ def test_signature_round_trip(tmp_path):
     assert load_signature(path) == fn
 
 
-def test_signature_obj_rejects_malformed():
+def test_signature_obj_rejects_malformed(tmp_path):
     code, _ = build_code(16, None, 1)
     fn = build_signature(code, [1, 2])
     obj = signature_to_obj(fn)
@@ -386,6 +386,21 @@ def test_signature_obj_rejects_malformed():
     bad["positions"] = obj["positions"] * 2
     with pytest.raises(CodecFormatError):
         signature_from_obj(bad)
+    # The code description's field rules: integers that are not bools
+    # or floats, and exactly the listed fields.
+    for key, value in (("version", True), ("version", 1.0), ("n", 2.0),
+                       ("extra", 5)):
+        bad = dict(obj)
+        bad[key] = value
+        with pytest.raises(CodecFormatError):
+            signature_from_obj(bad)
+    # File errors start with the file's path.
+    path = tmp_path / "sig.json"
+    save_signature(path, fn)
+    path.write_bytes(path.read_bytes()[:-10])
+    with pytest.raises(CodecFormatError) as info:
+        load_signature(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_keys_file_round_trip(tmp_path):
@@ -395,6 +410,14 @@ def test_keys_file_round_trip(tmp_path):
     text = path.read_text()
     assert "1234" in text and "ffff" in text
     assert read_keys_file(path, 16) == vals
+
+
+def test_keys_file_writer_rejects_keys_the_reader_would(tmp_path):
+    path = tmp_path / "keys.txt"
+    for vals in ([1 << 16], [5, -1], [1 << 16, -1]):
+        with pytest.raises(ParameterError):
+            write_keys_file(path, vals, 16)
+        assert not path.exists()
 
 
 def test_keys_file_ignores_blank_lines(tmp_path):

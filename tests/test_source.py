@@ -1,0 +1,53 @@
+"""Source hygiene checks over the `wordcode` package."""
+
+import ast
+from pathlib import Path
+
+import wordcode
+
+PACKAGE = Path(wordcode.__file__).parent
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    """Names bound by the module's imports that it never reads.
+
+    A read is a `Name` node, or a name inside a string annotation such
+    as `"EccCode | None"`.
+    """
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        else:
+            continue
+        for part in ast.walk(annotation) if annotation else ():
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                expr = ast.parse(part.value, mode="eval")
+                used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    return sorted(f"{name} (line {line})" for name, line in bound.items()
+                  if name not in used)
+
+
+def test_no_module_imports_an_unused_name():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = {p.name: _unused_imports(ast.parse(p.read_text(encoding="utf-8")))
+              for p in modules}
+    assert {k: v for k, v in unused.items() if v} == {}
+
+
+def test_unused_import_check_sees_a_leftover():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import json\nimport numpy as np\nfrom .a import b, c\n"
+                     "x: \"c | None\" = np.zeros(1)\ny = \"b\"\n")
+    assert _unused_imports(tree) == ["b (line 4)", "json (line 2)"]
