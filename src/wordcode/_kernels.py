@@ -104,14 +104,6 @@ def limbs_to_bits(rows: np.ndarray, nbits: int) -> np.ndarray:
                          bitorder="little")
 
 
-def bits_to_limbs(bits: np.ndarray, limbs: int) -> np.ndarray:
-    """Rows of bits (column j = bit j) as little-endian uint64 limb rows."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    out = np.zeros((bits.shape[0], 8 * limbs), dtype=np.uint8)
-    out[:, :packed.shape[1]] = packed
-    return out.view("<u8")
-
-
 def batch_residues(key_cols, w, b_bits, n_blocks, bpw, prime, g_coeffs):
     """Reed-Solomon residues of the 5 split words of many keys at once.
 

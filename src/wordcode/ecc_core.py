@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import operator
 import reprlib
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -60,6 +61,7 @@ from .outer_rs import (
 from .wordram import (
     OpLedger,
     WideInt,
+    _KINDS,
     unpack_fields,
     wide_or,
     wide_shl,
@@ -138,27 +140,41 @@ class _EncodePlans:
     then looks nothing up.  The width checks, which depend only on these
     plans, run once here: each stage's output fits the next stage's
     input, each rs product reaches its reduction's layout, and the last
-    output is the codeword.  `run` chains the plans'
-    `apply` on a plain int.
+    output is the codeword.  `run` chains the plans' `apply` on a plain
+    int.  `phases` maps each encode phase (split5, rs_encode,
+    inner_encode; `inner.`-prefixed for the inner code's stages at
+    level 2) to the `OpList`s its ledgered stage posts.
     """
 
-    __slots__ = ("split", "rs", "out_layout", "split2", "rs2", "mult_layout", "mult")
+    __slots__ = ("split", "rs", "out_layout", "split2", "rs2", "mult_layout", "mult",
+                 "phases")
 
     def __init__(self, code: EccCode):
         p = code.params
         self.split = _split_plan(p)
         self.rs = _RsPlan(p, self.split.out_bits, code.gen.z_packed)
         self.out_layout = layout = p.out_layout(5)
+        # Must match what each ledgered stage posts, until the ledgered
+        # encode posts these phases itself (ROADMAP item 3(c)).
+        self.phases = {
+            "split5": (self.split.ops,),
+            "rs_encode": (self.rs.ops, self.rs.mod.ops),
+        }
         if code.level == 1:
             self.split2 = self.rs2 = None
-            self.mult_layout, ic = layout, code.inner
+            self.mult_layout = layout
+            ic, pre = code.inner, ""
         else:
             inner = code.inner_ecc
             q = inner.params
             self.split2 = _split_plan(q, layout)
             self.rs2 = _RsPlan(q, self.split2.out_bits, inner.gen.z_packed)
-            self.mult_layout, ic = q.out_layout(5 * layout.slot_count), inner.inner
+            self.mult_layout = q.out_layout(5 * layout.slot_count)
+            ic, pre = inner.inner, "inner."
+            self.phases["inner.split5"] = (self.split2.ops,)
+            self.phases["inner.rs_encode"] = (self.rs2.ops, self.rs2.mod.ops)
         self.mult = _MultPlan(ic, self.mult_layout)
+        self.phases[pre + "inner_encode"] = (self.mult.ops,)
         if self.mult.bits != code.codeword_bits:
             raise CodeValidationError(
                 f"codeword of {self.mult.bits} bits, expected {code.codeword_bits}")
@@ -183,12 +199,29 @@ class _EncodePlans:
 
 @dataclass(frozen=True)
 class CostReport:
-    """Ledger totals for one build, in model word operations at size w."""
+    """Ledger totals for one build, in model word operations at size w,
+    each derived from the phase maps: phase name -> per-kind counts.
 
-    construction_ops: dict
-    encode_ops: dict
-    generator_ops: dict
+    Build phases are param_search, generator and multiplier_scan, encode
+    phases split5, rs_encode and inner_encode; a level-2 code's inner
+    phases carry an `inner.` prefix.
+    """
+
     w: int
+    build_phases: dict
+    encode_phases: dict
+
+    @property
+    def construction_ops(self) -> dict:
+        return _kind_sums(self.build_phases)
+
+    @property
+    def encode_ops(self) -> dict:
+        return _kind_sums(self.encode_phases)
+
+    @property
+    def generator_ops(self) -> dict:
+        return dict(self.build_phases["generator"])
 
     def construction_total(self) -> int:
         return sum(self.construction_ops.values())
@@ -202,10 +235,15 @@ class CostReport:
     def as_dict(self) -> dict:
         return {
             "w": self.w,
-            "construction_ops": dict(self.construction_ops),
-            "encode_ops": dict(self.encode_ops),
-            "generator_ops": dict(self.generator_ops),
+            "construction_ops": self.construction_ops,
+            "encode_ops": self.encode_ops,
+            "generator_ops": self.generator_ops,
         }
+
+
+def _kind_sums(phases: dict) -> dict:
+    """Per-kind counts summed over every phase."""
+    return {kind: sum(ops[kind] for ops in phases.values()) for kind in _KINDS}
 
 
 # ---------------------------------------------------------------------------
@@ -270,22 +308,21 @@ def _find_multiplier_reporting(b: int, delta: Fraction,
         raise MultiplierNotFoundError(b, delta, achievable) from None
 
 
-def _build(w: int, delta, level: int, ledger: OpLedger):
+def _build(w: int, delta, level: int, phases: defaultdict, prefix: str = "") -> EccCode:
+    """Assemble the code, charging each construction phase to its own
+    ledger `phases[prefix + name]`; the level-2 inner build's prefix is `inner.`."""
     params = _derive_params_any(w)
-    _charge_param_search(params, ledger)
-    before = ledger.as_dict()
-    gen = build_generator(params, ledger)
-    after = ledger.as_dict()
-    generator_ops = {k: after[k] - before[k] for k in after}
+    _charge_param_search(params, phases[prefix + "param_search"])
+    gen = build_generator(params, phases[prefix + "generator"])
 
     if level == 1:
         d = _resolve_delta(params.B, delta)
-        inner = _find_multiplier_reporting(params.B, d, ledger)
+        inner = _find_multiplier_reporting(params.B, d, phases[prefix + "multiplier_scan"])
         inner_ecc = None
     else:
         inner = None
-        inner_ecc, _ = _build(params.B + 1, delta, 1, ledger)
-    return EccCode(level, params, gen, inner, inner_ecc), generator_ops
+        inner_ecc = _build(params.B + 1, delta, 1, phases, "inner.")
+    return EccCode(level, params, gen, inner, inner_ecc)
 
 
 def _check_build_args(w, level) -> tuple:
@@ -301,19 +338,25 @@ def build_code(w: int, delta=None, level: int = 1):
 
     delta defaults to DEFAULT_DELTA.  Level 2 recursively
     builds its inner stage as a level-1 code for word size B+1; the
-    construction ledger covers both levels, charged at word size w.
+    construction phases cover both levels, charged at word size w.  The
+    encode phases are the code's plans' declared charges; a probe encode
+    of key 0 on the ledgered route must charge exactly their sum, else
+    CodeValidationError.
     """
     w, level = _check_build_args(w, level)
-    ledger = OpLedger(w)
-    code, generator_ops = _build(w, delta, level, ledger)
+    build = defaultdict(lambda: OpLedger(w))
+    code = _build(w, delta, level, build)
+    enc = defaultdict(lambda: OpLedger(w))
+    for name, op_lists in code._plans.phases.items():
+        for ops in op_lists:
+            enc[name].post(ops)
+    report = CostReport(w, {name: led.as_dict() for name, led in build.items()},
+                        {name: led.as_dict() for name, led in enc.items()})
     probe = OpLedger(w)
     encode(code, WideInt(0, w), probe)
-    report = CostReport(
-        construction_ops=ledger.as_dict(),
-        encode_ops=probe.as_dict(),
-        generator_ops=generator_ops,
-        w=w,
-    )
+    if probe.as_dict() != report.encode_ops:
+        raise CodeValidationError(f"probe encode charged {probe.as_dict()}, "
+                                  f"its phases sum to {report.encode_ops}")
     return code, report
 
 
@@ -398,10 +441,6 @@ def _encode_nested(code: EccCode, x, ledger: OpLedger | None = None) -> WideInt:
 # Distance measurement
 
 
-def _codeword_limb_count(code: EccCode) -> int:
-    return -(-code.codeword_bits // 64)
-
-
 def _field_width(code: EccCode) -> int:
     """S of the level-1 code that multiplies: field f of a codeword sits
     at bit f * S."""
@@ -412,12 +451,13 @@ def _key_rows(keys, w: int) -> np.ndarray:
     """A key sequence as little-endian uint64 limb rows, one row per key,
     each key checked as `_key_value` checks key i.
 
-    Plain ints are converted in one step and range-checked on the top
-    limb; any other key type, and any failed check, takes the per-key
-    `_key_value` loop, which raises the same error for the same first
-    bad key.
+    Plain ints, and a rank-1 integer ndarray as its `tolist()`, are
+    converted in one step and range-checked on the top limb; any other
+    key type, and any failed check, takes the per-key `_key_value` loop,
+    which raises the same error for the same first bad key.
     """
-    keys = list(keys)
+    keys = (keys.tolist() if isinstance(keys, np.ndarray) and keys.ndim == 1
+            and keys.dtype.kind in "iu" else list(keys))
     limbs = -(-w // 64)
     if all(type(k) is int for k in keys):
         try:
@@ -514,7 +554,7 @@ def _batch_encode(code: EccCode, keys: np.ndarray) -> np.ndarray:
     `_batch_fields` chunk ends both levels.
     """
     stride = _field_width(code)
-    limbs = _codeword_limb_count(code)
+    limbs = -(-code.codeword_bits // 64)
     out = np.empty((len(keys), limbs), dtype=np.uint64)
     lo = 0
     for fields in _batch_fields(code, keys):
@@ -692,8 +732,8 @@ def _from_obj(obj) -> EccCode:
     w, level = obj["w"], obj["level"]
     try:
         _check_build_args(w, level)
-        code, _ = _build(w, Fraction(obj["delta_num"], obj["delta_den"]),
-                         level, OpLedger(w))
+        code = _build(w, Fraction(obj["delta_num"], obj["delta_den"]), level,
+                      defaultdict(lambda: OpLedger(w)))
     except (ParameterError, MultiplierError) as exc:
         raise CodeValidationError(
             f"description does not rebuild at w={reprlib.repr(w)}: {exc}"

@@ -325,25 +325,6 @@ def split5(x: WideInt, p: RsParams, ledger: OpLedger | None = None,
     return WideInt(out, plan.out_bits)
 
 
-def split5_reassemble(word: WideInt, p: RsParams) -> WideInt:
-    """Inverse of split5; test and audit helper, not on the encode path."""
-    blocks = [0] * p.n_blocks
-    region_mask = (1 << p.word_in_bits) - 1
-    for i in range(5):
-        region = (word.value >> (i * p.word_out_bits)) & region_mask
-        for t, val in enumerate(unpack_fields(WideInt(region, p.word_in_bits),
-                                              p.msg_layout())):
-            j = i + 5 * t
-            if j < p.n_blocks:
-                blocks[j] = val
-            elif val:
-                raise ParameterError(f"nonzero phantom block {j} in word {i + 1}")
-    acc = 0
-    for val in blocks:
-        acc = (acc << p.B) | val
-    return WideInt(acc >> (p.n_blocks * p.B - p.w), p.w)
-
-
 # ---------------------------------------------------------------------------
 # Generator polynomial
 

@@ -81,11 +81,6 @@ class SignatureFn:
         return tuple(zip(self.positions, range(len(self.positions))))
 
 
-def _bit_matrix(code: EccCode, keys: np.ndarray) -> np.ndarray:
-    """Rows of codeword bits, column j = codeword bit j."""
-    return _kernels.limbs_to_bits(_batch_encode(code, keys), code.codeword_bits)
-
-
 def position_cap(code: EccCode, n: int) -> int:
     """Greedy upper bound on how many positions n keys can need."""
     if n < 2:
@@ -141,7 +136,7 @@ def build_signature(code: EccCode, keys) -> SignatureFn:
     cap = position_cap(code, n)
     # `bits` holds the rows of the still-colliding keys in (class size,
     # class) order; `sizes` holds the class sizes in the same order.
-    bits = _bit_matrix(code, rows)
+    bits = _kernels.limbs_to_bits(_batch_encode(code, rows), code.codeword_bits)
     sizes = np.array([n])
     while sizes.size:
         pos = int(np.argmax(_separated(bits, sizes)))

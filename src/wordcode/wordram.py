@@ -30,9 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from ._kernels import bits_to_limbs
 from .errors import LayoutError, ReciprocalError
 
 
@@ -344,16 +341,11 @@ def unpack_fields(word: WideInt, layout: FieldLayout, ledger: OpLedger | None = 
     if ledger is not None:
         ledger.charge_counted("shift", n, ledger.words(word.bits))
         ledger.charge_counted("bitwise", n, ledger.words(word.bits))
-    total = layout.total_bits
-    raw = np.frombuffer(word.value.to_bytes(-(-word.bits // 8), "little"),
-                        dtype=np.uint8, count=-(-total // 8))
-    bits = np.unpackbits(raw, bitorder="little", count=total)
-    rows = bits_to_limbs(bits.reshape(n, sw), -(-sw // 64))
-    # Join each slot's limbs, most significant first, in object integers.
-    acc = rows[:, -1].astype(object)
-    for t in range(rows.shape[1] - 2, -1, -1):
-        acc = (acc << 64) | rows[:, t].astype(object)
-    return acc.tolist()
+    # One byte string, then each slot from the few bytes it spans.
+    data = word.value.to_bytes(-(-word.bits // 8), "little")
+    mask = (1 << sw) - 1
+    return [(int.from_bytes(data[lo >> 3:(lo + sw + 7) >> 3], "little") >> (lo & 7))
+            & mask for lo in range(0, n * sw, sw)]
 
 
 # ---------------------------------------------------------------------------

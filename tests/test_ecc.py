@@ -24,6 +24,7 @@ from wordcode.ecc_core import (
     CostReport,
     EccCode,
     _batch_encode,
+    _charge_param_search,
     _chunk_keys,
     _encode_nested,
     _key_rows,
@@ -36,10 +37,20 @@ from wordcode.ecc_core import (
     serialize,
 )
 from wordcode._kernels import paired_min_hamming
-from wordcode.outer_rs import build_generator, derive_params, split5
+from wordcode.inner_mult import find_multiplier, inner_encode
+from wordcode.outer_rs import (
+    W_MAX,
+    W_MIN,
+    _derive_params_any,
+    build_generator,
+    derive_params,
+    rs_encode,
+    split5,
+)
 from wordcode.wordram import FieldLayout, OpLedger, WideInt, unpack_fields
 
 BENCH_MODEL = Path(__file__).resolve().parents[1] / "BENCH_model.json"
+KINDS = ("add", "sub", "mul", "shift", "bitwise", "cmp")
 
 
 def encode_oracle(code, x):
@@ -108,8 +119,13 @@ def test_build_pinned_w64_level2():
 def test_build_rejects_bad_args():
     with pytest.raises(ParameterError):
         build_code(9, None, 1)
-    with pytest.raises(ParameterError):
-        build_code(8193, None, 1)
+    # The word-size cap holds at both levels; level 1 alone would also
+    # refuse W_MAX + 1 for its symbol width (B_MAX).
+    for level in (1, 2):
+        with pytest.raises(ParameterError,
+                           match=rf"word size must be in \[{W_MIN}, {W_MAX}\], "
+                                 rf"got {W_MAX + 1}$"):
+            build_code(W_MAX + 1, None, level)
     with pytest.raises(ParameterError):
         build_code(64, None, 3)
     # w and level go through operator.index, delta through Fraction; a
@@ -339,8 +355,8 @@ def test_encode_key_rule():
 def test_key_array_matches_key_value(w):
     # The bulk intake keeps the per-key rule: the same values, or the
     # same error naming the same first bad key.  The cases include keys
-    # one limb too wide, keys that fit the limbs but not w, and a bad key
-    # after many good ones.
+    # one limb too wide, keys that fit the limbs but not w, a bad key
+    # after many good ones, and numpy arrays of every rank and kind.
     top = (1 << w) - 1
     limb_top = 1 << (64 * -(-w // 64))
     cases = [[], [0, 1, top], [3, -1, 4], [5, 1 << w, 6], [7, 1 << 64, -2],
@@ -348,7 +364,10 @@ def test_key_array_matches_key_value(w):
              [np.uint64(5), 9], [4, WideInt(1, w + 1)], [WideInt(top, w), 0],
              [-1, 2.5], [top, limb_top], [top, limb_top - 1], [2, True],
              [top, np.int64(-1)], [top, np.uint64(7)], [WideInt(3, w), top],
-             list(range(40)) + [top + 1], list(range(40)) + [-3]]
+             list(range(40)) + [top + 1], list(range(40)) + [-3],
+             np.array([0, 5, min(top, 2**64 - 1)], dtype=np.uint64),
+             np.array([3, 2**63 + 1], dtype=np.uint64), np.array([3, 250], dtype=np.uint8),
+             np.array([3, -1]), np.array([[1, 2]], dtype=np.uint64), np.array([1.0, 2.0])]
     for keys in cases:
         try:
             want = [_key_value(k, w, f"key {i}") for i, k in enumerate(keys)]
@@ -377,6 +396,32 @@ def test_key_array_takes_plain_ints_in_bulk(monkeypatch, w):
     want = _key_rows(keys, w)
     monkeypatch.setattr(ecc_core, "_key_value", per_key)
     assert np.array_equal(_key_rows(keys, w), want)
+
+
+@pytest.mark.parametrize("w", [10, 63, 64, 256])
+def test_key_rows_take_integer_arrays_in_bulk(monkeypatch, w):
+    # A rank-1 integer ndarray of valid keys, unsigned or signed (what
+    # np.array(list_of_ints) gives), never reaches the per-key loop and
+    # gives the rows of the list of the same keys; bad keys in arrays
+    # are in test_key_array_matches_key_value.
+    import wordcode.ecc_core as ecc_core
+
+    rng = random.Random(w)
+    keys = [0, (1 << min(w, 64)) - 1] + [rng.getrandbits(min(w, 64)) for _ in range(100)]
+    cases = [np.array(keys, dtype=np.uint64), np.array(keys[2:], dtype=np.uint64)[::2],
+             np.array([k & 0xFF for k in keys], dtype=np.uint8),
+             np.array([k & 0x3FF for k in keys], dtype=np.uint16),
+             np.array([k >> 2 for k in keys]), np.array([k & 0x7F for k in keys], dtype=np.int8),
+             np.array([], dtype=np.uint32)]
+    want = [_key_rows([int(k) for k in arr], w) for arr in cases]
+
+    def per_key(*_):
+        raise AssertionError("per-key loop on an integer array")
+
+    monkeypatch.setattr(ecc_core, "_key_value", per_key)
+    for arr, rows in zip(cases, want):
+        got = _key_rows(arr, w)
+        assert got.dtype == np.uint64 and np.array_equal(got, rows)
 
 
 def test_encode_cost_value_independent_and_matches_report():
@@ -457,6 +502,71 @@ def test_generator_phase_isolated_in_report():
         led = OpLedger(w)
         build_generator(derive_params(w), led)
         assert report.generator_ops == led.as_dict()
+
+
+PHASE_CODES = [(w, 1) for w in (10, 16, 64, 256, 1024)] + [(w, 2) for w in (10, 64, 1024, 8192)]
+
+
+def _kind_sum(phases):
+    return {k: sum(ops[k] for ops in phases.values()) for k in KINDS}
+
+
+@pytest.mark.parametrize("w, level", PHASE_CODES)
+def test_phases_sum_to_report_totals(w, level):
+    # Every total is the per-kind sum of its phases, and each phase is
+    # what its own step charges when run alone into a fresh ledger at w.
+    code, report = build_code(w, None, level)
+    assert report.construction_ops == _kind_sum(report.build_phases)
+    assert report.encode_ops == _kind_sum(report.encode_phases)
+    assert report.generator_ops == report.build_phases["generator"]
+    assert isinstance(report, CostReport) and report.w == w
+
+    def alone(step, *args, **kw):
+        led = OpLedger(w)
+        out = step(*args, ledger=led, **kw)
+        return out, led.as_dict()
+
+    builds, encodes = {}, {}
+    x = WideInt(random.Random(w).getrandbits(w), w)
+    p = code.params
+    ic, prefix = code, ""
+    words, encodes["split5"] = alone(split5, x, p)
+    resid, encodes["rs_encode"] = alone(rs_encode, words, code.gen, p)
+    layout = p.out_layout(5)
+    if level == 2:
+        ic, prefix = code.inner_ecc, "inner."
+        q = ic.params
+        words, encodes["inner.split5"] = alone(split5, resid, q, symbols=layout)
+        resid, encodes["inner.rs_encode"] = alone(rs_encode, words, ic.gen, q)
+        layout = q.out_layout(5 * layout.slot_count)
+    cw, encodes[prefix + "inner_encode"] = alone(inner_encode, resid, ic.inner, layout)
+    assert cw == encode(code, x)
+    for c, pre in [(code, "")] + ([(ic, prefix)] if level == 2 else []):
+        cp = _derive_params_any(c.params.w)
+        _, builds[pre + "param_search"] = alone(_charge_param_search, cp)
+        _, builds[pre + "generator"] = alone(build_generator, cp)
+    _, builds[prefix + "multiplier_scan"] = alone(
+        find_multiplier, ic.params.B, ic.delta)
+    assert report.build_phases == builds
+    assert report.encode_phases == encodes
+    assert list(report.build_phases) == list(builds)
+    assert list(report.encode_phases) == list(encodes)
+
+
+def test_probe_encode_must_charge_its_phases(monkeypatch):
+    # A ledgered encode that charges anything its plans do not declare
+    # fails the build.
+    import wordcode.ecc_core as ecc_core
+
+    def overcharging(word, ic, layout, ledger=None, **kw):
+        if ledger is not None:
+            ledger.charge_bitwise(1)
+        return inner_encode(word, ic, layout, ledger, **kw)
+
+    monkeypatch.setattr(ecc_core, "inner_encode", overcharging)
+    for level in (1, 2):
+        with pytest.raises(CodeValidationError, match="probe encode charged"):
+            build_code(64, None, level)
 
 
 def test_level2_construction_cost_trend():

@@ -20,7 +20,6 @@ from wordcode.outer_rs import (
     min_weight_multiple_check,
     rs_encode,
     split5,
-    split5_reassemble,
 )
 from wordcode.inner_mult import InnerCode, _MultPlan
 from wordcode.wordram import (
@@ -48,6 +47,25 @@ def symbolic_generator(P, alpha, r_deg):
             nxt[j] = (nxt[j] - root * c) % P
         coeffs = nxt
     return coeffs
+
+
+def split5_reassemble(word, p):
+    """Inverse of split5: the key back from its five message words."""
+    blocks = [0] * p.n_blocks
+    region_mask = (1 << p.word_in_bits) - 1
+    for i in range(5):
+        region = (word.value >> (i * p.word_out_bits)) & region_mask
+        for t, val in enumerate(unpack_fields(WideInt(region, p.word_in_bits),
+                                              p.msg_layout())):
+            j = i + 5 * t
+            if j < p.n_blocks:
+                blocks[j] = val
+            else:
+                assert val == 0, f"nonzero phantom block {j} in word {i + 1}"
+    acc = 0
+    for val in blocks:
+        acc = (acc << p.B) | val
+    return WideInt(acc >> (p.n_blocks * p.B - p.w), p.w)
 
 
 def symbolic_poly_mul(msg, gen, P, out_len):
@@ -101,7 +119,7 @@ def test_derive_params_range():
     with pytest.raises(ParameterError):
         derive_params(9)
     with pytest.raises(ParameterError):
-        derive_params(8193)
+        derive_params(W_MAX + 1)
     with pytest.raises(ParameterError, match="word size must be an integer, not float"):
         derive_params(64.0)
     derive_params(10)

@@ -4,7 +4,9 @@
 inner_encode, unpack_fields, wide_or, wide_shl, ...) with wrappers that
 add each call's ledger delta to a section.  A renamed or bypassed name
 would make the sections stop summing to the ledger; this test catches
-that without a full `perfbench/run.py --trace 1` run.  Only ledgered
+that without a full `perfbench/run.py --trace 1` run.  The library's
+own phases (`CostReport.build_phases` and `encode_phases`) must equal
+those sections once `inner.X` is folded into X.  Only ledgered
 encodes call the stages by name: a plain encode runs the code's plans
 straight through and records no stage span.  The keyset calls are
 checked the same way: a renamed or bypassed kernel would leave its
@@ -25,6 +27,14 @@ def _children(spans, parent):
     return Counter(s[0] for s in spans if s[3] == parent)
 
 
+def _folded(phases, names):
+    """Phase totals with `inner.X` folded into X, over `names`."""
+    out = dict.fromkeys(names, 0)
+    for name, ops in phases.items():
+        out[name.removeprefix("inner.")] += sum(ops.values())
+    return out
+
+
 def test_traced_sections_sum_to_ledger(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
@@ -34,7 +44,8 @@ def test_traced_sections_sum_to_ledger(monkeypatch):
     tracer.install()
     tracer.recording = True
     try:
-        codes = [ecc_core.build_code(w, None, level)[0] for w, level in CODES]
+        built = [ecc_core.build_code(w, None, level) for w, level in CODES]
+        codes = [code for code, _ in built]
         tracer.request = 1  # the encodes are timed calls, the builds set-up
         for code in codes:
             w = code.params.w
@@ -49,6 +60,12 @@ def test_traced_sections_sum_to_ledger(monkeypatch):
     builds, encodes, problems = spans.model_op_sections(tracer.spans)
     assert problems == []
     assert set(builds) == set(encodes) == set(CODES)
+    # The library's declared phases are the sections the wrappers see,
+    # for every build and every ledgered encode (probes included).
+    for code, report in built:
+        key = (code.params.w, code.level)
+        assert builds[key] == _folded(report.build_phases, spans.BUILD_SECTIONS), key
+        assert encodes[key] == _folded(report.encode_phases, spans.ENCODE_SECTIONS), key
     for (w, level), sections in encodes.items():
         assert sections["split5"] and sections["rs_encode"]
         assert sections["concat"] == 0, (w, level)
