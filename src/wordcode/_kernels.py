@@ -72,15 +72,12 @@ def scan_multiplier(b_bits: int, m_lo: int, m_hi: int, threshold: int) -> int:
     return -1
 
 
-def min_pairwise_hamming(limbs: np.ndarray, stop_below: int = 0) -> int:
+def min_pairwise_hamming(limbs: np.ndarray) -> int:
     n = limbs.shape[0]
     best = 1 << 62
     for i in range(n - 1):
         d = int(np.bitwise_count(limbs[i + 1:] ^ limbs[i]).sum(axis=1).min())
-        if d < best:
-            best = d
-            if best < stop_below:
-                return best
+        best = min(best, d)
     return best
 
 

@@ -59,6 +59,7 @@ from .outer_rs import (
     split5,
 )
 from .wordram import (
+    FieldLayout,
     OpLedger,
     WideInt,
     _KINDS,
@@ -132,28 +133,32 @@ class EccCode:
 
 
 class _EncodePlans:
-    """Every plan one code's encode runs, resolved on its first encode.
+    """Every plan one level of a code's encode runs, for `symbols`:
+    one key, or a word of keys in that layout's slots.
 
-    Level 1 runs split, rs and the inner multiply on the five words;
-    level 2 adds the inner code's split over every residue (`split2`)
-    and its rs (`rs2`), and multiplies on their layout.  A warm encode
-    then looks nothing up.  The width checks, which depend only on these
-    plans, run once here: each stage's output fits the next stage's
-    input, each rs product reaches its reduction's layout, and the last
-    output is the codeword.  `run` chains the plans' `apply` on a plain
-    int.  `phases` maps each encode phase (split5, rs_encode,
-    inner_encode; `inner.`-prefixed for the inner code's stages at
-    level 2) to the `OpList`s its ledgered stage posts.
+    The level splits and rs-encodes its keys, leaving their residues on
+    `layout`.  Level 1 then multiplies them (`mult`); level 2 hands them
+    to `inner`, its inner code's plans with `layout` as symbols, so a
+    level-2 encode is the outer stage plus the inner code's plans over
+    every residue.  `EccCode._plans` resolves them on a code's first
+    encode, so a warm encode looks nothing up.  The width checks, which
+    depend only on the plans, run once per level here: the split fits
+    the rs multiply, its product reaches the residue layout, and the
+    output is `bits`, the codewords of all keys.  `run` chains the
+    plans' `apply` on a plain int.  `phases` maps each encode phase
+    (split5, rs_encode, inner_encode; the inner code's under `inner.`)
+    to the `OpList`s its ledgered stage posts.
     """
 
-    __slots__ = ("split", "rs", "out_layout", "split2", "rs2", "mult_layout", "mult",
-                 "phases")
+    __slots__ = ("symbols", "split", "rs", "layout", "mult", "inner", "bits", "phases")
 
-    def __init__(self, code: EccCode):
+    def __init__(self, code: EccCode, symbols: FieldLayout | None = None):
         p = code.params
-        self.split = _split_plan(p)
+        count = 1 if symbols is None else symbols.slot_count
+        self.symbols = symbols
+        self.split = _split_plan(p, symbols)
         self.rs = _RsPlan(p, self.split.out_bits, code.gen.z_packed)
-        self.out_layout = layout = p.out_layout(5)
+        self.layout = p.out_layout(5 * count)
         # Must match what each ledgered stage posts, until the ledgered
         # encode posts these phases itself (ROADMAP item 3(c)).
         self.phases = {
@@ -161,40 +166,30 @@ class _EncodePlans:
             "rs_encode": (self.rs.ops, self.rs.mod.ops),
         }
         if code.level == 1:
-            self.split2 = self.rs2 = None
-            self.mult_layout = layout
-            ic, pre = code.inner, ""
+            self.mult = _MultPlan(code.inner, self.layout)
+            self.inner = None
+            self.bits = self.mult.bits
+            self.phases["inner_encode"] = (self.mult.ops,)
         else:
-            inner = code.inner_ecc
-            q = inner.params
-            self.split2 = _split_plan(q, layout)
-            self.rs2 = _RsPlan(q, self.split2.out_bits, inner.gen.z_packed)
-            self.mult_layout = q.out_layout(5 * layout.slot_count)
-            ic, pre = inner.inner, "inner."
-            self.phases["inner.split5"] = (self.split2.ops,)
-            self.phases["inner.rs_encode"] = (self.rs2.ops, self.rs2.mod.ops)
-        self.mult = _MultPlan(ic, self.mult_layout)
-        self.phases[pre + "inner_encode"] = (self.mult.ops,)
-        if self.mult.bits != code.codeword_bits:
-            raise CodeValidationError(
-                f"codeword of {self.mult.bits} bits, expected {code.codeword_bits}")
-        fits = self.split.out_bits + self.rs.z_bits >= self.rs.mod.bits
-        if code.level == 1:
-            fits = fits and self.rs.mod.bits <= self.mult.bits
-        else:
-            fits = (fits and self.rs.mod.bits <= layout.total_bits
-                    and self.split2.out_bits + self.rs2.z_bits >= self.rs2.mod.bits
-                    and self.rs2.mod.bits <= self.mult.bits)
-        if not fits:
+            self.mult = None
+            self.inner = _EncodePlans(code.inner_ecc, self.layout)
+            self.bits = self.inner.bits
+            for name, op_lists in self.inner.phases.items():
+                self.phases["inner." + name] = op_lists
+        if self.bits != count * code.codeword_bits:
+            raise CodeValidationError(f"codewords of {self.bits} bits, "
+                                      f"expected {count * code.codeword_bits}")
+        if (self.split.out_bits + self.rs.z_bits < self.rs.mod.bits
+                or self.rs.mod.bits > self.layout.total_bits):
             raise CodeValidationError("encode stage widths do not chain")
 
-    def run(self, v: int) -> WideInt:
-        """The codeword of key v, a plain int already checked to be in
-        [0, 2^w)."""
+    def run(self, v: int) -> int:
+        """The codewords of v, a plain int of keys already checked to
+        fit `symbols` (one key: in [0, 2^w))."""
         v = self.rs.apply(self.split.apply(v))
-        if self.split2 is not None:
-            v = self.rs2.apply(self.split2.apply(v))
-        return WideInt(self.mult.apply(v), self.mult.bits)
+        if self.inner is None:
+            return self.mult.apply(v)
+        return self.inner.run(v)
 
 
 @dataclass(frozen=True)
@@ -272,11 +267,11 @@ def _charge_param_search(p: RsParams, ledger: OpLedger):
 
 
 def _resolve_delta(b: int, delta) -> Fraction:
+    if b > B_MAX:
+        raise ParameterError(
+            f"no inner code is searchable for {b}-bit symbols; "
+            f"the word size needs a level-2 construction")
     if delta is None:
-        if b > B_MAX:
-            raise ParameterError(
-                f"no inner code is searchable for {b}-bit symbols; "
-                f"the word size needs a level-2 construction")
         return DEFAULT_DELTA
     try:
         return Fraction(delta)
@@ -386,33 +381,31 @@ def encode(code: EccCode, x, ledger: OpLedger | None = None) -> WideInt:
 
     split5 and rs_encode leave the 5 * out_slots residues in codeword
     order, word i from bit i * word_out_bits, slot 0 lowest.  Level 1
-    scales them all by m with one inner_encode.  Level 2 runs the inner
-    level-1 pipeline once over every residue at the same time: one
-    split5 spreads the residues to stride inner.codeword_bits and deals
-    each into its five inner words, then one rs_encode and one
+    scales them all by m with one inner_encode.  Level 2 then runs its
+    inner level-1 code once over every residue at the same time: the
+    inner split5 spreads the residues to stride inner.codeword_bits and
+    deals each into its five inner words, then one rs_encode and one
     inner_encode leave residue s's inner codeword at bit
     s * inner.codeword_bits.  Either way a constant number of
     whole-word operations; `_encode_nested` is the per-residue route.
 
     Without a ledger, the code's resolved plans run straight through on
-    the key's int (`_EncodePlans.run`).  With one, the spec route calls
-    each stage by name, and each posts its plan's declared charges to
-    the ledger in one call; both routes run the same plan arithmetic.
+    the key's int (`_EncodePlans.run`).  With one, the spec route is one
+    loop over the levels, calling each stage by name, and each stage
+    posts its plan's declared charges to the ledger in one call; both
+    routes run the same plan arithmetic.
     """
-    p = code.params
+    plans, w = code._plans, code.params.w
     if ledger is None:
-        return code._plans.run(_key_value(x, p.w))
-    x = WideInt(_key_value(x, p.w), p.w)
-    plans = code._plans
-    resid = rs_encode(split5(x, p, ledger, plan=plans.split), code.gen, p, ledger,
-                      plan=plans.rs)
-    if code.level == 1:
-        return inner_encode(resid, code.inner, plans.out_layout, ledger, plan=plans.mult)
-    inner = code.inner_ecc
-    q = inner.params
-    words = split5(resid, q, ledger, plans.out_layout, plan=plans.split2)
-    return inner_encode(rs_encode(words, inner.gen, q, ledger, plan=plans.rs2),
-                        inner.inner, plans.mult_layout, ledger, plan=plans.mult)
+        return WideInt(plans.run(_key_value(x, w)), plans.bits)
+    x = WideInt(_key_value(x, w), w)
+    while True:
+        p = code.params
+        words = split5(x, p, ledger, plans.symbols, plan=plans.split)
+        x = rs_encode(words, code.gen, p, ledger, plan=plans.rs)
+        if plans.inner is None:
+            return inner_encode(x, code.inner, plans.layout, ledger, plan=plans.mult)
+        code, plans = code.inner_ecc, plans.inner
 
 
 def _encode_nested(code: EccCode, x, ledger: OpLedger | None = None) -> WideInt:

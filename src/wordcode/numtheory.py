@@ -72,15 +72,6 @@ def find_field_prime(B: int) -> FieldPrime:
     return FieldPrime(B, n, scan)
 
 
-def pow_mod(a: int, e: int, p: int) -> int:
-    """a**e mod p.  The builtin pow already is square-and-multiply."""
-    if p < 2:
-        raise ParameterError(f"modulus must be at least 2, got {p}")
-    if e < 0:
-        raise ParameterError(f"negative exponent {e}")
-    return pow(a, e, p)
-
-
 def _prime_factors(n: int) -> list[int]:
     """Distinct prime factors by trial division, ascending."""
     out = []
@@ -116,6 +107,6 @@ def find_primitive_root(p: int) -> PrimitiveRoot:
         return PrimitiveRoot(2, 1)
     factors = _prime_factors(p - 1)
     for a in range(2, p):
-        if all(pow_mod(a, (p - 1) // q, p) != 1 for q in factors):
+        if all(pow(a, (p - 1) // q, p) != 1 for q in factors):
             return PrimitiveRoot(p, a)
     raise ParameterError(f"no primitive root below {p}; {p} cannot be prime")

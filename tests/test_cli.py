@@ -173,6 +173,15 @@ def test_distance_exhaustive_too_wide(code16_path, capsys):
     assert "error" in err
 
 
+def test_build_past_b_max_needs_level_2(tmp_path, capsys):
+    # A level-1 word size past B_MAX is a domain error whatever the delta.
+    for delta in ((), ("--delta", "1/2")):
+        rc, _, err = run(capsys, "build", "--w", "2048", *delta,
+                         "--out", str(tmp_path / "x.json"))
+        assert rc == 1
+        assert "needs a level-2 construction" in err
+
+
 def test_distance_requires_mode(code16_path, capsys):
     rc, _, _ = run(capsys, "distance", "--code", code16_path)
     assert rc == 2
@@ -209,6 +218,10 @@ def test_bench_bad_w_list(tmp_path, capsys):
     rc, _, _ = run(capsys, "bench", "--w-list", "6,64",
                    "--out", str(tmp_path / "b.csv"))
     assert rc == 2
+    rc, _, err = run(capsys, "bench", "--w-list", ",",
+                     "--out", str(tmp_path / "b.csv"))
+    assert rc == 2
+    assert "at least one word size" in err
 
 
 def test_bench_partial_on_build_failure(tmp_path, capsys):

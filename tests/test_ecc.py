@@ -141,9 +141,12 @@ def test_build_rejects_bad_args():
         with pytest.raises(ParameterError, match=msg):
             build_code(*args)
     assert build_code(np.int64(64), None, np.int8(2)) == build_code(64, None, 2)
-    # No default delta past B_MAX: the symbols are too wide for level 1.
+    # No level-1 code past B_MAX, whatever the delta: the symbols are too
+    # wide for the multiplier search.
     with pytest.raises(ParameterError, match="no inner code is searchable for 13-bit"):
         build_code(8192, None, 1)
+    with pytest.raises(ParameterError, match="11-bit symbols; the word size needs a level-2"):
+        build_code(2048, "1/2", 1)
 
 
 def test_build_not_found_attaches_achievable_delta():
@@ -283,15 +286,15 @@ def test_plain_encode_keeps_the_level2_spill_guard():
     # so both routes refuse it.
     code = _route_code(64, 2)
     plans = code._plans
-    layout = plans.out_layout
+    layout = plans.layout
     q = code.inner_ecc.params
     bad = 1 << layout.value_bound  # slot 0 one bit past the bound
-    assert plans.split2.spill & bad
+    assert plans.inner.split.spill & bad
     with pytest.raises(ParameterError, match="does not hold"):
-        plans.split2.apply(bad)
+        plans.inner.split.apply(bad)
     with pytest.raises(ParameterError, match="does not hold"):
         split5(WideInt(bad, layout.total_bits), q, OpLedger(64), layout,
-               plan=plans.split2)
+               plan=plans.inner.split)
     # At level 1 there is no gap to guard.
     assert _route_code(64, 1)._plans.split.spill == 0
 
@@ -612,6 +615,26 @@ def test_distance_exhaustive_rejected_above_w12():
         distance_report(code, "exhaustive")
 
 
+def _weakened(code: EccCode) -> EccCode:
+    """The code with its innermost multiplier replaced by 1, which keeps
+    the construction's floor but not its distance."""
+    if code.level == 1:
+        return dataclasses.replace(code, inner=dataclasses.replace(code.inner, m=1))
+    return dataclasses.replace(code, inner_ecc=_weakened(code.inner_ecc))
+
+
+@pytest.mark.parametrize("level, found", [(1, 3), (2, 7)])
+def test_distance_report_rejects_a_code_below_its_floor(level, found):
+    code = _weakened(build_code(10, None, level)[0])
+    floor = code.guaranteed_min_bits()
+    assert found < floor
+    for kwargs in ({"mode": "exhaustive"},
+                   {"mode": "random", "samples": 20_000, "seed": 0}):
+        with pytest.raises(CodeValidationError,
+                           match=f"distance {found} bits violates the guaranteed floor {floor}"):
+            distance_report(code, **kwargs)
+
+
 def test_distance_random_deterministic_by_seed():
     code, _ = build_code(64, None, 1)
     a = distance_report(code, "random", samples=5000, seed=3)
@@ -742,6 +765,8 @@ def test_deserialize_rejects_malformed():
     blob = serialize(code)
     with pytest.raises(CodecFormatError):
         deserialize(b"not json at all")
+    with pytest.raises(CodecFormatError, match="not a text description"):
+        deserialize(b"\xff")
     with pytest.raises(CodecFormatError):
         deserialize(blob[: len(blob) // 2])
     with pytest.raises(CodecFormatError):

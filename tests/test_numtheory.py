@@ -1,7 +1,6 @@
 """Tests for primality, prime search, and primitive roots."""
 
 import math
-import random
 
 import pytest
 
@@ -11,7 +10,6 @@ from wordcode.numtheory import (
     find_field_prime,
     find_primitive_root,
     is_prime,
-    pow_mod,
 )
 
 
@@ -66,27 +64,6 @@ def test_find_field_prime_range():
         find_field_prime(1)
     with pytest.raises(ParameterError):
         find_field_prime(25)
-
-
-def test_pow_mod_pinned_values():
-    assert pow_mod(3, 0, 17) == 1
-    assert pow_mod(2, 10, 67) == 19
-    rng = random.Random(0)
-    for _ in range(100):
-        a = rng.randrange(1, 67)
-        assert pow_mod(a, 66, 67) == 1   # Fermat
-
-
-def test_pow_mod_matches_repeated_multiplication():
-    rng = random.Random(1)
-    for _ in range(200):
-        p = rng.choice([17, 67, 257, 8209])
-        a = rng.randrange(p)
-        e = rng.randrange(50)
-        acc = 1
-        for _ in range(e):
-            acc = acc * a % p
-        assert pow_mod(a, e, p) == acc
 
 
 def test_primitive_root_pinned():

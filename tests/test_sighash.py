@@ -371,6 +371,10 @@ def test_signature_obj_rejects_malformed(tmp_path):
     with pytest.raises(CodecFormatError):
         signature_from_obj(bad)
     bad = dict(obj)
+    bad["positions"] = 1
+    with pytest.raises(CodecFormatError, match="positions must be a list of integers"):
+        signature_from_obj(bad)
+    bad = dict(obj)
     bad["positions"] = [code.codeword_bits]
     with pytest.raises(CodecFormatError):
         signature_from_obj(bad)

@@ -51,3 +51,21 @@ def test_unused_import_check_sees_a_leftover():
                      "import json\nimport numpy as np\nfrom .a import b, c\n"
                      "x: \"c | None\" = np.zeros(1)\ny = \"b\"\n")
     assert _unused_imports(tree) == ["b (line 4)", "json (line 2)"]
+
+
+def _asserts(tree: ast.Module) -> list:
+    """Line numbers of the module's `assert` statements, ascending."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
+
+
+def test_no_module_guards_with_assert():
+    # Guarantees are explicit errors: `python -O` strips every assert.
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = {p.name: _asserts(ast.parse(p.read_text(encoding="utf-8"))) for p in modules}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_assert_check_sees_a_guard():
+    tree = ast.parse("x = 1\nassert x, 'set'\ndef f(y):\n    assert y > 0\n    return y\n")
+    assert _asserts(tree) == [2, 4]

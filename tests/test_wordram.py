@@ -274,6 +274,13 @@ def test_pack_rejects_out_of_bound():
         pack_fields([0], layout)
 
 
+def test_unpack_rejects_a_word_shorter_than_its_layout():
+    layout = FieldLayout(8, 2, 4)
+    assert unpack_fields(WideInt(0x0302, 16), layout) == [2, 3]
+    with pytest.raises(LayoutError, match="word of 15 bits shorter than layout"):
+        unpack_fields(WideInt(0x0302, 15), layout)
+
+
 def test_layout_validation():
     with pytest.raises(LayoutError):
         FieldLayout(0, 1, 0)
