@@ -15,7 +15,14 @@ import sys
 import time
 from fractions import Fraction
 
-from .ecc_core import build_code, deserialize, distance_report, encode, serialize
+from .ecc_core import (
+    _read_file,
+    build_code,
+    deserialize,
+    distance_report,
+    encode,
+    serialize,
+)
 from .errors import ParameterError, WordcodeError
 from .outer_rs import _word_size
 from .sighash import (
@@ -63,8 +70,9 @@ def _parse_hex(text: str, w: int) -> int:
 
 
 def _load_code(path):
-    with open(path, "rb") as fh:
-        return deserialize(fh.read())
+    """The code described at `path`; every CodecError it raises starts
+    with the path, as `load_signature`'s do."""
+    return _read_file(path, deserialize)
 
 
 def _print_report(command: str, params: dict, results: dict, started: float):

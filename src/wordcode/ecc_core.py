@@ -28,6 +28,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import (
+    CodecError,
     CodecFormatError,
     CodecVersionError,
     CodeValidationError,
@@ -38,13 +39,12 @@ from .errors import (
 from .inner_mult import (
     B_MAX,
     DEFAULT_DELTA,
-    DELTA_LADDER,
     InnerCode,
     _MultPlan,
     find_multiplier,
     inner_encode,
 )
-from .numtheory import _prime_factors, _trial_division
+from .numtheory import _prime_factors
 from .outer_rs import (
     GeneratorPoly,
     RsParams,
@@ -248,22 +248,20 @@ def _kind_sums(phases: dict) -> dict:
 def _charge_param_search(p: RsParams, ledger: OpLedger):
     """Model cost of the prime scan and the primitive-root search.
 
-    Both searches run on host integers; the ledger charge reconstructs
-    the count of model-word multiply/compare steps they correspond to,
-    as a deterministic function of the parameters found.
+    Both searches run on host integers; the charge is a closed form in
+    what they found.  Each trial division of the prime scan, counted in
+    its own record `p.prime.trial_steps`, is one multiply and one
+    compare at B+1 bits: every candidate lies in [2^B, P] and
+    P < 2^(B+1).  Each root candidate 2..alpha tests every prime q
+    dividing P-1 by square-and-multiply with a reduction per step,
+    2 * bitlen((P-1)/q) multiplies at P's width.
     """
-    for n in range(1 << p.B, p.P + 1):
-        steps = _trial_division(n)[1]
-        nw = ledger.words(n.bit_length())
-        ledger.charge_counted("mul", steps, nw * nw)
-        ledger.charge_counted("cmp", steps, nw)
-    pw = ledger.words(p.P.bit_length())
-    factors = _prime_factors(p.P - 1)
-    for a in range(2, p.alpha + 1):
-        for q in factors:
-            exp_bits = ((p.P - 1) // q).bit_length()
-            # Square-and-multiply with a reduction per step.
-            ledger.charge_counted("mul", 2 * exp_bits, pw * pw)
+    steps, bits = p.prime.trial_steps, p.B + 1
+    ledger.charge("mul", bits, bits, count=steps)
+    ledger.charge("cmp", bits, count=steps)
+    per_root = sum(2 * ((p.P - 1) // q).bit_length() for q in _prime_factors(p.P - 1))
+    pbits = p.P.bit_length()
+    ledger.charge("mul", pbits, pbits, count=(p.alpha - 1) * per_root)
 
 
 def _resolve_delta(b: int, delta) -> Fraction:
@@ -282,25 +280,13 @@ def _resolve_delta(b: int, delta) -> Fraction:
 
 def _find_multiplier_reporting(b: int, delta: Fraction,
                                ledger: OpLedger) -> InnerCode:
-    """Search; on failure, re-raise with the best achievable delta attached.
-
-    "Achievable" is probed over the standard delta ladder, strongest
-    first, so the reported fallback is always one a retry can use.
-    """
+    """Search; on failure, re-raise with `DEFAULT_DELTA` attached as the
+    achievable delta: it succeeds at every B up to `B_MAX`, and a smaller
+    delta only lowers the threshold, so only a delta above it can fail."""
     try:
         return find_multiplier(b, delta, ledger)
     except MultiplierNotFoundError:
-        achievable = None
-        for cand in DELTA_LADDER:
-            if cand >= delta:
-                continue
-            try:
-                find_multiplier(b, cand)
-            except MultiplierError:
-                continue
-            achievable = cand
-            break
-        raise MultiplierNotFoundError(b, delta, achievable) from None
+        raise MultiplierNotFoundError(b, delta, DEFAULT_DELTA) from None
 
 
 def _build(w: int, delta, level: int, phases: defaultdict, prefix: str = "") -> EccCode:
@@ -749,6 +735,17 @@ def deserialize(data) -> EccCode:
     construction rebuilds from the stored w, delta and level.
     """
     return _from_obj(_parse_json(data))
+
+
+def _read_file(path, parse):
+    """parse(the bytes of the file at `path`); every CodecError it
+    raises starts with the path."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return parse(data)
+    except CodecError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _parse_json(data):

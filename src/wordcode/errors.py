@@ -35,8 +35,9 @@ class ImpossibleThresholdError(MultiplierError, ValueError):
 class MultiplierNotFoundError(MultiplierError):
     """Exhaustive search ended with no multiplier meeting the threshold.
 
-    `achievable` carries the largest ladder fraction that does succeed for
-    this word size, or None when even the smallest fails.
+    `achievable` carries a delta that does succeed for this word size:
+    `build_code` attaches `DEFAULT_DELTA`, which reaches its threshold at
+    every searchable B.  A bare `find_multiplier` failure leaves it None.
     """
 
     def __init__(self, bits, delta, achievable=None):

@@ -25,17 +25,8 @@ from .wordram import FieldLayout, OpLedger, OpList, WideInt
 
 B_MAX = 10
 
-# Thresholds to try, strongest first, when a caller wants the best
-# achievable distance rather than a specific one.
-DELTA_LADDER = (
-    Fraction(1, 2),
-    Fraction(1, 3),
-    Fraction(1, 4),
-    Fraction(1, 6),
-)
-
-# The full scan finds a multiplier for the top of the ladder at every
-# supported B, so that is the default everywhere.
+# The full scan finds a multiplier for this delta at every supported B,
+# so it is the default everywhere, and any smaller delta succeeds too.
 DEFAULT_DELTA = Fraction(1, 2)
 
 
@@ -78,11 +69,9 @@ def _charge_scan(ledger: OpLedger, b: int, candidates: int):
     """
     values = 1 << (b + 1)
     pairs = values * (values - 1) // 2
-    mul_units = ledger.words(b + 1) * ledger.words(3 * (b + 1))
-    pair_units = ledger.words(4 * (b + 1))
-    ledger.charge_counted("mul", candidates * values, mul_units)
-    ledger.charge_counted("bitwise", candidates * pairs, pair_units)
-    ledger.charge_counted("cmp", candidates * pairs, pair_units)
+    ledger.charge("mul", b + 1, 3 * (b + 1), count=candidates * values)
+    ledger.charge("bitwise", 4 * (b + 1), count=candidates * pairs)
+    ledger.charge("cmp", 4 * (b + 1), count=candidates * pairs)
 
 
 def find_multiplier(b: int, delta, ledger: OpLedger | None = None) -> InnerCode:

@@ -28,8 +28,8 @@ def is_prime(n: int) -> bool:
 
 def _trial_division(n: int) -> tuple[bool, int]:
     """(n is prime, divisors tried) for n >= 2: 2, then odd d up to the
-    square root, until one divides n.  The prime-scan charge counts the
-    tries."""
+    square root, until one divides n.  `find_field_prime` sums the tries
+    of its scan."""
     if n % 2 == 0:
         return n == 2, 1
     steps = 1
@@ -42,34 +42,40 @@ def _trial_division(n: int) -> tuple[bool, int]:
 
 @dataclass(frozen=True)
 class FieldPrime:
-    """Smallest prime at or above 2^B, plus how far the scan walked."""
+    """Smallest prime at or above 2^B, plus how far the scan walked:
+    `scan_length` candidates, `trial_steps` trial divisions over all of
+    them.  The prime-scan charge reads the steps."""
 
     B: int
     P: int
     scan_length: int
+    trial_steps: int
 
 
 def find_field_prime(B: int) -> FieldPrime:
     """Scan upward from 2^B to the first prime.
 
-    The scan length is recorded and, for B ≥ 8, checked against the
-    window 2^ceil(0.525*B) + 1 that the prime-gap bound promises; a
-    violation would mean the arithmetic here is broken, not the math.
+    The scan length and its trial divisions are recorded.  For B ≥ 8
+    the length is checked against the window 2^ceil(0.525*B) + 1 that
+    the prime-gap bound promises; a violation would mean the arithmetic
+    here is broken, not the math.
     """
     if not 2 <= B <= FIELD_BITS_MAX:
         raise ParameterError(f"field size B must be in [2, {FIELD_BITS_MAX}], got {B}")
-    start = 1 << B
-    n = start
-    while not is_prime(n):
-        n += 1
-        if n >= (1 << (B + 1)):
-            raise ParameterError(f"no prime in [2^{B}, 2^{B + 1})")
+    start, steps = 1 << B, 0
+    for n in range(start, 1 << (B + 1)):
+        prime, tried = _trial_division(n)
+        steps += tried
+        if prime:
+            break
+    else:
+        raise ParameterError(f"no prime in [2^{B}, 2^{B + 1})")
     scan = n - start + 1
     if B >= 8 and scan > (1 << math.ceil(0.525 * B)) + 1:
         raise ParameterError(
             f"prime scan for B={B} walked {scan} candidates, past the window bound"
         )
-    return FieldPrime(B, n, scan)
+    return FieldPrime(B, n, scan, steps)
 
 
 def _prime_factors(n: int) -> list[int]:

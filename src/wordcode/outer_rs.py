@@ -364,7 +364,7 @@ def build_generator(p: RsParams, ledger: OpLedger | None = None) -> GeneratorPol
     a_i = alpha
     for _ in range(2, r + 1):
         if ledger is not None:
-            ledger.charge_mul(prime_p.bit_length(), prime_p.bit_length())
+            ledger.charge("mul", prime_p.bit_length(), prime_p.bit_length())
         a_i = div_by_const(a_i * alpha, pow_rec, ledger)[1]
         mono = pack_fields([prime_p - a_i, 1], coeff_layout, ledger)
         # No slot of the product overflows gen_layout: slot k is

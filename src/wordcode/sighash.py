@@ -40,11 +40,11 @@ from .ecc_core import (
     _key_rows,
     _key_value,
     _parse_json,
+    _read_file,
     _to_obj,
     encode,
 )
 from .errors import (
-    CodecError,
     CodecFormatError,
     CodeValidationError,
     DuplicateKeyError,
@@ -322,9 +322,4 @@ def save_signature(path, f: SignatureFn):
 def load_signature(path) -> SignatureFn:
     """The signature saved at `path`, checked as `signature_from_obj`
     checks it; every CodecError it raises starts with the path."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return signature_from_obj(_parse_json(data))
-    except CodecError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+    return _read_file(path, lambda data: signature_from_obj(_parse_json(data)))

@@ -11,11 +11,14 @@ operation is charged in machine words:
 
 Values are held as host Python integers inside `WideInt`, which pins an
 explicit bit width so that charges depend only on declared widths, never
-on the numeric value that happens to be stored.  Since the widths are
-fixed per plan, each encode-stage plan declares its operations once as
-an `OpList` of (kind, bits_a, bits_b) records, and the stage posts them
-with one `OpLedger.post` call; the per-kind word units are tallied once
-per ledger word size and cached on the list.
+on the numeric value that happens to be stored.  The rules above live
+in one place, `OpLedger.op_units`, and reach a ledger two ways.
+`OpLedger.charge` charges `count` operations of one kind at the given
+widths; every caller passes widths, never word units.  Since the widths
+are fixed per plan, each encode-stage plan declares its operations once
+as an `OpList` of (kind, bits_a, bits_b) records, and the stage posts
+them with one `OpLedger.post` call; the per-kind word units are tallied
+once per ledger word size and cached on the list.
 
 The packed-field routines treat one wide integer as an array of fixed
 width slots (slot 0 least significant).  `parallel_mod` reduces every
@@ -116,10 +119,10 @@ class OpLedger:
 
     `word_bits` is the model word size w.  The ledger never inspects
     operand values, only declared bit widths, so two runs over different
-    inputs of the same shape always charge identically.  Single
-    operations go through the `charge_*` methods; an encode stage posts
-    its plan's whole `OpList` with `post`.  Both apply the one set of
-    cost rules in `op_units`.
+    inputs of the same shape always charge identically.  `charge` counts
+    operations of one kind at given widths; an encode stage posts its
+    plan's whole `OpList` with `post`.  Both apply the one set of cost
+    rules in `op_units`, the only place word units are computed.
     """
 
     word_bits: int
@@ -146,17 +149,15 @@ class OpLedger:
             return self.words(bits_a + bits_b)
         return max(self.words(bits_a), self.words(bits_b))
 
-    def charge_sub(self, bits_a: int, bits_b: int = 0):
-        self.sub += self.op_units("sub", bits_a, bits_b)
-
-    def charge_mul(self, bits_a: int, bits_b: int):
-        self.mul += self.op_units("mul", bits_a, bits_b)
-
-    def charge_shift(self, bits_operand: int, bits_in: int = 0):
-        self.shift += self.op_units("shift", bits_operand, bits_in)
-
-    def charge_bitwise(self, bits_a: int, bits_b: int = 0):
-        self.bitwise += self.op_units("bitwise", bits_a, bits_b)
+    def charge(self, kind: str, bits_a: int, bits_b: int = 0, count: int = 1):
+        """Charge `count` `kind` operations on operands of the given
+        widths, in one call however large the count."""
+        if kind not in _KINDS:
+            raise ValueError(f"unknown op kind {kind!r}")
+        if count < 0:
+            raise ValueError(f"negative count {count}")
+        units = self.op_units(kind, bits_a, bits_b)
+        setattr(self, kind, getattr(self, kind) + count * units)
 
     def post(self, ops: OpList):
         """Charge every operation of `ops` in one call."""
@@ -173,18 +174,6 @@ class OpLedger:
         self.shift += shift
         self.bitwise += bitwise
         self.cmp += cmp
-
-    def charge_counted(self, kind: str, count: int, word_units: int):
-        """Post `count` operations of `word_units` words each in one go.
-
-        Bulk accounting for construction-time searches, where posting
-        billions of unit charges one call at a time is not practical.
-        """
-        if kind not in _KINDS:
-            raise ValueError(f"unknown op kind {kind!r}")
-        if count < 0 or word_units < 0:
-            raise ValueError("counts must be non-negative")
-        setattr(self, kind, getattr(self, kind) + count * word_units)
 
     def total(self) -> int:
         return self.add + self.sub + self.mul + self.shift + self.bitwise + self.cmp
@@ -208,7 +197,7 @@ class OpLedger:
 
 def wide_mul(a: WideInt, b: WideInt, ledger: OpLedger | None = None) -> WideInt:
     if ledger is not None:
-        ledger.charge_mul(a.bits, b.bits)
+        ledger.charge("mul", a.bits, b.bits)
     return WideInt(a.value * b.value, a.bits + b.bits)
 
 
@@ -216,13 +205,13 @@ def wide_shl(a: WideInt, amount: int, ledger: OpLedger | None = None) -> WideInt
     if amount < 0:
         raise ValueError(f"negative shift {amount}")
     if ledger is not None:
-        ledger.charge_shift(a.bits, amount)
+        ledger.charge("shift", a.bits, amount)
     return WideInt(a.value << amount, a.bits + amount)
 
 
 def wide_or(a: WideInt, b: WideInt, ledger: OpLedger | None = None) -> WideInt:
     if ledger is not None:
-        ledger.charge_bitwise(a.bits, b.bits)
+        ledger.charge("bitwise", a.bits, b.bits)
     return WideInt(a.value | b.value, max(a.bits, b.bits))
 
 
@@ -231,7 +220,7 @@ def wide_trunc(a: WideInt, bits: int, ledger: OpLedger | None = None) -> WideInt
     if bits < 0:
         raise LayoutError(f"negative width {bits}")
     if ledger is not None:
-        ledger.charge_bitwise(a.bits)
+        ledger.charge("bitwise", a.bits)
     return WideInt(a.value & ((1 << bits) - 1), bits)
 
 
@@ -244,7 +233,7 @@ def hamming(a: WideInt, b: WideInt, ledger: OpLedger | None = None) -> int:
     if a.bits != b.bits:
         raise LayoutError(f"width mismatch: {a.bits} vs {b.bits}")
     if ledger is not None:
-        ledger.charge_bitwise(a.bits, b.bits)
+        ledger.charge("bitwise", a.bits, b.bits)
     return (a.value ^ b.value).bit_count()
 
 
@@ -314,9 +303,9 @@ def pack_fields(values, layout: FieldLayout, ledger: OpLedger | None = None) -> 
         i, v = next((i, v) for i, v in enumerate(values) if not 0 <= v < bound)
         raise LayoutError(f"slot {i} value {v} outside [0, {bound})")
     if ledger is not None:
-        ledger.charge_counted("shift", 1, sum(
-            ledger.words(layout.value_bound + i * sw) for i in range(1, n)))
-        ledger.charge_counted("bitwise", n, ledger.words(layout.total_bits))
+        for i in range(1, n):
+            ledger.charge("shift", layout.value_bound, i * sw)
+        ledger.charge("bitwise", layout.total_bits, count=n)
     # Join neighbours pairwise, doubling the run width each round; an
     # odd run out stays last, which is where its slots belong.
     acc, width = values, sw
@@ -339,8 +328,8 @@ def unpack_fields(word: WideInt, layout: FieldLayout, ledger: OpLedger | None = 
         )
     n, sw = layout.slot_count, layout.slot_width
     if ledger is not None:
-        ledger.charge_counted("shift", n, ledger.words(word.bits))
-        ledger.charge_counted("bitwise", n, ledger.words(word.bits))
+        ledger.charge("shift", word.bits, count=n)
+        ledger.charge("bitwise", word.bits, count=n)
     # One byte string, then each slot from the few bytes it spans.
     data = word.value.to_bytes(-(-word.bits // 8), "little")
     mask = (1 << sw) - 1
@@ -415,10 +404,10 @@ def div_by_const(c: int, rec: Reciprocal, ledger: OpLedger | None = None) -> tup
     q = (c * rec.magic) >> rec.shift
     if ledger is not None:
         qbits = (((1 << rec.value_bits) - 1) // rec.divisor).bit_length()
-        ledger.charge_mul(rec.value_bits, rec.magic.bit_length())
-        ledger.charge_shift(rec.value_bits + rec.magic.bit_length())
-        ledger.charge_mul(qbits, rec.divisor.bit_length())
-        ledger.charge_sub(rec.value_bits, rec.value_bits)
+        ledger.charge("mul", rec.value_bits, rec.magic.bit_length())
+        ledger.charge("shift", rec.value_bits + rec.magic.bit_length())
+        ledger.charge("mul", qbits, rec.divisor.bit_length())
+        ledger.charge("sub", rec.value_bits, rec.value_bits)
     return q, c - q * rec.divisor
 
 

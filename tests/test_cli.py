@@ -113,6 +113,24 @@ def test_hostile_json_is_one_error_line(tmp_path, capsys, text):
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("data", [b'{"version": 1}', b"\xff\xfe"],
+                         ids=["missing-fields", "not-utf8"])
+def test_malformed_code_file_error_names_the_file(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    keys = tmp_path / "keys.txt"
+    keys.write_text("0001\n")
+    for argv in (("verify", "--code", str(path)),
+                 ("encode", "--code", str(path), "--hex", "0000"),
+                 ("sighash", "build", "--code", str(path), "--keys", str(keys),
+                  "--out", str(tmp_path / "s.json"))):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {path}: ")
+
+
 def test_verify_missing_file(tmp_path, capsys):
     rc, _, _ = run(capsys, "verify", "--code", str(tmp_path / "nope.json"))
     assert rc == 1

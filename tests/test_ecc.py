@@ -38,6 +38,7 @@ from wordcode.ecc_core import (
 )
 from wordcode._kernels import paired_min_hamming
 from wordcode.inner_mult import find_multiplier, inner_encode
+from wordcode.numtheory import _prime_factors, _trial_division
 from wordcode.outer_rs import (
     W_MAX,
     W_MIN,
@@ -556,6 +557,36 @@ def test_phases_sum_to_report_totals(w, level):
     assert list(report.encode_phases) == list(encodes)
 
 
+def param_search_replay(p, word_bits):
+    """The param-search charge replayed candidate by candidate, word
+    units worked out by hand: each prime-scan candidate n's trial
+    divisions at words(n.bit_length()), then the root search one
+    candidate root at a time."""
+    led = OpLedger(word_bits)
+    for n in range(1 << p.B, p.P + 1):
+        steps = _trial_division(n)[1]
+        nw = led.words(n.bit_length())
+        led.mul += steps * nw * nw
+        led.cmp += steps * nw
+    pw = led.words(p.P.bit_length())
+    for _ in range(2, p.alpha + 1):
+        for q in _prime_factors(p.P - 1):
+            # Square-and-multiply with a reduction per step.
+            led.mul += 2 * ((p.P - 1) // q).bit_length() * pw * pw
+    return led
+
+
+@pytest.mark.parametrize("b", range(2, 14))
+def test_param_search_charge_equals_per_candidate_replay(b):
+    # Every B a build reaches at w <= 8192, at both levels.
+    p = _derive_params_any(1 << b)
+    for word_bits in (1, 3, b, b + 1, 1 << b, 64):
+        led = OpLedger(word_bits)
+        _charge_param_search(p, led)
+        assert led == param_search_replay(p, word_bits)
+        assert led.mul > 0 and led.cmp > 0
+
+
 def test_probe_encode_must_charge_its_phases(monkeypatch):
     # A ledgered encode that charges anything its plans do not declare
     # fails the build.
@@ -563,7 +594,7 @@ def test_probe_encode_must_charge_its_phases(monkeypatch):
 
     def overcharging(word, ic, layout, ledger=None, **kw):
         if ledger is not None:
-            ledger.charge_bitwise(1)
+            ledger.charge("bitwise", 1)
         return inner_encode(word, ic, layout, ledger, **kw)
 
     monkeypatch.setattr(ecc_core, "inner_encode", overcharging)

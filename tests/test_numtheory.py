@@ -7,6 +7,7 @@ import pytest
 from wordcode.errors import ParameterError
 from wordcode.numtheory import (
     FieldPrime,
+    _trial_division,
     find_field_prime,
     find_primitive_root,
     is_prime,
@@ -57,6 +58,14 @@ def test_find_field_prime_minimality_and_window():
         assert fp.scan_length == fp.P - (1 << b) + 1
         if b >= 8:
             assert fp.scan_length <= (1 << math.ceil(0.525 * b)) + 1
+
+
+def test_field_prime_records_its_trial_divisions():
+    # Every B a build reaches at w <= 8192, at both levels.
+    for b in range(2, 14):
+        fp = find_field_prime(b)
+        assert fp.trial_steps == sum(_trial_division(n)[1]
+                                     for n in range(1 << b, fp.P + 1))
 
 
 def test_find_field_prime_range():

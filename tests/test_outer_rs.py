@@ -518,7 +518,7 @@ def op_by_op(word_bits, *op_lists):
     led = OpLedger(word_bits)
     for ops in op_lists:
         for kind, bits_a, bits_b in ops.ops:
-            getattr(led, f"charge_{kind}")(bits_a, bits_b)
+            led.charge(kind, bits_a, bits_b)
     return led
 
 

@@ -178,10 +178,10 @@ def test_ledgered_sig_eval_charges_encode_plus_gather(level):
     # shift it to j, OR it into the j bits so far.
     gather = OpLedger(w)
     for j, pos in enumerate(fn.positions):
-        gather.charge_shift(code.codeword_bits)
-        gather.charge_bitwise(code.codeword_bits - pos)
-        gather.charge_shift(1, j)
-        gather.charge_bitwise(j, j + 1)
+        gather.charge("shift", code.codeword_bits)
+        gather.charge("bitwise", code.codeword_bits - pos)
+        gather.charge("shift", 1, j)
+        gather.charge("bitwise", j, j + 1)
     want = {k: report.encode_ops[k] + v for k, v in gather.as_dict().items()}
     assert sum(gather.as_dict().values()) > 0
     for x in keys:

@@ -69,3 +69,25 @@ def test_no_module_guards_with_assert():
 def test_assert_check_sees_a_guard():
     tree = ast.parse("x = 1\nassert x, 'set'\ndef f(y):\n    assert y > 0\n    return y\n")
     assert _asserts(tree) == [2, 4]
+
+
+def _word_unit_calls(tree: ast.Module) -> list:
+    """Line numbers of the module's calls to a `.words(` attribute, ascending."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute) and node.func.attr == "words")
+
+
+def test_only_wordram_computes_word_units():
+    # Every charge passes bit widths, so `OpLedger.op_units` is the one
+    # place the cost rules turn bits into word units.
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "wordram.py")
+    assert modules
+    found = {p.name: _word_unit_calls(ast.parse(p.read_text(encoding="utf-8")))
+             for p in modules}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_word_unit_check_sees_a_call():
+    tree = ast.parse("n = led.words(8)\nwords(3)\nx = a.b.words(\n    1) + 2\nled.words\n")
+    assert _word_unit_calls(tree) == [1, 3]

@@ -135,6 +135,28 @@ def test_shift_charges_shifted_in_bits():
     assert led.shift == 3
 
 
+def test_charge_rejects_unknown_kind_and_negative_count():
+    led = OpLedger(64)
+    with pytest.raises(ValueError, match="unknown op kind 'div'"):
+        led.charge("div", 64)
+    with pytest.raises(ValueError, match="negative count -1"):
+        led.charge("add", 64, count=-1)
+    assert led.total() == 0
+
+
+@pytest.mark.parametrize("kind", ["add", "sub", "mul", "shift", "bitwise", "cmp"])
+def test_counted_charge_equals_single_charges(kind):
+    for word_bits, bits_a, bits_b in ((64, 130, 65), (8, 3, 17), (10, 0, 0)):
+        for k in (0, 1, 5):
+            bulk, single = OpLedger(word_bits), OpLedger(word_bits)
+            bulk.charge(kind, bits_a, bits_b, count=k)
+            for _ in range(k):
+                single.charge(kind, bits_a, bits_b)
+            assert bulk == single
+            assert bulk.total() == bulk.as_dict()[kind] == k * bulk.op_units(
+                kind, bits_a, bits_b)
+
+
 def test_ledger_determinism():
     def run():
         led = OpLedger(32)
