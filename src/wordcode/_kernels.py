@@ -1,14 +1,15 @@
 """Hot loops behind the model-level API, vectorised with numpy.
 
 Everything here is a bit-exact accelerator for searches and bulk
-measurements: multiplier scans, all-pairs Hamming minima, and the two
-pieces of the batch encoder, which serve every word size at both
-levels: Reed-Solomon residues of many keys at once, with blocks cut
-straight from the key limbs, and the join of fields below 2^S, S < 64,
-at stride S into limb rows.  None of it touches the operation ledger;
-model costs are always charged by the calling layer from closed-form
-counts, so how a kernel orders or cuts short its work never changes a
-ledger.  `np.bitwise_count` needs NumPy 2.0 or later.
+measurements: multiplier scans, the one pair scorer (least Hamming
+distance over paired key columns), the one banded convolution mod P,
+and the two pieces of the batch encoder, which serve every word size at
+both levels: Reed-Solomon residues of many keys at once, with blocks
+cut straight from the key limbs, and the join of fields below 2^S,
+S < 64, at stride S into limb rows.  None of it touches the operation
+ledger; model costs are always charged by the calling layer from
+closed-form counts, so how a kernel orders or cuts short its work never
+changes a ledger.  `np.bitwise_count` needs NumPy 2.0 or later.
 """
 
 from __future__ import annotations
@@ -72,26 +73,18 @@ def scan_multiplier(b_bits: int, m_lo: int, m_hi: int, threshold: int) -> int:
     return -1
 
 
-def min_pairwise_hamming(limbs: np.ndarray) -> int:
-    n = limbs.shape[0]
-    best = 1 << 62
-    for i in range(n - 1):
-        d = int(np.bitwise_count(limbs[i + 1:] ^ limbs[i]).sum(axis=1).min())
-        best = min(best, d)
-    return best
-
-
 def paired_min_hamming(a: np.ndarray, b: np.ndarray) -> int:
     """Least Hamming distance between columns a[:, k] and b[:, k].
 
     Keys are columns, as `batch_residues` returns them: row f holds
-    field f of every key.  Fields of one key must not share a bit
-    position once joined (they sit at disjoint strides), so a key pair's
-    distance is the sum over rows of popcount(a ^ b).
+    field f of every key, or limb f of every joined codeword.  Either
+    side may be one column, broadcast against every column of the
+    other.  Fields of one key must not share a bit position once joined
+    (they sit at disjoint strides), so a key pair's distance is the sum
+    over rows of popcount(a ^ b).  No pair gives 2^62.
     """
-    if a.shape[1] == 0:
-        return 1 << 62
-    return int(np.bitwise_count(a ^ b).sum(axis=0).min())
+    dist = np.bitwise_count(a ^ b).sum(axis=0)
+    return int(dist.min()) if dist.size else 1 << 62
 
 
 def limbs_to_bits(rows: np.ndarray, nbits: int) -> np.ndarray:
@@ -112,7 +105,7 @@ def batch_residues(key_cols, w, b_bits, n_blocks, bpw, prime, g_coeffs):
     straddles at most two limbs, so two gathers, shifts and a mask cut
     every block.  Word j carries blocks j, j + 5, ...; its residue is
     the banded convolution of its blocks with the generator, reduced
-    mod `prime`.  Returns uint64 residues of shape
+    mod `prime` (`poly_mul_mod`).  Returns uint64 residues of shape
     (5 * (bpw + r_deg), keys), word j's slot k in row j * (bpw + r_deg) + k.
     """
     limbs, n = key_cols.shape
@@ -131,16 +124,27 @@ def batch_residues(key_cols, w, b_bits, n_blocks, bpw, prime, g_coeffs):
     msg[cross] |= keys[q[cross] + 1] << (np.uint64(64) - off[cross])
     msg &= np.uint64((1 << b_bits) - 1)
     msg[block >= n_blocks] = 0
-    # One multiply-add per generator coefficient.  A sum has at most
-    # bpw terms, each below 2^B * prime, so it is exact in uint64 at
-    # every word size (below 2^55 at w = 2^20).
-    msg = msg.reshape(5, bpw, n)
-    acc = np.zeros((5, bpw + len(g_coeffs) - 1, n), dtype=np.uint64)
+    return poly_mul_mod(msg.reshape(5, bpw, n), g_coeffs, prime).reshape(-1, n)
+
+
+def poly_mul_mod(msg: np.ndarray, g_coeffs, prime: int) -> np.ndarray:
+    """Products of uint64 messages with the generator, reduced mod `prime`.
+
+    Message coefficients run along axis -2, lowest degree first, and
+    keys along axis -1, so the banded convolution is one multiply-add
+    per generator coefficient over whole rows.  A sum has at most
+    bpw = msg.shape[-2] terms, each below max(msg) * prime, so for
+    messages below 2^B or below `prime` it is exact in uint64 at every
+    word size (below 2^55 at w = 2^20).  Returns shape
+    (..., bpw + len(g_coeffs) - 1, keys), every entry in [0, prime).
+    """
+    *lead, bpw, n = msg.shape
+    acc = np.zeros((*lead, bpw + len(g_coeffs) - 1, n), dtype=np.uint64)
     for i, c in enumerate(g_coeffs):
-        acc[:, i:i + bpw] += msg * np.uint64(c)
+        acc[..., i:i + bpw, :] += msg * np.uint64(c)
     p = np.uint64(prime)
     acc -= acc // p * p
-    return acc.reshape(-1, n)
+    return acc
 
 
 def join_fields(fields: np.ndarray, width: int, limbs: int) -> np.ndarray:

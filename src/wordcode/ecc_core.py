@@ -558,7 +558,8 @@ def distance_report(code: EccCode, mode: str = "random",
     exhaustive: all pairs of all 2^w inputs; only for w <= 12.
     random: `samples` pairs of distinct inputs from a seeded generator,
     scored from their innermost fields one `_batch_fields` chunk at a
-    time, so no codeword is joined.
+    time, so no codeword is joined.  Both modes score their pairs with
+    `_kernels.paired_min_hamming`.
 
     Raises CodeValidationError if any checked pair lands below the
     construction's guaranteed floor, since that would disprove the code.
@@ -569,9 +570,10 @@ def distance_report(code: EccCode, mode: str = "random",
             raise ParameterError(
                 f"exhaustive distance scan caps at w=12, got w={p.w}")
         n = 1 << p.w
-        keys = np.arange(n, dtype=np.uint64)
-        limbs = _batch_encode(code, keys)
-        min_bits = _kernels.min_pairwise_hamming(limbs)
+        cols = np.ascontiguousarray(_batch_encode(code, np.arange(n, dtype=np.uint64)).T)
+        # Each key's codeword, one broadcast column, against every later key's.
+        min_bits = min(_kernels.paired_min_hamming(cols[:, i:i + 1], cols[:, i + 1:])
+                       for i in range(n - 1))
         pairs = n * (n - 1) // 2
     elif mode == "random":
         samples, seed = _check_sampling(samples, seed)

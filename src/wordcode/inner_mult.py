@@ -11,6 +11,7 @@ multiplication encodes every slot of a packed word at once.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -86,7 +87,7 @@ def find_multiplier(b: int, delta, ledger: OpLedger | None = None) -> InnerCode:
         # delta > 1 territory; no code of this length can separate pairs
         # that far, so refuse before scanning.
         raise ImpossibleThresholdError(
-            f"threshold {t} exceeds code length {4 * (b + 1)} bits"
+            f"threshold {reprlib.repr(t)} exceeds code length {4 * (b + 1)} bits"
         )
     m_hi = 1 << (3 * (b + 1))
     m = _kernels.scan_multiplier(b, 1, m_hi, t)

@@ -24,6 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _kernels
 from .errors import ParameterError
 from .numtheory import FieldPrime, PrimitiveRoot, find_field_prime, find_primitive_root
 from .wordram import (
@@ -435,9 +436,10 @@ def min_weight_multiple_check(g: GeneratorPoly, p: RsParams,
 
     Messages are polynomials of degree < blocks_per_word over GF(P);
     their products with g are what rs_encode emits, so this is a direct
-    measurement of the outer code's distance.  The result must reach
-    r_deg + 1 (BCH bound for consecutive-power roots); falling short
-    would mean the field arithmetic is broken, and raises.
+    measurement of the outer code's distance.  The products come from
+    `_kernels.poly_mul_mod`, the batch encoder's convolution.  The
+    result must reach r_deg + 1 (BCH bound for consecutive-power roots);
+    falling short would mean the field arithmetic is broken, and raises.
     """
     prime_p, bpw, out_len = p.P, p.blocks_per_word, p.out_slots
     if mode == "exhaustive":
@@ -448,9 +450,7 @@ def min_weight_multiple_check(g: GeneratorPoly, p: RsParams,
                 f" cap 2^20; use mode='random'"
             )
         idx = np.arange(1, count, dtype=np.int64)
-        msgs = np.empty((count - 1, bpw), dtype=np.int64)
-        for j in range(bpw):
-            msgs[:, j] = (idx // prime_p**j) % prime_p
+        msgs = idx[:, None] // prime_p ** np.arange(bpw) % prime_p
     elif mode == "random":
         samples, seed = _check_sampling(samples, seed)
         rng = np.random.default_rng(seed)
@@ -464,17 +464,13 @@ def min_weight_multiple_check(g: GeneratorPoly, p: RsParams,
     else:
         raise ParameterError(f"unknown mode {mode!r}")
 
-    gen = np.asarray(g.coeffs, dtype=np.int64)
+    # Messages as columns, in chunks of at most 2^22 product entries.
+    cols = np.ascontiguousarray(msgs.T, dtype=np.uint64)
+    chunk = (1 << 22) // out_len
     best = out_len + 1
-    chunk = 1 << 16
-    for lo in range(0, msgs.shape[0], chunk):
-        part = msgs[lo:lo + chunk]
-        conv = np.zeros((part.shape[0], out_len), dtype=np.int64)
-        for j in range(bpw):
-            for k, gk in enumerate(gen):
-                conv[:, j + k] += part[:, j] * int(gk)
-        weights = np.count_nonzero(conv % prime_p, axis=1)
-        best = min(best, int(weights.min()))
+    for lo in range(0, cols.shape[1], chunk):
+        conv = _kernels.poly_mul_mod(cols[:, lo:lo + chunk], g.coeffs, prime_p)
+        best = min(best, int(np.count_nonzero(conv, axis=0).min()))
     if best < p.r_deg + 1:
         raise ParameterError(
             f"observed multiple of weight {best}, below the BCH bound {p.r_deg + 1}"

@@ -255,7 +255,7 @@ def _hex_key(text: str, w: int, name: str) -> int:
 
 
 def read_keys_file(path, w: int) -> list:
-    """One key per line, as `_hex_key` spells it, each below 2^w."""
+    """One key per line, as `_hex_key` spells it, each checked as `encode` checks it."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
@@ -267,10 +267,7 @@ def read_keys_file(path, w: int) -> list:
         if not line:
             continue
         val = _hex_key(line, w, f"{path}:{lineno}: keys")
-        if val >= (1 << w):
-            raise ParameterError(
-                f"{path}:{lineno}: key exceeds 2^{w}")
-        vals.append(val)
+        vals.append(_key_value(val, w, f"{path}:{lineno}: key"))
     return vals
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from wordcode.cli import BENCH_HEADER, main
 from wordcode.ecc_core import build_code, serialize
-from wordcode.sighash import build_signature, save_signature, write_keys_file
+from wordcode.sighash import save_signature, write_keys_file
 
 
 def run(capsys, *argv):
@@ -69,6 +69,19 @@ def test_build_bad_delta(tmp_path, capsys):
                      "--out", str(tmp_path / "x.json"))
     assert rc == 2
     assert "delta" in err
+
+
+def test_build_huge_delta_is_one_short_error_line(tmp_path, capsys):
+    # The threshold this delta asks for has 400 digits; the message
+    # shortens it.
+    out = tmp_path / "c.json"
+    rc, stdout, err = run(capsys, "build", "--w", "64", "--delta", "1e400",
+                          "--out", str(out))
+    assert rc == 1
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: threshold ")
+    assert len(err) < 200
+    assert not out.exists()
 
 
 def test_build_explicit_delta(tmp_path, capsys):

@@ -640,6 +640,15 @@ def test_distance_exhaustive_level2_w10():
     assert rep["min_bits"] >= code.guaranteed_min_bits()
 
 
+@pytest.mark.parametrize("level, min_bits", [(1, 4), (2, 10)])
+def test_distance_exhaustive_w12_frozen(level, min_bits):
+    # Frozen; a change means the codewords or the pair scoring changed.
+    code, _ = build_code(12, None, level)
+    rep = distance_report(code, "exhaustive")
+    assert rep["min_bits"] == min_bits
+    assert rep["pairs_checked"] == (1 << 12) * ((1 << 12) - 1) // 2
+
+
 def test_distance_exhaustive_rejected_above_w12():
     code, _ = build_code(16, None, 1)
     with pytest.raises(ParameterError):

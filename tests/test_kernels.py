@@ -79,25 +79,36 @@ def test_pair_min_distance_backends_agree():
                     == pair_min_distance_oracle(m, bits))
 
 
-def test_min_pairwise_hamming_backends_agree():
+def all_pairs_min(rows):
+    """Least distance over all pairs of limb rows, scored as exhaustive
+    `distance_report` scores them: keys as contiguous columns, each
+    key's one column broadcast against every later key's."""
+    cols = np.ascontiguousarray(rows.T)
+    return min(_kernels.paired_min_hamming(cols[:, i:i + 1], cols[:, i + 1:])
+               for i in range(cols.shape[1] - 1))
+
+
+def test_broadcast_pair_scoring_sees_a_duplicate():
     rng = np.random.default_rng(7)
     rows = rng.integers(0, 1 << 63, size=(64, 5), dtype=np.uint64)
-    assert _kernels.min_pairwise_hamming(rows) > 0
+    assert all_pairs_min(rows) > 0
     # Duplicate a row: the minimum collapses to zero.
     rows[10] = rows[42]
-    assert _kernels.min_pairwise_hamming(rows) == 0
+    assert all_pairs_min(rows) == 0
 
 
-def test_min_pairwise_hamming_matches_oracle():
+def test_broadcast_pair_scoring_matches_oracle():
     rng = np.random.default_rng(11)
     rows = rng.integers(0, 1 << 63, size=(20, 3), dtype=np.uint64)
-    best = 1 << 30
-    for i in range(19):
-        for j in range(i + 1, 20):
-            d = sum(bin(int(rows[i, t]) ^ int(rows[j, t])).count("1")
-                    for t in range(3))
-            best = min(best, d)
-    assert _kernels.min_pairwise_hamming(rows) == best
+
+    def dist(i, j):
+        return sum(bin(int(rows[i, t]) ^ int(rows[j, t])).count("1") for t in range(3))
+
+    assert all_pairs_min(rows) == min(dist(i, j) for i in range(19) for j in range(i + 1, 20))
+    # The broadcast column may sit on either side.
+    cols = rows.T
+    assert (_kernels.paired_min_hamming(cols[:, 1:], cols[:, :1])
+            == min(dist(0, j) for j in range(1, 20)))
 
 
 def test_paired_min_hamming_matches_oracle():
@@ -111,6 +122,7 @@ def test_paired_min_hamming_matches_oracle():
         expected = min(bin(x ^ y).count("1") for x, y in pairs)
         assert _kernels.paired_min_hamming(a, b) == expected
     assert _kernels.paired_min_hamming(a[:, :0], b[:, :0]) == 1 << 62
+    assert _kernels.paired_min_hamming(a[:, :1], b[:, :0]) == 1 << 62
 
 
 def _batch_keys(rng, w, n):

@@ -6,7 +6,6 @@ import pytest
 
 from wordcode.errors import ParameterError
 from wordcode.numtheory import (
-    FieldPrime,
     _trial_division,
     find_field_prime,
     find_primitive_root,

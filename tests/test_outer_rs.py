@@ -2,14 +2,15 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from wordcode import _kernels
 from wordcode.errors import ParameterError
 from wordcode.numtheory import find_field_prime, find_primitive_root
 from wordcode.outer_rs import (
     W_MAX,
-    GeneratorPoly,
     _RsPlan,
     _W_INTERNAL_MIN,
     _derive_params_any,
@@ -492,6 +493,30 @@ def test_min_weight_exhaustive_cap():
     g = build_generator(p)
     with pytest.raises(ParameterError, match="random"):
         min_weight_multiple_check(g, p, "exhaustive")
+
+
+def test_poly_mul_mod_matches_symbolic_oracle():
+    # The convolution behind `batch_residues` and the min-weight check.
+    # All-(P-1) messages give the largest uint64 sums; against an
+    # all-(P-1) generator at w=8192 that is 127 products of 8208 * 8208
+    # in one slot, past 2^32.
+    rng = random.Random(17)
+    for w in (10, 64, 256, 1024, 8192):
+        p = derive_params(w)
+        gen, bpw = list(build_generator(p).coeffs), p.blocks_per_word
+        if w == 8192:
+            assert (bpw, p.P) == (127, 8209)
+        msgs = [[p.P - 1] * bpw, [0] * bpw, [1] + [0] * (bpw - 1)]
+        msgs += [[rng.randrange(p.P) for _ in range(bpw)] for _ in range(5)]
+        want = [symbolic_poly_mul(m, gen, p.P, p.out_slots) for m in msgs]
+        cols = np.array(msgs, dtype=np.uint64).T
+        assert _kernels.poly_mul_mod(cols, gen, p.P).T.tolist() == want, w
+        # Leading axes are independent batches, as the five split words are.
+        got = _kernels.poly_mul_mod(np.stack([cols, cols[:, ::-1]]), gen, p.P)
+        assert got[1].T.tolist() == want[::-1], w
+        top = [p.P - 1] * len(gen)
+        assert (_kernels.poly_mul_mod(cols[:, :1], top, p.P)[:, 0].tolist()
+                == symbolic_poly_mul(msgs[0], top, p.P, p.out_slots)), w
 
 
 def test_min_weight_bad_mode_and_samples():

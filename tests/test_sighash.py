@@ -1,8 +1,8 @@
 """Signature construction: greedy selection, evaluation, file formats."""
 
 import dataclasses
-import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -439,4 +439,13 @@ def test_keys_file_rejects_bad_lines(tmp_path):
     # Right digit count but above 2^w.
     path.write_text("fff\n")
     with pytest.raises(ParameterError):
+        read_keys_file(path, 10)
+
+
+def test_keys_file_range_error_names_path_and_line(tmp_path):
+    # The range check is `encode`'s, prefixed with where the key sits.
+    path = tmp_path / "keys.txt"
+    path.write_text("001\n\n3ff\n400\n")
+    with pytest.raises(ParameterError,
+                       match=rf"^{re.escape(str(path))}:4: key outside \[0, 2\^10\)$"):
         read_keys_file(path, 10)

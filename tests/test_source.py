@@ -6,6 +6,7 @@ from pathlib import Path
 import wordcode
 
 PACKAGE = Path(wordcode.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -39,7 +40,9 @@ def _unused_imports(tree: ast.Module) -> list:
 
 
 def test_no_module_imports_an_unused_name():
+    # The package, less its re-exporting `__init__`, and the tests.
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    modules += sorted(TESTS.glob("*.py"))
     assert modules
     unused = {p.name: _unused_imports(ast.parse(p.read_text(encoding="utf-8")))
               for p in modules}

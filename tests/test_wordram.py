@@ -12,7 +12,6 @@ from wordcode.outer_rs import derive_params
 from wordcode.wordram import (
     FieldLayout,
     OpLedger,
-    Reciprocal,
     WideInt,
     _ParallelModPlan,
     _reciprocal_any_width,
