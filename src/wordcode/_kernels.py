@@ -1,24 +1,39 @@
 """Hot loops behind the model-level API, vectorised with numpy.
 
 Everything here is a bit-exact accelerator for searches and bulk
-measurements: multiplier scans, the one pair scorer (least Hamming
-distance over paired key columns), the one banded convolution mod P,
-and the two pieces of the batch encoder, which serve every word size at
-both levels: Reed-Solomon residues of many keys at once, with blocks
-cut straight from the key limbs, and the join of fields below 2^S,
-S < 64, at stride S into limb rows.  None of it touches the operation
-ledger; model costs are always charged by the calling layer from
-closed-form counts, so how a kernel orders or cuts short its work never
-changes a ledger.  `np.bitwise_count` needs NumPy 2.0 or later.
+measurements: the multiplier scan and its verifier, the one pair scorer
+(least Hamming distance over paired key columns), the one banded
+convolution mod P, and the two pieces of the batch encoder, which serve
+every word size at both levels: Reed-Solomon residues of many keys at
+once, with blocks cut straight from the key limbs, and the join of
+fields below 2^S, S < 64, at stride S into limb rows.  None of it
+touches the operation ledger; model costs are always charged by the
+calling layer from closed-form counts, so how a kernel orders or cuts
+short its work never changes a ledger.  `np.bitwise_count` needs NumPy
+2.0 or later.
+
+The scan's work tracks its answer.  Candidate blocks double from
+`_SCAN_FIRST_BLOCK` up to a cap, in one work buffer allocated per scan.
+Below m = 2^(3(B+1)) a product of m and a (B+1)-bit value fits its
+4(B+1)-bit slot, so an even value's image weighs what its odd part's
+does, and the (0, v) stage needs only odd v.  The verifier,
+`pair_min_distance`, checks every pair in blocks of rows, without the
+scan's staged cuts.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Size of one prefilter block in `scan_multiplier`, counted in
+# Largest candidate block in `scan_multiplier`, counted in
 # multiplier-by-value products: 1M uint64 entries, about 8 MB.
 _SCAN_BLOCK_ENTRIES = 1 << 20
+# Candidates in a scan's first block, and values in the first column
+# chunk of its row-0 and row-1 stages; both double from there.
+_SCAN_FIRST_BLOCK = 4
+_SCAN_FIRST_COLUMNS = 32
+# Most pair distances per numpy call in a row check.
+_ROW_CHUNK_ENTRIES = 1 << 16
 
 
 def backend_name() -> str:
@@ -32,44 +47,113 @@ def _pair_codes(m: int, b_bits: int):
     return (vals * np.uint64(m)) & mask
 
 
-def _codes_min_distance(codes, stop_below: int) -> int:
-    n = codes.shape[0]
-    best = 1 << 30
-    for i in range(n - 1):
-        d = int(np.bitwise_count(codes[i + 1:] ^ codes[i]).min())
-        if d < best:
-            best = d
-            if best < stop_below:
-                return best
+def _row_min(codes, first, stop_below, rows, work, counts) -> int:
+    """Least distance from each image i >= first to every later image.
+
+    Rows go several per numpy call: rows [a, a + r) against images
+    [a, n) as one (r, n - a) block of at most `_ROW_CHUNK_ENTRIES`
+    distances (one row if a row is longer), in the uint64 `work` and
+    uint8 `counts` buffers, each of at least n entries.  The block's
+    diagonal (an image against itself) is set out of reach; a pair
+    j < i inside it repeats a pair of row j and does no harm.  The
+    first block has at most `rows` rows and each later one twice as
+    many, so a candidate with a close pair in an early row is dropped
+    after little work.  Returns as soon as the least distance seen is
+    below `stop_below`; 255 when there is no pair.
+    """
+    n = codes.size
+    best = 255
+    a = first
+    while a < n - 1 and best >= stop_below:
+        width = n - a
+        r = min(rows, max(1, min(work.size, _ROW_CHUNK_ENTRIES) // width),
+                n - 1 - a)
+        x = work[:r * width].reshape(r, width)
+        np.bitwise_xor(codes[a:a + r, None], codes[a:], out=x)
+        d = counts[:r * width].reshape(r, width)
+        np.bitwise_count(x, out=d)
+        np.fill_diagonal(d, 255)
+        best = min(best, int(d.min()))
+        a, rows = a + r, 2 * rows
     return best
 
 
 def pair_min_distance(m: int, b_bits: int) -> int:
-    return _codes_min_distance(_pair_codes(m, b_bits), 0)
+    """Least distance over all pairs of images of m: every row, in
+    blocks of rows, with no early exit.  It makes none of the scan's
+    staged cuts (rows 0 and 1, odd values), so it checks the scan's
+    answer by a second route."""
+    codes = _pair_codes(m, b_bits)
+    size = max(_ROW_CHUNK_ENTRIES, codes.size)
+    return _row_min(codes, 0, 0, codes.size, np.empty(size, dtype=np.uint64),
+                    np.empty(size, dtype=np.uint8))
+
+
+def _far_from_row(ms, vs, row, threshold, work, counts):
+    """The candidates in `ms` whose image of every v in `vs` lies at
+    least `threshold` bits from their image of `row` (0 or 1).
+
+    No product of `ms` and `vs` may reach the 4(B+1)-bit output mask.
+    Values go in column chunks that start at `_SCAN_FIRST_COLUMNS` and
+    double, and a candidate is dropped after the first chunk that holds
+    a close image.  Keeps the order of `ms`.
+    """
+    start, cols = 0, _SCAN_FIRST_COLUMNS
+    while start < vs.size and ms.size:
+        v = vs[start:start + cols]
+        x = work[:ms.size * v.size].reshape(ms.size, v.size)
+        np.multiply(ms[:, None], v, out=x)
+        if row:
+            np.bitwise_xor(x, ms[:, None], out=x)
+        d = counts[:x.size].reshape(x.shape)
+        np.bitwise_count(x, out=d)
+        ms = ms[d.min(axis=1) >= threshold]
+        start, cols = start + cols, 2 * cols
+    return ms
 
 
 def scan_multiplier(b_bits: int, m_lo: int, m_hi: int, threshold: int) -> int:
     """Smallest m in [m_lo, m_hi) whose images are pairwise >= threshold apart.
 
-    Returns -1 when no m qualifies.  The pair (0, v) is at distance
-    weight(v*m), so a block of candidates is first cut down, in one
-    vectorised step, to those whose nonzero images all weigh at least
-    `threshold`; only the survivors, in ascending order, get the full
-    pair check.
+    Returns -1 when no m qualifies; raises ValueError when m_hi is above
+    2^(3(B+1)), the multipliers `find_multiplier` searches.  Candidates
+    go in ascending blocks of `_SCAN_FIRST_BLOCK` candidates, doubling
+    up to the `_SCAN_BLOCK_ENTRIES` cap, so the work grows with the
+    answer.  Three stages together cover every pair (i, j), i < j, and
+    each drops only candidates that have a close pair:
+    - Row 0, the whole block: the pair (0, v) is at distance
+      weight(v*m).  As m < 2^(3(B+1)), no product of a (B+1)-bit value
+      wraps the 4(B+1)-bit mask, so (2^k * u) * m is u*m shifted and
+      weighs the same: odd v suffice.
+    - Row 1, the block's survivors: the pairs (1, v), v >= 2.
+    - Rows 2 and up, each survivor in ascending order: a few rows per
+      numpy call, stopping at the first close pair.
+    The first candidate through all three is the answer.
     """
+    if m_hi > 1 << (3 * (b_bits + 1)):
+        raise ValueError(f"m_hi {m_hi} above 2^(3(B+1)) at B={b_bits}")
     values = 1 << (b_bits + 1)
-    out_mask = np.uint64((1 << (4 * (b_bits + 1))) - 1)
-    nonzero = np.arange(1, values, dtype=np.uint64)
-    block = max(1, _SCAN_BLOCK_ENTRIES // values)
-    for lo in range(m_lo, m_hi, block):
-        ms = np.arange(lo, min(lo + block, m_hi), dtype=np.uint64)
-        weights = np.bitwise_count((ms[:, None] * nonzero) & out_mask)
-        for m in ms[weights.min(axis=1) >= threshold]:
-            # Not `pair_min_distance`: a profile of that name should
-            # time only the independent verification of the result.
-            if _codes_min_distance(_pair_codes(int(m), b_bits),
-                                   threshold) >= threshold:
-                return int(m)
+    every = np.arange(values, dtype=np.uint64)
+    cap = max(1, _SCAN_BLOCK_ENTRIES // values)
+    # Sized to the cap, not to the largest block this scan uses.  np.empty
+    # touches no page, so the unused part costs nothing, and freeing a
+    # mapping this large raises glibc's dynamic mmap threshold to 8 MB.
+    # Later bulk calls (random `distance_report`, ~1 MB temporaries) then
+    # reuse heap memory instead of mapping and faulting in fresh pages on
+    # every call, which made them about twice as slow.
+    work = np.empty(cap * values, dtype=np.uint64)
+    counts = np.empty(cap * values, dtype=np.uint8)
+    lo, size = m_lo, min(_SCAN_FIRST_BLOCK, cap)
+    while lo < m_hi:
+        hi = min(lo + size, m_hi)
+        ms = np.arange(lo, hi, dtype=np.uint64)
+        ms = _far_from_row(ms, every[1::2], 0, threshold, work, counts)
+        ms = _far_from_row(ms, every[2:], 1, threshold, work, counts)
+        for m in ms.tolist():
+            codes = _pair_codes(m, b_bits)
+            if _row_min(codes, 2, threshold, 4, work, counts) >= threshold:
+                return m
+        lo, size = hi, min(2 * size, cap)
     return -1
 
 

@@ -16,6 +16,7 @@ import time
 from fractions import Fraction
 
 from .ecc_core import (
+    _key_value,
     _read_file,
     build_code,
     deserialize,
@@ -63,8 +64,10 @@ def _parse_delta(text):
 
 
 def _parse_hex(text: str, w: int) -> int:
+    """`--hex` as a key in [0, 2^w); its spelling and its range are both
+    usage errors naming `value`."""
     try:
-        return _hex_key(text, w, "value")
+        return _key_value(_hex_key(text, w, "value"), w, "value")
     except ParameterError as exc:
         raise _UsageError(str(exc)) from None
 

@@ -165,10 +165,13 @@ def test_encode_rejects_bad_hex(code16_path, code10_path, capsys):
     for bad in ("123", "12345", "ABCD", "12g4"):
         rc, _, _ = run(capsys, "encode", "--code", code16_path, "--hex", bad)
         assert rc == 2
-    # Correct digit count for w=10 but the value is >= 2^10.
-    rc, _, err = run(capsys, "encode", "--code", code10_path, "--hex", "fff")
-    assert rc == 1
-    assert "error" in err
+    # At w=10 a wrong digit count and a right one above 2^10 are the
+    # same usage error, naming the same argument.
+    for bad in ("ff", "fff"):
+        rc, _, err = run(capsys, "encode", "--code", code10_path, "--hex", bad)
+        assert rc == 2, bad
+        assert err.startswith("usage error:") and "value" in err, bad
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_distance_exhaustive_small(code10_path, capsys):
@@ -355,6 +358,21 @@ def test_sighash_eval_non_ascii_signature_file(tmp_path, capsys):
     assert rc == 1
     assert err.startswith("error:") and str(sig) in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_sighash_eval_rejects_bad_hex(tmp_path, capsys):
+    # `sighash eval` parses --hex as `encode` does: at w=10 both a wrong
+    # digit count and a value above 2^10 are usage errors naming `value`.
+    code, _ = build_code(10, None, 1)
+    from wordcode.sighash import SignatureFn
+    sig = tmp_path / "sig.json"
+    save_signature(sig, SignatureFn(code, (0,), 2))
+    for bad in ("ff", "fff"):
+        rc, _, err = run(capsys, "sighash", "eval", "--sig", str(sig), "--hex", bad)
+        assert rc == 2, bad
+        assert err.startswith("usage error:") and "value" in err, bad
+    rc, _, _ = run(capsys, "sighash", "eval", "--sig", str(sig), "--hex", "3ff")
+    assert rc == 0
 
 
 def test_sighash_verify_detects_collision(tmp_path, capsys):

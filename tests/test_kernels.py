@@ -7,6 +7,7 @@ tests that consume them.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wordcode import _kernels
@@ -43,24 +44,28 @@ def test_scan_multiplier_backends_agree():
 
 
 def test_scan_multiplier_across_block_boundaries(monkeypatch):
-    # With the cap set to 64 candidates per block at B=3, blocks start at
-    # offsets 0, 64, 128, ... from m_lo.  At B=3, T=5 the first
+    # Blocks start at m_lo and double from _SCAN_FIRST_BLOCK candidates
+    # up to the cap.  With the first block patched to 4 candidates and
+    # the cap to 16 candidates at B=3 (16 values) the blocks hold 4, 8, 16, 16, ... candidates and end at offsets
+    # 4, 12, 28, 44, ...: the end of the first block, a doubling edge,
+    # and an edge between two blocks at the cap.  At B=3, T=5 the first
     # qualifying m is 557, so windows ending there put the answer, or
-    # m_hi, on each side of a boundary.  The default cap holds every
-    # window in one block.
+    # m_hi, on each side of every edge.  The default cap keeps 4 and 12
+    # as edges.
     first = 557
     assert scan_multiplier_oracle(3, 1, first + 1, 5) == first
-    for cap in (_kernels._SCAN_BLOCK_ENTRIES, 64 * 16):
-        monkeypatch.setattr(_kernels, "_SCAN_BLOCK_ENTRIES", cap)
-        for edge in (64, 192, 448):
+    monkeypatch.setattr(_kernels, "_SCAN_FIRST_BLOCK", 4)
+    for entries in (_kernels._SCAN_BLOCK_ENTRIES, 16 * 16):
+        monkeypatch.setattr(_kernels, "_SCAN_BLOCK_ENTRIES", entries)
+        for edge in (4, 12, 44):
             for k in (edge - 1, edge, edge + 1):
                 lo = first - k
                 # The answer at offset k from m_lo.
-                assert _kernels.scan_multiplier(3, lo, lo + 600, 5) == first, (cap, k)
+                assert _kernels.scan_multiplier(3, lo, lo + 600, 5) == first, (entries, k)
                 # m_hi just below, at and just above the answer.
                 for hi in (first, first + 1):
                     assert (_kernels.scan_multiplier(3, lo, hi, 5)
-                            == scan_multiplier_oracle(3, lo, hi, 5)), (cap, k, hi)
+                            == scan_multiplier_oracle(3, lo, hi, 5)), (entries, k, hi)
             # m_hi on a boundary, the window empty of answers.
             lo = first - edge - 5
             assert _kernels.scan_multiplier(3, lo, lo + edge, 5) == -1
@@ -72,11 +77,83 @@ def test_scan_multiplier_across_block_boundaries(monkeypatch):
             assert _kernels.scan_multiplier(4, lo, 5000, 6) == 4887
 
 
-def test_pair_min_distance_backends_agree():
-    for bits in (3, 4, 5):
-        for m in (1, 13, 977, 4095):
-            assert (_kernels.pair_min_distance(m, bits)
-                    == pair_min_distance_oracle(m, bits))
+def _row_distance(m, bits, i):
+    """Least distance from image i of m to every later image."""
+    mask = (1 << (4 * (bits + 1))) - 1
+    codes = [(a * m) & mask for a in range(1 << (bits + 1))]
+    return min(bin(codes[i] ^ y).count("1") for y in codes[i + 1:])
+
+
+def test_scan_multiplier_rejects_a_close_pair_in_a_deep_row(monkeypatch):
+    # Each m below clears rows 0 and 1 (every pair (0, v) and (1, v)),
+    # yet has a close pair in a later row: 153 at B=7 and 155 at B=5
+    # in row 7, past the first block of deep rows (2 to 5); 163 at B=7
+    # in row 2.  The oracle found them; the scan must reject them.  At
+    # T=4, 185 is the first m to qualify from 1 on at B=7 (it is B=7's
+    # frozen multiplier) and from 155 on at B=5.
+    cases = [(7, 4, 153, 7, 185), (7, 4, 163, 2, 185), (5, 4, 155, 7, 185)]
+    for bits, t, m, row, answer in cases:
+        assert _row_distance(m, bits, 0) >= t and _row_distance(m, bits, 1) >= t
+        assert _row_distance(m, bits, row) < t
+        assert min(_row_distance(m, bits, i) for i in range(row)) >= t
+    assert scan_multiplier_oracle(5, 155, 186, 4) == 185
+    # Small column chunks in rows 0 and 1, and one deep row per call.
+    for columns, entries in ((32, 1 << 16), (1, 1), (3, 200)):
+        monkeypatch.setattr(_kernels, "_SCAN_FIRST_COLUMNS", columns)
+        monkeypatch.setattr(_kernels, "_ROW_CHUNK_ENTRIES", entries)
+        for bits, t, m, row, answer in cases:
+            assert _kernels.scan_multiplier(bits, m, m + 1, t) == -1, (columns, m)
+            assert _kernels.scan_multiplier(bits, m, answer + 1, t) == answer
+
+
+def test_scan_multiplier_up_to_the_no_wrap_bound(monkeypatch):
+    # Below m = 2^(3(B+1)) no product wraps the 4(B+1)-bit mask, which
+    # row 0's odd-v shortcut needs, so the scan takes m_hi up to that
+    # bound and rejects a larger one.  Above it the shortcut would be
+    # wrong: at B=2, T=2, m=683 has only odd images of weight >= 2 and
+    # clears every row but 0.  Up to the bound, each m is checked alone
+    # and in windows ending at the bound, at every threshold up to the
+    # code length; column chunks of 1, 2, 4, ... values put chunk edges
+    # inside rows 0 and 1.
+    assert scan_multiplier_oracle(2, 683, 684, 2) == -1
+    with pytest.raises(ValueError):
+        _kernels.scan_multiplier(2, 683, 684, 2)
+    for bits in (1, 2):
+        bound = 1 << (3 * (bits + 1))
+        ms = range(max(1, bound - 300), bound)
+        for t in range(1, 4 * (bits + 1) + 1):
+            accepted = [m for m in ms if pair_min_distance_oracle(m, bits) >= t]
+            for columns in (_kernels._SCAN_FIRST_COLUMNS, 1):
+                monkeypatch.setattr(_kernels, "_SCAN_FIRST_COLUMNS", columns)
+                got = [m for m in ms if _kernels.scan_multiplier(bits, m, m + 1, t) == m]
+                assert got == accepted, (bits, t, columns)
+                for lo in (ms.start, bound - 16, bound - 1, bound):
+                    want = next((m for m in accepted if lo <= m), -1)
+                    assert (_kernels.scan_multiplier(bits, lo, bound, t)
+                            == want), (bits, t, columns, lo)
+            for lo, hi in ((1, bound + 1), (bound, bound + 1), (bound + 5, 1 << 40)):
+                with pytest.raises(ValueError):
+                    _kernels.scan_multiplier(bits, lo, hi, t)
+
+
+def test_pair_min_distance_backends_agree(monkeypatch):
+    # The closest pairs of 325 (B=3), 607 (B=4) and 277 (B=5) all lie
+    # in row 0, and those of 4526 (B=3) only in rows 8 and up.
+    cases = [(bits, m) for bits in (3, 4, 5) for m in (1, 13, 977, 4095)]
+    cases += [(3, 325), (4, 607), (5, 277), (3, 4526)]
+    for bits, m in cases:
+        assert (_kernels.pair_min_distance(m, bits)
+                == pair_min_distance_oracle(m, bits)), (bits, m)
+    # Row blocks of one row, of three rows (more per block as the rows
+    # shorten), and of the whole triangle, at 64 and 128 values.
+    for bits in (5, 6):
+        values = 1 << (bits + 1)
+        for entries in (1, values - 1, values, values + 1, 3 * values,
+                        values * values):
+            monkeypatch.setattr(_kernels, "_ROW_CHUNK_ENTRIES", entries)
+            for m in (1, 23, 29, 277, 977, 4095):
+                assert (_kernels.pair_min_distance(m, bits)
+                        == pair_min_distance_oracle(m, bits)), (bits, entries, m)
 
 
 def all_pairs_min(rows):
