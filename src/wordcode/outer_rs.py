@@ -6,7 +6,7 @@ into 5 message words, each carrying every fifth block, side by side in
 one wide word where their residues sit in the codeword.  Each word is a
 polynomial over GF(P): multiplying the wide word by the packed
 generator z_r is, word by word, exactly polynomial convolution, and one
-parallel_mod pass reduces every coefficient of all five.  Encoding
+parallel_mod call reduces every coefficient of all five.  Encoding
 therefore costs a constant number of whole-word operations regardless
 of how many blocks a word carries.
 
@@ -90,8 +90,18 @@ class RsParams:
         return FieldLayout(self.S, regions * self.out_slots, self.B + 1)
 
     def conv_value_bound(self) -> int:
-        terms = max(self.blocks_per_word, self.r_deg) + 1
-        return 2 * (self.B + 1) + _ceil_log2(terms)
+        """Bits of the largest coefficient a message word times the
+        generator can reach, before reduction.
+
+        Every message slot is a comb-masked B-bit block, at both levels,
+        so it is at most 2^B - 1; every generator coefficient is below P;
+        and a coefficient of the product sums at most
+        min(blocks_per_word, r_deg + 1) terms.  So no coefficient exceeds
+        min(blocks_per_word, r_deg + 1) * (2^B - 1) * (P - 1), and an
+        all-(2^B - 1) message times an all-(P - 1) polynomial reaches it.
+        """
+        terms = min(self.blocks_per_word, self.r_deg + 1)
+        return (terms * ((1 << self.B) - 1) * (self.P - 1)).bit_length()
 
     def conv_layout(self, regions: int = 1) -> FieldLayout:
         """Slots wide enough for raw convolution sums, pre-reduction,
@@ -410,14 +420,17 @@ def rs_encode(x_word: WideInt, g: GeneratorPoly, p: RsParams,
     """f_1 on each message word of x_word: multiply by z_r, reduce mod P.
 
     Word i sits at bit i * word_out_bits, as split5 lays them out, and
-    the declared width sets how many there are.  The product is, word by
-    word, the convolution of message and generator slots; with slots of
-    S >= conv_value_bound bits no word spills into the next region, so
-    one parallel_mod pass leaves every coefficient in [0, P).  Two
-    charged operations however many words and slots there are.  `plan`,
-    when given, is `_RsPlan(p, x_word.bits, g.z_packed)` resolved by the
-    caller, and the generator is read from it.  The multiply stays here,
-    outside `_RsPlan.apply`, so the reduction runs as its own
+    the declared width sets how many there are; every message slot is
+    below 2^B, as split5's blocks are.  The product is, word by word, the
+    convolution of message and generator slots, each coefficient below
+    2^conv_value_bound <= 2^S, so no word spills into the next region,
+    and one parallel_mod call leaves every coefficient in [0, P).  That
+    tight bound is what lets the reduction run in a single pass over all
+    slots at almost every width (see `_ParallelModPlan`).  A constant
+    number of charged operations however many words and slots there are.
+    `plan`, when given, is `_RsPlan(p, x_word.bits, g.z_packed)` resolved
+    by the caller, and the generator is read from it.  The multiply stays
+    here, outside `_RsPlan.apply`, so the reduction runs as its own
     `parallel_mod` call.
     """
     if plan is None:

@@ -414,24 +414,29 @@ def div_by_const(c: int, rec: Reciprocal, ledger: OpLedger | None = None) -> tup
 # ---------------------------------------------------------------------------
 # Parallel modular reduction of every slot at once.
 #
-# Strategy: multiplying the whole word by the magic constant M makes each
-# slot's product spill past its own slot, so the word is first split into
-# its even slots and its odd slots (stride 2*slot_width); within one
-# parity the spill lands in a dead neighbour and never reaches the next
-# live slot.  Per parity: mask, one whole-word multiply by M, one shift
-# right by k plus a mask that isolates each quotient, one whole-word
-# multiply by the divisor, one subtract; the odd parity is OR-ed into the
-# even one.  Nothing follows.  The reciprocal's certificate makes every
-# slot's quotient exact, floor(c*M / 2**k) == c // divisor, and the
-# plan's window check keeps every slot's product below 2**(k + qbits) <=
-# 2**(2*slot_width), so no product or quotient window reaches a live
-# neighbour.  Each remainder is therefore already in [0, divisor).
+# Strategy: multiply the masked word by the magic constant M, shift the
+# products right by k, mask each slot's quotient, multiply the quotients
+# by the divisor and subtract.  The reciprocal's certificate makes every
+# slot's quotient exact, floor(c*M / 2**k) == c // divisor, and bounds
+# every slot's product by the quotient window, c*M < 2**(k + qbits).
+# When that window fits one slot (k + qbits <= slot_width) no product
+# reaches its neighbour, so one pass over all slots does it.  Otherwise
+# the word is split into its even slots and its odd slots (stride
+# 2*slot_width): within one parity a product spills only into a dead
+# neighbour, as long as the window fits two slots, which the plan
+# checks; the odd parity is OR-ed into the even one.  Nothing follows
+# either way: each remainder is already in [0, divisor).
 
 
 class _ParallelModPlan:
     """Masks, reciprocal and charged operations of `parallel_mod` on one
     (layout, divisor), built once; every check that depends only on them
-    runs here."""
+    runs here.
+
+    `parities` holds one (slot mask, quotient mask) pair per pass: one
+    pair over every slot when the quotient window fits a slot, otherwise
+    the even slots' pair and then the odd slots'.
+    """
 
     __slots__ = ("bits", "divisor", "magic", "shift", "parities", "ops")
 
@@ -457,18 +462,20 @@ class _ParallelModPlan:
                 f" ({2 * s}); layout too tight for divisor {divisor}"
             )
         self.magic, self.shift = rec.magic, rec.shift
-        # (slot mask, quotient mask) of the even slots, then the odd ones.
+        # Slots a pass covers: every slot when the window fits one slot,
+        # otherwise every other slot, even ones first.
+        step = 1 if rec.shift + qbits <= s else 2
         self.parities = tuple(
-            (repeat_bits(((1 << s) - 1) << (i * s), 2 * s, (n - i + 1) // 2),
-             repeat_bits(((1 << qbits) - 1) << (i * s), 2 * s, (n - i + 1) // 2))
-            for i in range(min(n, 2)))
+            (repeat_bits(((1 << s) - 1) << (i * s), step * s, len(range(i, n, step))),
+             repeat_bits(((1 << qbits) - 1) << (i * s), step * s, len(range(i, n, step))))
+            for i in range(min(n, step)))
         wide = bits + rec.magic.bit_length()
-        per_parity = (("bitwise", bits, 0), ("mul", bits, rec.magic.bit_length()),
-                      ("shift", wide, 0), ("bitwise", wide, 0),
-                      ("mul", bits, divisor.bit_length()), ("sub", bits, bits))
-        # The odd parity's result is OR-ed into the even one.
-        self.ops = OpList(per_parity + (per_parity + (("bitwise", bits, 0),)
-                                        if n > 1 else ()))
+        per_pass = (("bitwise", bits, 0), ("mul", bits, rec.magic.bit_length()),
+                    ("shift", wide, 0), ("bitwise", wide, 0),
+                    ("mul", bits, divisor.bit_length()), ("sub", bits, bits))
+        # A second pass's result is OR-ed into the first.
+        self.ops = OpList(per_pass + (per_pass + (("bitwise", bits, 0),)
+                                      if len(self.parities) > 1 else ()))
 
     def apply(self, x: int) -> int:
         """Every slot of x reduced modulo the divisor; bits above the
@@ -489,7 +496,8 @@ def _parallel_mod_plan(layout: FieldLayout, divisor: int) -> _ParallelModPlan:
 def parallel_mod(word: WideInt, layout: FieldLayout, divisor: int,
                  ledger: OpLedger | None = None, *,
                  plan: _ParallelModPlan | None = None) -> WideInt:
-    """Reduce every slot of `word` modulo `divisor` in one packed pass.
+    """Reduce every slot of `word` modulo `divisor` with packed passes:
+    one over every slot, or one per slot parity (see `_ParallelModPlan`).
 
     Bits of `word` above layout.total_bits are ignored.  The charged
     cost depends only on the layout and divisor, never on slot values:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wordcode import _kernels
+from wordcode.ecc_core import build_code
 from wordcode.errors import ParameterError
 from wordcode.numtheory import find_field_prime, find_primitive_root
 from wordcode.outer_rs import (
@@ -29,6 +30,9 @@ from wordcode.wordram import (
     WideInt,
     _parallel_mod_plan,
     pack_fields,
+    parallel_mod,
+    parallel_mod_reference,
+    repeat_bits,
     unpack_fields,
 )
 
@@ -457,6 +461,73 @@ def test_rs_encode_cost_constant_per_w():
             rs_encode(split5(x, p, led), g, p, led)
             costs.add(tuple(sorted(led.as_dict().items())))
         assert len(costs) == 1
+
+
+def plain_product(a, b):
+    """Coefficients of the product of coefficient lists a and b, from one
+    plain-int multiply with 64-bit fields (every coefficient here is far
+    below 2^64)."""
+    field = 64
+    pa = sum(c << (i * field) for i, c in enumerate(a))
+    pb = sum(c << (i * field) for i, c in enumerate(b))
+    data = (pa * pb).to_bytes((len(a) + len(b)) * field // 8, "little")
+    return [int.from_bytes(data[k * 8:(k + 1) * 8], "little")
+            for k in range(len(a) + len(b) - 1)]
+
+
+def distinct_conv_shapes():
+    """One width for every distinct (B, blocks_per_word, r_deg) over the
+    internal widths 5..W_MAX."""
+    shapes = {}
+    for w in range(5, W_MAX + 1):
+        p = _derive_params_any(w)
+        shapes.setdefault((p.B, p.blocks_per_word, p.r_deg), p)
+    return list(shapes.values())
+
+
+def test_conv_value_bound_is_sufficient_and_attained():
+    # A message word's slots are B-bit blocks and the generator's
+    # coefficients lie in [0, P): the all-(2^B - 1) message times an
+    # all-(P - 1) polynomial of the generator's degree reaches the bound
+    # exactly, and every real generator stays below it.
+    shapes = distinct_conv_shapes()
+    assert len(shapes) > 100
+    for p in shapes:
+        bound = p.conv_value_bound()
+        msg = [(1 << p.B) - 1] * p.blocks_per_word
+        worst = max(plain_product(msg, [p.P - 1] * (p.r_deg + 1)))
+        assert worst.bit_length() == bound, (p.w, p.B)
+        assert max(plain_product(msg, build_generator(p).coeffs)) < 1 << bound, p.w
+        assert bound <= p.S
+
+
+def test_real_conv_layouts_reduce_the_all_top_word_exactly():
+    # Each width picks its own pass count from its conv layout, so walk
+    # the real layouts: every slot at 2^value_bound - 1, packed against
+    # the slot-at-a-time reference.
+    widths = list(range(5, 15)) + list(range(10, W_MAX + 1, 11)) + [W_MAX]
+    passes = set()
+    for w in widths:
+        p = _derive_params_any(w)
+        layout = p.conv_layout(5)
+        word = WideInt(repeat_bits((1 << layout.value_bound) - 1, layout.slot_width,
+                                   layout.slot_count), layout.total_bits)
+        packed = parallel_mod(word, layout, p.P)
+        assert packed == parallel_mod_reference(word, layout, p.P), w
+        assert set(unpack_fields(packed, layout)) == {((1 << layout.value_bound) - 1) % p.P}
+        passes.add(len(_parallel_mod_plan(layout, p.P).parities))
+    assert passes == {1, 2}
+
+
+def test_conv_layouts_of_the_benchmarked_codes_take_one_pass():
+    # rs_encode's reduction runs once over every slot at these widths,
+    # at both stages of level 2.
+    for w in (64, 256, 512, 1024):
+        assert len(build_code(w)[0]._plans.rs.mod.parities) == 1, w
+    for w in (1024, 8192):
+        plans = build_code(w, level=2)[0]._plans
+        assert len(plans.rs.mod.parities) == 1, w
+        assert len(plans.inner.rs.mod.parities) == 1, w
 
 
 # ---------------------------------------------------------------------------

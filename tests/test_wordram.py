@@ -12,6 +12,7 @@ from wordcode.outer_rs import derive_params
 from wordcode.wordram import (
     FieldLayout,
     OpLedger,
+    OpList,
     WideInt,
     _ParallelModPlan,
     _reciprocal_any_width,
@@ -500,13 +501,52 @@ def test_parallel_mod_cost_independent_of_values():
 
 def test_parallel_mod_cost_independent_of_slot_count():
     # Same total words, more slots: charge must not grow with slot count.
-    led_few = OpLedger(64)
-    lay_few = FieldLayout(60, 3, 20)
-    parallel_mod(WideInt(0, 180), lay_few, 67, led_few)
-    led_many = OpLedger(64)
-    lay_many = FieldLayout(12, 15, 8)
-    parallel_mod(WideInt(0, 180), lay_many, 67, led_many)
-    assert led_many.total() <= led_few.total() + 1
+    # The pass count depends on the layout, so each pair takes the same
+    # number of passes.
+    def cost(layout):
+        led = OpLedger(64)
+        parallel_mod(WideInt(0, layout.total_bits), layout, 67, led)
+        return led.total()
+
+    for passes, lay_few, lay_many in [(2, FieldLayout(30, 6, 20), FieldLayout(12, 15, 8)),
+                                      (1, FieldLayout(60, 3, 20), FieldLayout(20, 9, 8))]:
+        assert len(_ParallelModPlan(lay_few, 67).parities) == passes
+        assert len(_ParallelModPlan(lay_many, 67).parities) == passes
+        assert cost(lay_many) <= cost(lay_few) + 1
+
+    # One pass charges less than the two-pass plan of the same layout
+    # would: that plan declares the same pass twice and an OR.
+    plan = _ParallelModPlan(FieldLayout(60, 3, 20), 67)
+    led_one, led_two = OpLedger(64), OpLedger(64)
+    led_one.post(plan.ops)
+    led_two.post(OpList(plan.ops.ops * 2 + (("bitwise", plan.bits, 0),)))
+    assert led_one.total() < led_two.total()
+
+
+@pytest.mark.parametrize("divisor, value_bits",
+                         [(67, 20), (17, 12), (3, 10), (5, 16), (257, 18), (8191, 30),
+                          (7, 3), (67, 6)])
+def test_parallel_mod_pass_rule_at_its_edge(divisor, value_bits):
+    # One pass exactly when the quotient window shift + qbits fits a
+    # slot: at the window's own width, and two passes one bit below it.
+    rec = _reciprocal_any_width(divisor, value_bits)
+    top = (1 << value_bits) - 1
+    edge = rec.shift + max((top // divisor).bit_length(), 1)
+    assert value_bits < edge
+    rng = random.Random(divisor * value_bits)
+    for width, passes in ((edge, 1), (edge - 1, 2)):
+        for count in (1, 2, 7):
+            layout = FieldLayout(width, count, value_bits)
+            plan = _ParallelModPlan(layout, divisor)
+            assert len(plan.parities) == min(passes, count)
+            words = [pack_fields([top] * count, layout)]
+            words += [pack_fields([rng.randrange(top + 1) for _ in range(count)], layout)
+                      for _ in range(50)]
+            for word in words:
+                above = rng.getrandbits(24) << layout.total_bits
+                for w in (word, WideInt(word.value | above, layout.total_bits + 24)):
+                    assert parallel_mod(w, layout, divisor) == \
+                        parallel_mod_reference(w, layout, divisor), (width, count)
 
 
 def test_parallel_mod_rejects_short_word_and_tight_layout():
