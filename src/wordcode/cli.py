@@ -13,7 +13,6 @@ import csv
 import json
 import sys
 import time
-from fractions import Fraction
 
 from .ecc_core import (
     _key_value,
@@ -25,6 +24,7 @@ from .ecc_core import (
     serialize,
 )
 from .errors import ParameterError, WordcodeError
+from .inner_mult import _delta
 from .outer_rs import _word_size
 from .sighash import (
     _hex_key,
@@ -57,10 +57,9 @@ def _parse_delta(text):
     if text is None:
         return None
     try:
-        delta = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise _UsageError(f"delta must be a fraction like 1/2, got {text!r}")
-    return delta
+        return _delta(text)
+    except ParameterError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _parse_hex(text: str, w: int) -> int:

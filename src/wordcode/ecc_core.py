@@ -33,11 +33,9 @@ from .errors import (
     CodecVersionError,
     CodeValidationError,
     MultiplierError,
-    MultiplierNotFoundError,
     ParameterError,
 )
 from .inner_mult import (
-    B_MAX,
     DEFAULT_DELTA,
     InnerCode,
     _MultPlan,
@@ -160,7 +158,7 @@ class _EncodePlans:
         self.rs = _RsPlan(p, self.split.out_bits, code.gen.z_packed)
         self.layout = p.out_layout(5 * count)
         # Must match what each ledgered stage posts, until the ledgered
-        # encode posts these phases itself (ROADMAP item 3(c)).
+        # encode posts these phases itself (ROADMAP item 4(c)).
         self.phases = {
             "split5": (self.split.ops,),
             "rs_encode": (self.rs.ops, self.rs.mod.ops),
@@ -264,31 +262,6 @@ def _charge_param_search(p: RsParams, ledger: OpLedger):
     ledger.charge("mul", pbits, pbits, count=(p.alpha - 1) * per_root)
 
 
-def _resolve_delta(b: int, delta) -> Fraction:
-    if b > B_MAX:
-        raise ParameterError(
-            f"no inner code is searchable for {b}-bit symbols; "
-            f"the word size needs a level-2 construction")
-    if delta is None:
-        return DEFAULT_DELTA
-    try:
-        return Fraction(delta)
-    except (TypeError, ValueError, ArithmeticError):
-        raise ParameterError(
-            f"delta must be a rational number, got {reprlib.repr(delta)}") from None
-
-
-def _find_multiplier_reporting(b: int, delta: Fraction,
-                               ledger: OpLedger) -> InnerCode:
-    """Search; on failure, re-raise with `DEFAULT_DELTA` attached as the
-    achievable delta: it succeeds at every B up to `B_MAX`, and a smaller
-    delta only lowers the threshold, so only a delta above it can fail."""
-    try:
-        return find_multiplier(b, delta, ledger)
-    except MultiplierNotFoundError:
-        raise MultiplierNotFoundError(b, delta, DEFAULT_DELTA) from None
-
-
 def _build(w: int, delta, level: int, phases: defaultdict, prefix: str = "") -> EccCode:
     """Assemble the code, charging each construction phase to its own
     ledger `phases[prefix + name]`; the level-2 inner build's prefix is `inner.`."""
@@ -297,8 +270,8 @@ def _build(w: int, delta, level: int, phases: defaultdict, prefix: str = "") -> 
     gen = build_generator(params, phases[prefix + "generator"])
 
     if level == 1:
-        d = _resolve_delta(params.B, delta)
-        inner = _find_multiplier_reporting(params.B, d, phases[prefix + "multiplier_scan"])
+        inner = find_multiplier(params.B, DEFAULT_DELTA if delta is None else delta,
+                                phases[prefix + "multiplier_scan"])
         inner_ecc = None
     else:
         inner = None

@@ -36,18 +36,17 @@ class MultiplierNotFoundError(MultiplierError):
     """Exhaustive search ended with no multiplier meeting the threshold.
 
     `achievable` carries a delta that does succeed for this word size:
-    `build_code` attaches `DEFAULT_DELTA`, which reaches its threshold at
-    every searchable B.  A bare `find_multiplier` failure leaves it None.
+    `find_multiplier` attaches `DEFAULT_DELTA`, which reaches its
+    threshold at every searchable B.  It need not be the largest such
+    delta: a failed search says nothing about the deltas between.
     """
 
-    def __init__(self, bits, delta, achievable=None):
+    def __init__(self, bits, delta, achievable):
         self.bits = bits
         self.delta = delta
         self.achievable = achievable
-        msg = f"no multiplier reaches delta={delta} for B={bits}"
-        if achievable is not None:
-            msg += f" (largest achievable delta is {achievable})"
-        super().__init__(msg)
+        super().__init__(f"no multiplier reaches delta={delta} for B={bits}; "
+                         f"delta={achievable} succeeds")
 
 
 class CodecError(WordcodeError):

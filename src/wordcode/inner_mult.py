@@ -45,21 +45,18 @@ class InnerCode:
         return 4 * (self.B + 1)
 
 
-def threshold_for(b: int, delta: Fraction) -> int:
-    return math.ceil(Fraction(delta) * b)
+def _delta(value) -> Fraction:
+    """A caller's delta as a Fraction; anything `Fraction` refuses is a
+    ParameterError naming delta."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise ParameterError(
+            f"delta must be a rational number, got {reprlib.repr(value)}") from None
 
 
-def pair_min_distance(m: int, b: int) -> int:
-    """Exact minimum Hamming distance over all pairs of distinct images.
-
-    Full scan, no early exit; this is the independent verifier for any
-    multiplier the search returns.
-    """
-    if not 1 <= b <= B_MAX:
-        raise ParameterError(f"B must be in [1, {B_MAX}], got {b}")
-    if not 1 <= m < (1 << (3 * (b + 1))):
-        raise ParameterError(f"multiplier {m} outside [1, 2^(3(B+1)))")
-    return _kernels.pair_min_distance(m, b)
+def threshold_for(b: int, delta) -> int:
+    return math.ceil(_delta(delta) * b)
 
 
 def _charge_scan(ledger: OpLedger, b: int, candidates: int):
@@ -76,10 +73,19 @@ def _charge_scan(ledger: OpLedger, b: int, candidates: int):
 
 
 def find_multiplier(b: int, delta, ledger: OpLedger | None = None) -> InnerCode:
-    """Smallest m in [1, 2^(3(B+1))) with pair distance >= ceil(delta*B)."""
-    if not 1 <= b <= B_MAX:
-        raise ParameterError(f"B must be in [1, {B_MAX}], got {b}")
-    delta = Fraction(delta)
+    """Smallest m in [1, 2^(3(B+1))) with pair distance >= ceil(delta*B).
+
+    The search owns its domain: it checks B (a B past `B_MAX` needs a
+    level-2 construction), parses delta, and on failure reports
+    `DEFAULT_DELTA` as a delta that succeeds at this B.
+    """
+    if b > B_MAX:
+        raise ParameterError(
+            f"no inner code is searchable for {b}-bit symbols; "
+            f"the word size needs a level-2 construction")
+    if b < 1:
+        raise ParameterError(f"B must be at least 1, got {b}")
+    delta = _delta(delta)
     if delta <= 0:
         raise ParameterError(f"delta must be positive, got {delta}")
     t = threshold_for(b, delta)
@@ -94,14 +100,14 @@ def find_multiplier(b: int, delta, ledger: OpLedger | None = None) -> InnerCode:
     if m == -1:
         if ledger is not None:
             _charge_scan(ledger, b, m_hi - 1)
-        raise MultiplierNotFoundError(b, delta)
+        raise MultiplierNotFoundError(b, delta, DEFAULT_DELTA)
     if ledger is not None:
         _charge_scan(ledger, b, m)
     # Second route: confirm with the no-early-exit scan before trusting
     # the search result.
     verified = _kernels.pair_min_distance(m, b)
     if verified < t:
-        raise MultiplierNotFoundError(b, delta)
+        raise MultiplierNotFoundError(b, delta, DEFAULT_DELTA)
     return InnerCode(b, m, delta, t)
 
 

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from .errors import ParameterError
 
 IS_PRIME_MAX = 1 << 32
-ROOT_PRIME_MAX = 1 << 24
 FIELD_BITS_MAX = 24
+# A field prime lies in [2^B, 2^(B+1)), so every one has a root search.
+ROOT_PRIME_MAX = 1 << (FIELD_BITS_MAX + 1)
 
 
 def is_prime(n: int) -> bool:
@@ -106,7 +107,7 @@ def find_primitive_root(p: int) -> PrimitiveRoot:
     dividing p-1; that check needs only the distinct factors.
     """
     if not 2 <= p < ROOT_PRIME_MAX:
-        raise ParameterError(f"prime must be in [2, 2**24), got {p}")
+        raise ParameterError(f"prime must be in [2, {ROOT_PRIME_MAX}), got {p}")
     if not is_prime(p):
         raise ParameterError(f"{p} is not prime")
     if p == 2:

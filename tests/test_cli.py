@@ -65,10 +65,18 @@ def test_build_missing_args(capsys):
 
 
 def test_build_bad_delta(tmp_path, capsys):
-    rc, _, err = run(capsys, "build", "--w", "16", "--delta", "abc",
+    # A delta Fraction refuses is a usage error; a rational the search
+    # refuses is a domain error.
+    for text in ("abc", "1/0"):
+        rc, _, err = run(capsys, "build", "--w", "16", "--delta", text,
+                         "--out", str(tmp_path / "x.json"))
+        assert rc == 2
+        assert "delta must be a rational number" in err
+    rc, _, err = run(capsys, "build", "--w", "16", "--delta", "0",
                      "--out", str(tmp_path / "x.json"))
-    assert rc == 2
-    assert "delta" in err
+    assert rc == 1
+    assert "delta must be positive" in err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_build_huge_delta_is_one_short_error_line(tmp_path, capsys):

@@ -156,7 +156,16 @@ def test_build_not_found_attaches_achievable_delta():
     err = exc_info.value
     assert err.bits == 4
     assert err.achievable == Fraction(1, 2)
-    assert "largest achievable" in str(err)
+    assert str(err).endswith("; delta=1/2 succeeds")
+    code, _ = build_code(10, err.achievable, 1)
+    assert code.inner.delta == err.achievable
+    # The reported delta succeeds but need not be the largest: a failed
+    # search at delta=2 says nothing about the deltas below it, and 4/3
+    # still reaches its threshold at w=64 (B=6).
+    with pytest.raises(MultiplierNotFoundError):
+        build_code(64, 2)
+    code, _ = build_code(64, Fraction(4, 3))
+    assert (code.inner.B, code.inner.threshold, code.inner.m) == (6, 8, 429_579)
 
 
 def test_build_explicit_delta():

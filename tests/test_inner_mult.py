@@ -17,7 +17,6 @@ from wordcode.inner_mult import (
     InnerCode,
     find_multiplier,
     inner_encode,
-    pair_min_distance,
     threshold_for,
 )
 from wordcode.wordram import FieldLayout, OpLedger, WideInt, pack_fields, unpack_fields
@@ -61,21 +60,6 @@ def test_threshold_for():
     assert threshold_for(4, 1) == 4
 
 
-def test_pair_min_distance_matches_oracle():
-    for b in (3, 4):
-        for m in (1, 3, 13, 19, 255):
-            assert pair_min_distance(m, b) == distance_oracle(m, b)
-
-
-def test_pair_min_distance_rejects_bad_args():
-    with pytest.raises(ParameterError):
-        pair_min_distance(3, 11)
-    with pytest.raises(ParameterError):
-        pair_min_distance(0, 4)
-    with pytest.raises(ParameterError):
-        pair_min_distance(1 << 15, 4)
-
-
 def test_frozen_multiplier_table():
     for b, expected in FROZEN_MULTIPLIERS.items():
         ic = find_multiplier(b, Fraction(1, 2))
@@ -98,8 +82,8 @@ def test_returned_multiplier_is_smallest():
 
 
 def test_default_delta_succeeds_at_every_b():
-    # build_code reports DEFAULT_DELTA as the achievable delta whenever a
-    # search fails; that holds because it succeeds at every searchable B.
+    # A failed search reports DEFAULT_DELTA as achievable; that holds
+    # because it succeeds at every searchable B.
     for b in range(1, B_MAX + 1):
         assert find_multiplier(b, DEFAULT_DELTA).delta == DEFAULT_DELTA
 
@@ -117,18 +101,29 @@ def test_search_exhaustion_raises_not_found():
     err = exc_info.value
     assert err.bits == 3
     assert err.delta == Fraction(5)
-    assert err.achievable is None
+    assert err.achievable == Fraction(1, 2)
+    assert str(err) == "no multiplier reaches delta=5 for B=3; delta=1/2 succeeds"
 
 
 def test_find_multiplier_rejects_bad_args():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="B must be at least 1, got 0"):
         find_multiplier(0, Fraction(1, 2))
-    with pytest.raises(ParameterError):
-        find_multiplier(11, Fraction(1, 2))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError,
+                       match="no inner code is searchable for 11-bit symbols; "
+                             "the word size needs a level-2 construction"):
+        find_multiplier(B_MAX + 1, Fraction(1, 2))
+    with pytest.raises(ParameterError, match="delta must be positive"):
         find_multiplier(4, 0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="delta must be positive"):
         find_multiplier(4, Fraction(-1, 2))
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0", [1], None,
+                                   float("nan"), float("inf")])
+def test_find_multiplier_parses_delta(value):
+    # Whatever Fraction refuses is one ParameterError naming delta.
+    with pytest.raises(ParameterError, match="delta must be a rational number"):
+        find_multiplier(4, value)
 
 
 def test_find_multiplier_deterministic():

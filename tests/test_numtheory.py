@@ -6,6 +6,8 @@ import pytest
 
 from wordcode.errors import ParameterError
 from wordcode.numtheory import (
+    FIELD_BITS_MAX,
+    ROOT_PRIME_MAX,
     _trial_division,
     find_field_prime,
     find_primitive_root,
@@ -101,6 +103,17 @@ def test_primitive_root_is_smallest():
                 x = x * a % p
                 order += 1
             assert order < p - 1, f"{a} already generates mod {p}"
+
+
+def test_every_field_prime_has_a_root_search():
+    # find_field_prime(24) is 2^24 + 43; every field prime must lie in
+    # find_primitive_root's range.
+    for b in range(2, FIELD_BITS_MAX + 1):
+        p = find_field_prime(b).P
+        assert p < ROOT_PRIME_MAX
+        assert find_primitive_root(p).P == p
+    with pytest.raises(ParameterError, match=rf"\[2, {ROOT_PRIME_MAX}\)"):
+        find_primitive_root(ROOT_PRIME_MAX)
 
 
 def test_primitive_root_rejects_composite():
