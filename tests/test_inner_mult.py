@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from wordcode import _kernels
 from wordcode.errors import (
     ImpossibleThresholdError,
     LayoutError,
@@ -58,6 +59,13 @@ def test_threshold_for():
     assert threshold_for(6, Fraction(1, 2)) == 3
     assert threshold_for(10, Fraction(1, 3)) == 4
     assert threshold_for(4, 1) == 4
+
+
+def test_pair_min_distance_matches_oracle():
+    # The distance find_multiplier verifies its answer with.
+    for b in (3, 4):
+        for m in (1, 3, 13, 19, 255):
+            assert _kernels.pair_min_distance(m, b) == distance_oracle(m, b)
 
 
 def test_frozen_multiplier_table():
