@@ -14,7 +14,6 @@ from wordcode.errors import (
     CodecVersionError,
     CodeValidationError,
     DuplicateKeyError,
-    ImpossibleThresholdError,
     LayoutError,
     MultiplierNotFoundError,
     ParameterError,
@@ -42,7 +41,6 @@ from wordcode.wordram import (
     FieldLayout,
     OpLedger,
     WideInt,
-    hamming,
     pack_fields,
     parallel_mod,
     parallel_mod_reference,
@@ -60,7 +58,6 @@ __all__ = [
     "EccCode",
     "FieldLayout",
     "GeneratorPoly",
-    "ImpossibleThresholdError",
     "InnerCode",
     "LayoutError",
     "MultiplierNotFoundError",
@@ -78,7 +75,6 @@ __all__ = [
     "distance_report",
     "encode",
     "find_multiplier",
-    "hamming",
     "inner_encode",
     "load_signature",
     "min_weight_multiple_check",

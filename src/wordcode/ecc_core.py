@@ -32,13 +32,14 @@ from .errors import (
     CodecFormatError,
     CodecVersionError,
     CodeValidationError,
-    MultiplierError,
+    MultiplierNotFoundError,
     ParameterError,
 )
 from .inner_mult import (
     DEFAULT_DELTA,
     InnerCode,
     _MultPlan,
+    _verify_multiplier,
     find_multiplier,
     inner_encode,
 )
@@ -77,28 +78,25 @@ _DESCRIPTION_KEYS = {*_DESCRIPTION_INTS, "g_coeffs", "m", "inner"}
 class EccCode:
     """A constructed code; immutable, shareable, value-comparable.
 
-    `_build` is the only constructor.  The codeword length and the
-    relative distance bound are derived from the stages, not stored.
+    `_build` is the only constructor.  The level, the codeword length
+    and the relative distance bound are derived from the stages, not stored.
     """
 
-    level: int
     params: RsParams
     gen: GeneratorPoly
     inner: InnerCode | None
     inner_ecc: "EccCode | None"
 
     def __post_init__(self):
-        if self.level == 1:
-            ok = self.inner is not None and self.inner_ecc is None
-        elif self.level == 2:
-            ok = self.inner is None and self.inner_ecc is not None
-        else:
-            ok = False
-        if not ok:
+        if (self.inner is None) == (self.inner_ecc is None):
             raise ParameterError(
-                f"level {self.level} code must carry exactly the matching "
-                "inner stage"
-            )
+                "a code must carry exactly one inner stage: a multiplier "
+                "(level 1) or an inner code (level 2)")
+
+    @property
+    def level(self) -> int:
+        """1 when the inner stage is a multiplier, 2 when it is a code."""
+        return 1 if self.inner_ecc is None else 2
 
     @property
     def codeword_bits(self) -> int:
@@ -276,7 +274,7 @@ def _build(w: int, delta, level: int, phases: defaultdict, prefix: str = "") -> 
     else:
         inner = None
         inner_ecc = _build(params.B + 1, delta, 1, phases, "inner.")
-    return EccCode(level, params, gen, inner, inner_ecc)
+    return EccCode(params, gen, inner, inner_ecc)
 
 
 def _check_build_args(w, level) -> tuple:
@@ -678,17 +676,21 @@ def _from_obj(obj) -> EccCode:
     A code is a deterministic function of those three values, so a
     description is valid exactly when it equals its own rebuild.  Only
     the top level and a level-2 inner object get a shape check; anything
-    nested deeper fails the comparison.
+    nested deeper fails the comparison.  A level-1 stored m is verified
+    first: one that fails cannot equal its rebuild, which would scan
+    every multiplier for a delta out of reach.
     """
     _check_shape(obj)
     if obj["level"] == 2:
         _check_shape(obj["inner"], "inner.")
     w, level = obj["w"], obj["level"]
+    delta = Fraction(obj["delta_num"], obj["delta_den"])
     try:
         _check_build_args(w, level)
-        code = _build(w, Fraction(obj["delta_num"], obj["delta_den"]), level,
-                      defaultdict(lambda: OpLedger(w)))
-    except (ParameterError, MultiplierError) as exc:
+        if level == 1:
+            _verify_multiplier(obj["m"], _derive_params_any(w).B, delta)
+        code = _build(w, delta, level, defaultdict(lambda: OpLedger(w)))
+    except (ParameterError, MultiplierNotFoundError) as exc:
         raise CodeValidationError(
             f"description does not rebuild at w={reprlib.repr(w)}: {exc}"
         ) from exc

@@ -24,16 +24,8 @@ class ReciprocalError(WordcodeError, ValueError):
     constants that are returned)."""
 
 
-class MultiplierError(WordcodeError):
-    """Base for inner-code multiplier search failures."""
-
-
-class ImpossibleThresholdError(MultiplierError, ValueError):
-    """Requested Hamming threshold exceeds the inner code length."""
-
-
-class MultiplierNotFoundError(MultiplierError):
-    """Exhaustive search ended with no multiplier meeting the threshold.
+class MultiplierNotFoundError(WordcodeError):
+    """No multiplier meets the threshold, scanned or past the code length.
 
     `achievable` carries a delta that does succeed for this word size:
     `find_multiplier` attaches `DEFAULT_DELTA`, which reaches its
@@ -45,7 +37,10 @@ class MultiplierNotFoundError(MultiplierError):
         self.bits = bits
         self.delta = delta
         self.achievable = achievable
-        super().__init__(f"no multiplier reaches delta={delta} for B={bits}; "
+        text = str(delta)
+        if len(text) > 40:  # a delta of hundreds of digits, cut to one line
+            text = f"{text[:18]}...{text[-19:]}"
+        super().__init__(f"no multiplier reaches delta={text} for B={bits}; "
                          f"delta={achievable} succeeds")
 
 

@@ -17,11 +17,12 @@ from fractions import Fraction
 
 from . import _kernels
 from .errors import (
-    ImpossibleThresholdError,
+    CodeValidationError,
     LayoutError,
     MultiplierNotFoundError,
     ParameterError,
 )
+from .outer_rs import _index
 from .wordram import FieldLayout, OpLedger, OpList, WideInt
 
 B_MAX = 10
@@ -72,29 +73,50 @@ def _charge_scan(ledger: OpLedger, b: int, candidates: int):
     ledger.charge("cmp", 4 * (b + 1), count=candidates * pairs)
 
 
-def find_multiplier(b: int, delta, ledger: OpLedger | None = None) -> InnerCode:
-    """Smallest m in [1, 2^(3(B+1))) with pair distance >= ceil(delta*B).
-
-    The search owns its domain: it checks B (a B past `B_MAX` needs a
-    level-2 construction), parses delta, and on failure reports
-    `DEFAULT_DELTA` as a delta that succeeds at this B.
-    """
+def _symbol_bits(b) -> int:
+    """B as an index in [1, B_MAX]; ParameterError naming B otherwise."""
+    b = _index(b, "B")
     if b > B_MAX:
         raise ParameterError(
             f"no inner code is searchable for {b}-bit symbols; "
             f"the word size needs a level-2 construction")
     if b < 1:
         raise ParameterError(f"B must be at least 1, got {b}")
+    return b
+
+
+def _verify_multiplier(m: int, b: int, delta) -> None:
+    """CodeValidationError unless m lies in [1, 2^(3(B+1))) and its
+    `_kernels.pair_min_distance`, a scan with none of the search's cuts,
+    reaches `threshold_for(B, delta)`."""
+    b = _symbol_bits(b)
+    t = threshold_for(b, delta)
+    if not 1 <= m < 1 << (3 * (b + 1)):
+        raise CodeValidationError(
+            f"multiplier {reprlib.repr(m)} outside [1, 2^{3 * (b + 1)}) for B={b}")
+    dist = _kernels.pair_min_distance(m, b)
+    if dist < t:
+        raise CodeValidationError(
+            f"multiplier {m} has pair distance {dist}, below threshold "
+            f"{reprlib.repr(t)} for B={b}")
+
+
+def find_multiplier(b: int, delta, ledger: OpLedger | None = None) -> InnerCode:
+    """Smallest m in [1, 2^(3(B+1))) with pair distance >= ceil(delta*B).
+
+    The search owns its domain: it reads B and delta, and when no
+    multiplier reaches the threshold (one past the 4(B+1)-bit codeword
+    is refused before any scan) reports `DEFAULT_DELTA` as a delta that
+    succeeds at this B.  An answer `_verify_multiplier` refuses is a
+    kernel fault.
+    """
+    b = _symbol_bits(b)
     delta = _delta(delta)
     if delta <= 0:
         raise ParameterError(f"delta must be positive, got {delta}")
     t = threshold_for(b, delta)
     if t > 4 * (b + 1):
-        # delta > 1 territory; no code of this length can separate pairs
-        # that far, so refuse before scanning.
-        raise ImpossibleThresholdError(
-            f"threshold {reprlib.repr(t)} exceeds code length {4 * (b + 1)} bits"
-        )
+        raise MultiplierNotFoundError(b, delta, DEFAULT_DELTA)
     m_hi = 1 << (3 * (b + 1))
     m = _kernels.scan_multiplier(b, 1, m_hi, t)
     if m == -1:
@@ -103,11 +125,7 @@ def find_multiplier(b: int, delta, ledger: OpLedger | None = None) -> InnerCode:
         raise MultiplierNotFoundError(b, delta, DEFAULT_DELTA)
     if ledger is not None:
         _charge_scan(ledger, b, m)
-    # Second route: confirm with the no-early-exit scan before trusting
-    # the search result.
-    verified = _kernels.pair_min_distance(m, b)
-    if verified < t:
-        raise MultiplierNotFoundError(b, delta, DEFAULT_DELTA)
+    _verify_multiplier(m, b, delta)
     return InnerCode(b, m, delta, t)
 
 

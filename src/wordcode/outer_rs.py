@@ -475,7 +475,7 @@ def min_weight_multiple_check(g: GeneratorPoly, p: RsParams,
             )
             zero_rows = ~msgs.any(axis=1)
     else:
-        raise ParameterError(f"unknown mode {mode!r}")
+        raise ParameterError(f"mode must be 'exhaustive' or 'random', got {mode!r}")
 
     # Messages as columns, in chunks of at most 2^22 product entries.
     cols = np.ascontiguousarray(msgs.T, dtype=np.uint64)

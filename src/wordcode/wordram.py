@@ -224,19 +224,6 @@ def wide_trunc(a: WideInt, bits: int, ledger: OpLedger | None = None) -> WideInt
     return WideInt(a.value & ((1 << bits) - 1), bits)
 
 
-def hamming(a: WideInt, b: WideInt, ledger: OpLedger | None = None) -> int:
-    """Number of differing bits.  Operands must share a width.
-
-    Charged as the single xor; the population count is treated as a free
-    aggregate, the same convention the model uses for equality tests.
-    """
-    if a.bits != b.bits:
-        raise LayoutError(f"width mismatch: {a.bits} vs {b.bits}")
-    if ledger is not None:
-        ledger.charge("bitwise", a.bits, b.bits)
-    return (a.value ^ b.value).bit_count()
-
-
 # ---------------------------------------------------------------------------
 # Packed fields.
 

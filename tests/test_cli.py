@@ -76,18 +76,22 @@ def test_build_bad_delta(tmp_path, capsys):
                      "--out", str(tmp_path / "x.json"))
     assert rc == 1
     assert "delta must be positive" in err
+    rc, _, err = run(capsys, "build", "--w", "64", "--delta", "5",
+                     "--out", str(tmp_path / "x.json"))
+    assert rc == 1
+    assert err == "error: no multiplier reaches delta=5 for B=6; delta=1/2 succeeds\n"
     assert not (tmp_path / "x.json").exists()
 
 
 def test_build_huge_delta_is_one_short_error_line(tmp_path, capsys):
-    # The threshold this delta asks for has 400 digits; the message
-    # shortens it.
+    # This delta has 400 digits; the message shortens it.
     out = tmp_path / "c.json"
     rc, stdout, err = run(capsys, "build", "--w", "64", "--delta", "1e400",
                           "--out", str(out))
     assert rc == 1
     assert stdout == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: threshold ")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: no multiplier reaches delta=1000")
     assert len(err) < 200
     assert not out.exists()
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wordcode import _kernels
 from wordcode.errors import (
     CodecError,
     CodecFormatError,
@@ -183,9 +184,14 @@ def test_build_deterministic():
 
 
 def test_ecc_code_pairing_enforced():
+    # The level is derived from the one inner stage a code carries, so
+    # only both stages or neither can disagree with it.
+    assert [f.name for f in dataclasses.fields(EccCode)] == [
+        "params", "gen", "inner", "inner_ecc"]
     code, _ = build_code(16, None, 1)
-    with pytest.raises(ParameterError):
-        EccCode(2, code.params, code.gen, code.inner, None)
+    for inner, inner_ecc in ((code.inner, code), (None, None)):
+        with pytest.raises(ParameterError, match="exactly one inner stage"):
+            EccCode(code.params, code.gen, inner, inner_ecc)
 
 
 def test_encode_zero_is_zero():
@@ -766,8 +772,9 @@ def test_distance_random_fields_match_limb_rows(w, level):
 
 def test_distance_rejects_bad_mode_and_samples():
     code, _ = build_code(16, None, 1)
-    with pytest.raises(ParameterError):
-        distance_report(code, "all")
+    with pytest.raises(ParameterError,
+                       match="mode must be 'exhaustive' or 'random', got 'Random'"):
+        distance_report(code, "Random")
     with pytest.raises(ParameterError):
         distance_report(code, "random", samples=0)
     with pytest.raises(ParameterError, match="seed must be non-negative"):
@@ -914,6 +921,24 @@ def test_deserialize_rejects_tampered_values():
         deserialize(tampered(delta_num=2, delta_den=4))
     with pytest.raises(CodeValidationError, match="stored m=5 but w=16 rebuilds m=3"):
         deserialize(tampered(m=5))
+
+
+def test_deserialize_verifies_stored_multiplier_before_rebuilding(monkeypatch):
+    # A stored delta out of reach would make the rebuild scan every
+    # candidate; the stored m is checked against it first.
+    def no_scan(*args):
+        raise AssertionError("deserialize scanned for a multiplier")
+
+    obj = json.loads(_description(256, 1))
+    monkeypatch.setattr(_kernels, "scan_multiplier", no_scan)
+    obj["delta_num"], obj["delta_den"] = 2, 1
+    with pytest.raises(CodeValidationError, match="below threshold 16 for B=8"):
+        deserialize(json.dumps(obj))
+    for m in (0, -1, 1 << 33, 1 << 70):
+        obj = json.loads(_description(256, 1))
+        obj["m"] = m
+        with pytest.raises(CodeValidationError, match=r"outside \[1, 2\^27\) for B=8"):
+            deserialize(json.dumps(obj))
 
 
 def test_deserialize_rejects_tampered_level2():

@@ -3,11 +3,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wordcode import _kernels
 from wordcode.errors import (
-    ImpossibleThresholdError,
+    CodeValidationError,
     LayoutError,
     MultiplierNotFoundError,
     ParameterError,
@@ -96,10 +97,17 @@ def test_default_delta_succeeds_at_every_b():
         assert find_multiplier(b, DEFAULT_DELTA).delta == DEFAULT_DELTA
 
 
-def test_impossible_threshold_rejected():
-    # ceil(6*4) = 24 bits demanded of a 20-bit code.
-    with pytest.raises(ImpossibleThresholdError):
+def test_impossible_threshold_rejected(monkeypatch):
+    # ceil(6*4) = 24 bits demanded of a 20-bit code: refused as a failed
+    # search would be, before any scan.
+    def no_scan(*args):
+        raise AssertionError("scanned an unreachable threshold")
+
+    monkeypatch.setattr(_kernels, "scan_multiplier", no_scan)
+    with pytest.raises(MultiplierNotFoundError) as exc_info:
         find_multiplier(4, 6)
+    assert exc_info.value.achievable == Fraction(1, 2)
+    assert str(exc_info.value) == "no multiplier reaches delta=6 for B=4; delta=1/2 succeeds"
 
 
 def test_search_exhaustion_raises_not_found():
@@ -124,6 +132,20 @@ def test_find_multiplier_rejects_bad_args():
         find_multiplier(4, 0)
     with pytest.raises(ParameterError, match="delta must be positive"):
         find_multiplier(4, Fraction(-1, 2))
+    # B is read as an index, as the word size is.
+    for b, name in ((4.0, "float"), ("4", "str"), (None, "NoneType")):
+        with pytest.raises(ParameterError, match=f"B must be an integer, not {name}"):
+            find_multiplier(b, Fraction(1, 2))
+    ic = find_multiplier(np.int64(4), Fraction(1, 2))
+    assert type(ic.B) is int and ic == find_multiplier(4, Fraction(1, 2))
+
+
+def test_scan_answer_failing_verification_is_a_fault(monkeypatch):
+    # m = 1 keeps images 1 bit apart, below the threshold 2 at B=4.
+    monkeypatch.setattr(_kernels, "scan_multiplier", lambda *args: 1)
+    with pytest.raises(CodeValidationError,
+                       match="multiplier 1 has pair distance 1, below threshold 2 for B=4"):
+        find_multiplier(4, Fraction(1, 2))
 
 
 @pytest.mark.parametrize("value", ["abc", "1/0", [1], None,

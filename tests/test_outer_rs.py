@@ -593,8 +593,9 @@ def test_poly_mul_mod_matches_symbolic_oracle():
 def test_min_weight_bad_mode_and_samples():
     p = derive_params(16)
     g = build_generator(p)
-    with pytest.raises(ParameterError):
-        min_weight_multiple_check(g, p, "typo")
+    with pytest.raises(ParameterError,
+                       match="mode must be 'exhaustive' or 'random', got 'bogus'"):
+        min_weight_multiple_check(g, p, "bogus")
     with pytest.raises(ParameterError):
         min_weight_multiple_check(g, p, "random", samples=0)
     with pytest.raises(ParameterError, match="seed must be non-negative"):

@@ -17,7 +17,6 @@ from wordcode.wordram import (
     _ParallelModPlan,
     _reciprocal_any_width,
     div_by_const,
-    hamming,
     pack_fields,
     parallel_mod,
     parallel_mod_reference,
@@ -179,39 +178,6 @@ def test_wide_ops_values():
         wide_shl(WideInt(3, 2), -1)
     assert wide_or(WideInt(0b1010, 4), WideInt(0b1, 9)) == WideInt(0b1011, 9)
     assert wide_trunc(WideInt(0x1ff, 9), 4) == WideInt(0xf, 4)
-
-
-# ---------------------------------------------------------------------------
-# Hamming distance
-
-
-def test_hamming_pinned_values():
-    assert hamming(WideInt(0b1011, 4), WideInt(0b1011, 4)) == 0
-    assert hamming(WideInt(0b1011, 4), WideInt(0b0010, 4)) == 2
-    for bits in (1, 7, 64, 200):
-        assert hamming(WideInt(0, bits), WideInt((1 << bits) - 1, bits)) == bits
-
-
-def test_hamming_width_mismatch():
-    with pytest.raises(LayoutError):
-        hamming(WideInt(0, 4), WideInt(0, 5))
-
-
-def test_hamming_is_a_metric():
-    rng = random.Random(0)
-    bits = 96
-    for _ in range(200):
-        x, y, z = (WideInt(rng.getrandbits(bits), bits) for _ in range(3))
-        assert hamming(x, y) == hamming(y, x)
-        assert (hamming(x, y) == 0) == (x == y)
-        assert hamming(x, z) <= hamming(x, y) + hamming(y, z)
-
-
-def test_hamming_charges_one_xor():
-    led = OpLedger(64)
-    hamming(WideInt(0, 128), WideInt(0, 128), led)
-    assert led.as_dict() == {"add": 0, "sub": 0, "mul": 0, "shift": 0,
-                             "bitwise": 2, "cmp": 0}
 
 
 # ---------------------------------------------------------------------------
