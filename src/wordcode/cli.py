@@ -9,6 +9,7 @@ differ between identical runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -46,27 +47,12 @@ class _UsageError(Exception):
     pass
 
 
-def _check_w(w: int):
+@contextlib.contextmanager
+def _usage_errors():
+    """A ParameterError raised inside, from checking a flag's value
+    (`--w`, `--delta`, `--hex`), is a usage error: exit 2."""
     try:
-        _word_size(w)
-    except ParameterError as exc:
-        raise _UsageError(str(exc)) from None
-
-
-def _parse_delta(text):
-    if text is None:
-        return None
-    try:
-        return _delta(text)
-    except ParameterError as exc:
-        raise _UsageError(str(exc)) from None
-
-
-def _parse_hex(text: str, w: int) -> int:
-    """`--hex` as a key in [0, 2^w); its spelling and its range are both
-    usage errors naming `value`."""
-    try:
-        return _key_value(_hex_key(text, w, "value"), w, "value")
+        yield
     except ParameterError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -90,8 +76,9 @@ def _print_report(command: str, params: dict, results: dict, started: float):
 
 def _cmd_build(args) -> int:
     started = time.monotonic()
-    _check_w(args.w)
-    delta = _parse_delta(args.delta)
+    with _usage_errors():
+        _word_size(args.w)
+        delta = None if args.delta is None else _delta(args.delta)
     code, report = build_code(args.w, delta, args.level)
     blob = serialize(code)
     with open(args.out, "wb") as fh:
@@ -131,7 +118,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_encode(args) -> int:
     code = _load_code(args.code)
-    val = _parse_hex(args.hex, code.params.w)
+    w = code.params.w
+    with _usage_errors():
+        val = _key_value(_hex_key(args.hex, w, "value"), w, "value")
     print(encode(code, val).to_hex())
     return 0
 
@@ -159,9 +148,10 @@ def _cmd_bench(args) -> int:
         raise _UsageError("--w-list must be comma-separated integers")
     if not w_list:
         raise _UsageError("--w-list must name at least one word size")
-    for w in w_list:
-        _check_w(w)
-    delta = _parse_delta(args.delta)
+    with _usage_errors():
+        for w in w_list:
+            _word_size(w)
+        delta = None if args.delta is None else _delta(args.delta)
     rows = []
     failure = None
     with open(args.out, "w", newline="", encoding="ascii") as fh:
@@ -209,7 +199,9 @@ def _cmd_sighash_build(args) -> int:
 
 def _cmd_sighash_eval(args) -> int:
     fn = load_signature(args.sig)
-    val = _parse_hex(args.hex, fn.code.params.w)
+    w = fn.code.params.w
+    with _usage_errors():
+        val = _key_value(_hex_key(args.hex, w, "value"), w, "value")
     print(sig_eval(fn, val).to_hex())
     return 0
 

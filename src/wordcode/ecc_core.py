@@ -48,10 +48,10 @@ from .outer_rs import (
     GeneratorPoly,
     RsParams,
     _RsPlan,
+    _SplitPlan,
     _check_sampling,
     _derive_params_any,
     _index,
-    _split_plan,
     _word_size,
     build_generator,
     rs_encode,
@@ -152,7 +152,7 @@ class _EncodePlans:
         p = code.params
         count = 1 if symbols is None else symbols.slot_count
         self.symbols = symbols
-        self.split = _split_plan(p, symbols)
+        self.split = _SplitPlan(p, symbols)
         self.rs = _RsPlan(p, self.split.out_bits, code.gen.z_packed)
         self.layout = p.out_layout(5 * count)
         # Must match what each ledgered stage posts, until the ledgered
@@ -318,7 +318,8 @@ def build_code(w: int, delta=None, level: int = 1):
 
 def _key_value(x, w: int, name: str = "input") -> int:
     """x as an integer in [0, 2^w): a WideInt no wider than w, or what
-    `operator.index` takes (numpy integers too); else ParameterError."""
+    `operator.index` takes (numpy integers too) but a bool; else
+    ParameterError."""
     if isinstance(x, WideInt):
         if x.bits > w:
             raise ParameterError(f"{name} of {x.bits} bits exceeds word size {w}")
@@ -326,8 +327,10 @@ def _key_value(x, w: int, name: str = "input") -> int:
     try:
         v = operator.index(x)
     except TypeError:
+        v = None
+    if v is None or isinstance(x, bool):
         raise ParameterError(f"{name} must be an integer or a WideInt, "
-                             f"not {type(x).__name__}") from None
+                             f"not {type(x).__name__}")
     if not 0 <= v < (1 << w):
         raise ParameterError(f"{name} outside [0, 2^{w})")
     return v

@@ -53,7 +53,8 @@ class CodecFormatError(CodecError):
 
 
 class CodecVersionError(CodecError):
-    """Code description uses an unsupported format version."""
+    """A code description or signature file uses an unsupported format
+    version."""
 
 
 class CodeValidationError(CodecError):

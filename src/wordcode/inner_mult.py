@@ -41,10 +41,6 @@ class InnerCode:
     delta: Fraction
     threshold: int
 
-    @property
-    def out_bits(self) -> int:
-        return 4 * (self.B + 1)
-
 
 def _delta(value) -> Fraction:
     """A caller's delta as a Fraction; anything `Fraction` refuses is a

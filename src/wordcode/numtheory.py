@@ -43,21 +43,19 @@ def _trial_division(n: int) -> tuple[bool, int]:
 
 @dataclass(frozen=True)
 class FieldPrime:
-    """Smallest prime at or above 2^B, plus how far the scan walked:
-    `scan_length` candidates, `trial_steps` trial divisions over all of
-    them.  The prime-scan charge reads the steps."""
+    """Smallest prime P at or above 2^B, plus the `trial_steps` trial
+    divisions the scan made over every candidate in [2^B, P].  The
+    prime-scan charge reads the steps."""
 
-    B: int
     P: int
-    scan_length: int
     trial_steps: int
 
 
 def find_field_prime(B: int) -> FieldPrime:
     """Scan upward from 2^B to the first prime.
 
-    The scan length and its trial divisions are recorded.  For B ≥ 8
-    the length is checked against the window 2^ceil(0.525*B) + 1 that
+    The trial divisions are recorded.  For B ≥ 8 the scan length
+    P - 2^B + 1 is checked against the window 2^ceil(0.525*B) + 1 that
     the prime-gap bound promises; a violation would mean the arithmetic
     here is broken, not the math.
     """
@@ -76,7 +74,7 @@ def find_field_prime(B: int) -> FieldPrime:
         raise ParameterError(
             f"prime scan for B={B} walked {scan} candidates, past the window bound"
         )
-    return FieldPrime(B, n, scan, steps)
+    return FieldPrime(n, steps)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -94,13 +92,7 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class PrimitiveRoot:
-    P: int
-    alpha: int
-
-
-def find_primitive_root(p: int) -> PrimitiveRoot:
+def find_primitive_root(p: int) -> int:
     """Smallest generator of the multiplicative group mod p.
 
     A candidate a generates iff a^((p-1)/q) != 1 for every prime q
@@ -111,9 +103,9 @@ def find_primitive_root(p: int) -> PrimitiveRoot:
     if not is_prime(p):
         raise ParameterError(f"{p} is not prime")
     if p == 2:
-        return PrimitiveRoot(2, 1)
+        return 1
     factors = _prime_factors(p - 1)
     for a in range(2, p):
         if all(pow(a, (p - 1) // q, p) != 1 for q in factors):
-            return PrimitiveRoot(p, a)
+            return a
     raise ParameterError(f"no primitive root below {p}; {p} cannot be prime")

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import _kernels
 from .errors import ParameterError
-from .numtheory import FieldPrime, PrimitiveRoot, find_field_prime, find_primitive_root
+from .numtheory import FieldPrime, find_field_prime, find_primitive_root
 from .wordram import (
     FieldLayout,
     OpLedger,
@@ -58,7 +57,7 @@ class RsParams:
     w: int
     B: int
     prime: FieldPrime
-    root: PrimitiveRoot
+    alpha: int
     n_blocks: int
     blocks_per_word: int
     r_deg: int
@@ -70,19 +69,12 @@ class RsParams:
         return self.prime.P
 
     @property
-    def alpha(self) -> int:
-        return self.root.alpha
-
-    @property
     def word_in_bits(self) -> int:
         return self.blocks_per_word * self.S
 
     @property
     def word_out_bits(self) -> int:
         return self.out_slots * self.S
-
-    def msg_layout(self) -> FieldLayout:
-        return FieldLayout(self.S, self.blocks_per_word, self.B)
 
     def out_layout(self, regions: int = 1) -> FieldLayout:
         """Slots holding field elements in [0, P), `regions` words of
@@ -116,13 +108,13 @@ def _derive_params_any(w: int) -> RsParams:
         raise ParameterError(f"word size {w} below internal minimum {_W_INTERNAL_MIN}")
     b = (w - 1).bit_length()
     prime = find_field_prime(b)
-    root = find_primitive_root(prime.P)
+    alpha = find_primitive_root(prime.P)
     n_blocks = -(-w // b)
     bpw = -(-n_blocks // 5)
     r_deg = -(-w // (5 * b))
     s = max(5 * b, 4 * (b + 1))
     out_slots = bpw + r_deg
-    params = RsParams(w, b, prime, root, n_blocks, bpw, r_deg, s, out_slots)
+    params = RsParams(w, b, prime, alpha, n_blocks, bpw, r_deg, s, out_slots)
     if r_deg < 1:
         raise ParameterError(f"r_deg must be at least 1, got {r_deg}")
     if params.conv_value_bound() > s:
@@ -138,13 +130,14 @@ def _derive_params_any(w: int) -> RsParams:
 
 
 def _index(value, name: str) -> int:
-    """value as an int, by `operator.index`; ParameterError naming the
-    argument otherwise."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ParameterError(
-            f"{name} must be an integer, not {type(value).__name__}") from None
+    """value as an int, by `operator.index`, but not a bool;
+    ParameterError naming the argument otherwise."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ParameterError(f"{name} must be an integer, not {type(value).__name__}")
 
 
 def _check_sampling(samples, seed) -> tuple:
@@ -296,11 +289,6 @@ class _SplitPlan:
         return out
 
 
-@lru_cache(maxsize=64)
-def _split_plan(p: RsParams, symbols: FieldLayout | None = None) -> _SplitPlan:
-    return _SplitPlan(p, symbols)
-
-
 def split5(x: WideInt, p: RsParams, ledger: OpLedger | None = None,
            symbols: FieldLayout | None = None, *,
            plan: _SplitPlan | None = None) -> WideInt:
@@ -319,10 +307,10 @@ def split5(x: WideInt, p: RsParams, ledger: OpLedger | None = None,
     step is the single-key step over all keys at once.  Each operation
     is charged at the width of the bits it spans, never the value; the
     plan declares them and they are posted at once.  `plan`, when
-    given, is `_split_plan(p, symbols)` resolved by the caller.
+    given, is `_SplitPlan(p, symbols)` resolved by the caller.
     """
     if plan is None:
-        plan = _split_plan(p, symbols)
+        plan = _SplitPlan(p, symbols)
     if symbols is None:
         if x.bits > p.w:
             raise ParameterError(f"key of {x.bits} bits exceeds w={p.w}")

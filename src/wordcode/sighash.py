@@ -46,11 +46,14 @@ from .ecc_core import (
 )
 from .errors import (
     CodecFormatError,
+    CodecVersionError,
     CodeValidationError,
     DuplicateKeyError,
     ParameterError,
 )
 from .wordram import OpLedger, OpList, WideInt
+
+SIGNATURE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -73,12 +76,6 @@ class SignatureFn:
         return OpList(op for j, pos in enumerate(self.positions) for op in (
             ("shift", cw, 0), ("bitwise", cw - pos, 0),
             ("shift", 1, j), ("bitwise", j, j + 1)))
-
-    @cached_property
-    def _bit_pairs(self) -> tuple:
-        """(codeword position, signature bit) pairs that `sig_eval`
-        reads, built once.  Not a dataclass field."""
-        return tuple(zip(self.positions, range(len(self.positions))))
 
 
 def position_cap(code: EccCode, n: int) -> int:
@@ -210,7 +207,7 @@ def sig_eval(f: SignatureFn, x, ledger: OpLedger | None = None) -> WideInt:
     if ledger is not None:
         ledger.post(f._gather)
     out = 0
-    for pos, j in f._bit_pairs:
+    for j, pos in enumerate(f.positions):
         out |= ((cw >> pos) & 1) << j
     return WideInt(out, len(f.positions))
 
@@ -282,7 +279,7 @@ def write_keys_file(path, vals, bits: int):
 
 def signature_to_obj(f: SignatureFn) -> dict:
     return {
-        "version": 1,
+        "version": SIGNATURE_VERSION,
         "n": f.n,
         "positions": list(f.positions),
         "code": _to_obj(f.code),
@@ -292,8 +289,8 @@ def signature_to_obj(f: SignatureFn) -> dict:
 def signature_from_obj(obj) -> SignatureFn:
     _check_fields(obj, "signature description", {"version", "n", "positions", "code"},
                   ("version", "n"))
-    if obj["version"] != 1:
-        raise CodecFormatError(
+    if obj["version"] != SIGNATURE_VERSION:
+        raise CodecVersionError(
             f"unsupported signature version {obj['version']}")
     n, pos = obj["n"], obj["positions"]
     if n < 1:

@@ -60,11 +60,6 @@ class WideInt:
         digits = -(-self.bits // 4)
         return format(self.value, f"0{digits}x") if digits else ""
 
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.bits:
-            raise LayoutError(f"bit index {i} outside width {self.bits}")
-        return (self.value >> i) & 1
-
     def extend(self, bits: int) -> "WideInt":
         """Zero-extend to a larger declared width.  Free: no data moves."""
         if bits < self.bits:

@@ -142,9 +142,10 @@ def test_criterion_04_inner_code_exists():
             assert time.monotonic() - started < 60.0
             assert inner.threshold == math.ceil(b / 2)
             # Independent re-scan over every pair, plain ints only.
-            mask = (1 << inner.out_bits) - 1
+            out_bits = 4 * (b + 1)
+            mask = (1 << out_bits) - 1
             codes = [(x * inner.m) & mask for x in range(1 << b)]
-            worst = inner.out_bits
+            worst = out_bits
             for i in range(len(codes)):
                 for j in range(i + 1, len(codes)):
                     d = bin(codes[i] ^ codes[j]).count("1")

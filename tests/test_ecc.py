@@ -135,6 +135,8 @@ def test_build_rejects_bad_args():
     for args, msg in (((64.0,), "word size must be an integer, not float"),
                       (("64",), "word size must be an integer, not str"),
                       ((64, None, 1.0), "level must be an integer, not float"),
+                      ((True,), "word size must be an integer, not bool"),
+                      ((64, None, True), "level must be an integer, not bool"),
                       ((64, float("nan")), "delta must be a rational number"),
                       ((64, float("inf")), "delta must be a rational number"),
                       ((64, "1/0"), "delta must be a rational number"),
@@ -225,7 +227,7 @@ def test_encode_matches_oracle_level1():
 
 def test_encode_matches_oracle_level2():
     rng = random.Random(99)
-    for w, keys in ((10, 25), (64, 25), (256, 3), (1024, 3), (8192, 3)):
+    for w, keys in ((10, 25), (64, 25), (256, 3), (1024, 3), (2048, 3), (8192, 3)):
         code, _ = build_code(w, None, 2)
         for _ in range(keys):
             x = rng.randrange(1 << w)
@@ -236,8 +238,10 @@ def test_encode_level2_packed_matches_nested_batch_and_oracle():
     # The packed level-2 encode against the per-residue route, the batch
     # encoder and the list-arithmetic oracle.
     rng = random.Random(20261018)
-    for w in (10, 64, 256, 1024, 8192):
+    for w in (10, 64, 256, 1024, 2048, 8192):
         code, _ = build_code(w, None, 2)
+        # The outer reduction takes two passes only at w = 1706-2048 (B=11).
+        assert len(code._plans.rs.mod.parities) == (2 if w == 2048 else 1), w
         keys = [0, (1 << w) - 1, rng.getrandbits(w), rng.getrandbits(w)]
         rows = _batch_encode(code, _key_rows(keys, w))
         for x, row in zip(keys, rows):
@@ -258,7 +262,7 @@ def _route_code(w, level):
 
 
 ROUTE_CODES = [(5, 1), (10, 1), (16, 1), (64, 1), (256, 1), (1024, 1),
-               (10, 2), (16, 2), (64, 2), (8192, 2)]
+               (10, 2), (16, 2), (64, 2), (2048, 2), (8192, 2)]
 
 
 def _check_routes(code, x):
@@ -361,7 +365,9 @@ def test_encode_key_rule():
     for key in (np.uint64(5), np.int32(5), np.uint8(5), WideInt(5, 3)):
         assert encode(code, key) == want
     assert encode(code, np.uint64(0xFFFF)) == encode(code, 0xFFFF)
-    for bad in (5.0, np.float64(5), "5", None, [5], Fraction(5)):
+    # A bool is refused, as in a description's integer fields.
+    for bad in (5.0, np.float64(5), "5", None, [5], Fraction(5), True, False,
+                np.bool_(True)):
         with pytest.raises(ParameterError, match="must be an integer or a WideInt"):
             encode(code, bad)
     with pytest.raises(ParameterError, match=r"outside \[0, 2\^16\)"):
@@ -781,7 +787,9 @@ def test_distance_rejects_bad_mode_and_samples():
         distance_report(code, "random", samples=10, seed=-1)
     for kwargs, msg in (({"samples": 10.0}, "samples must be an integer, not float"),
                         ({"samples": "10"}, "samples must be an integer, not str"),
-                        ({"seed": 1.5}, "seed must be an integer, not float")):
+                        ({"seed": 1.5}, "seed must be an integer, not float"),
+                        ({"samples": True}, "samples must be an integer, not bool"),
+                        ({"seed": False}, "seed must be an integer, not bool")):
         with pytest.raises(ParameterError, match=msg):
             distance_report(code, "random", **kwargs)
     assert (distance_report(code, "random", samples=np.int64(50), seed=np.uint8(3))

@@ -75,7 +75,6 @@ def test_frozen_multiplier_table():
         assert ic.m == expected
         assert ic.threshold == math.ceil(b / 2)
         assert ic.delta == Fraction(1, 2)
-        assert ic.out_bits == 4 * (b + 1)
 
 
 def test_found_multiplier_passes_exhaustive_oracle():
@@ -133,7 +132,7 @@ def test_find_multiplier_rejects_bad_args():
     with pytest.raises(ParameterError, match="delta must be positive"):
         find_multiplier(4, Fraction(-1, 2))
     # B is read as an index, as the word size is.
-    for b, name in ((4.0, "float"), ("4", "str"), (None, "NoneType")):
+    for b, name in ((4.0, "float"), ("4", "str"), (None, "NoneType"), (True, "bool")):
         with pytest.raises(ParameterError, match=f"B must be an integer, not {name}"):
             find_multiplier(b, Fraction(1, 2))
     ic = find_multiplier(np.int64(4), Fraction(1, 2))

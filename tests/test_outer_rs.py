@@ -13,10 +13,10 @@ from wordcode.numtheory import find_field_prime, find_primitive_root
 from wordcode.outer_rs import (
     W_MAX,
     _RsPlan,
+    _SplitPlan,
     _W_INTERNAL_MIN,
     _derive_params_any,
     _gen_layout,
-    _split_plan,
     build_generator,
     derive_params,
     min_weight_multiple_check,
@@ -54,6 +54,11 @@ def symbolic_generator(P, alpha, r_deg):
     return coeffs
 
 
+def msg_layout(p):
+    """A message word's layout: blocks_per_word B-bit blocks at stride S."""
+    return FieldLayout(p.S, p.blocks_per_word, p.B)
+
+
 def split5_reassemble(word, p):
     """Inverse of split5: the key back from its five message words."""
     blocks = [0] * p.n_blocks
@@ -61,7 +66,7 @@ def split5_reassemble(word, p):
     for i in range(5):
         region = (word.value >> (i * p.word_out_bits)) & region_mask
         for t, val in enumerate(unpack_fields(WideInt(region, p.word_in_bits),
-                                              p.msg_layout())):
+                                              msg_layout(p))):
             j = i + 5 * t
             if j < p.n_blocks:
                 blocks[j] = val
@@ -138,7 +143,7 @@ def test_derive_params_formulas_and_invariants():
         b = max((w - 1).bit_length(), 1)
         assert p.B == b
         assert p.P == find_field_prime(b).P
-        assert p.alpha == find_primitive_root(p.P).alpha
+        assert p.alpha == find_primitive_root(p.P)
         assert p.n_blocks == ceil_div(w, b)
         assert p.blocks_per_word == ceil_div(p.n_blocks, 5)
         assert p.r_deg == ceil_div(w, 5 * b)
@@ -160,12 +165,12 @@ def test_derive_params_deterministic():
 def test_split5_pinned_examples():
     p = derive_params(16)
     words = regions(split5(WideInt(0xABCD, 16), p), p)
-    slot0 = [unpack_fields(wd, p.msg_layout())[0] for wd in words]
+    slot0 = [unpack_fields(wd, msg_layout(p))[0] for wd in words]
     assert slot0 == [0xA, 0xB, 0xC, 0xD, 0]
 
     p = derive_params(64)
     words = regions(split5(WideInt(1 << 63, 64), p), p)
-    assert unpack_fields(words[0], p.msg_layout()) == [0b100000, 0, 0]
+    assert unpack_fields(words[0], msg_layout(p)) == [0b100000, 0, 0]
     assert all(wd.value == 0 for wd in words[1:])
 
     assert all(wd.value == 0 for wd in regions(split5(WideInt(0, 64), p), p))
@@ -175,7 +180,7 @@ def test_split5_block_placement_random():
     rng = random.Random(0)
     for w in (10, 16, 37, 64, 120, 256, 1024):
         p = derive_params(w)
-        layout = p.msg_layout()
+        layout = msg_layout(p)
         for _ in range(25):
             x = rng.getrandbits(w)
             expect = blocks_of(x, w, p)
@@ -391,7 +396,7 @@ def test_rs_encode_pinned_values():
     p = derive_params(16)
     g = build_generator(p)
     x_word = regions(split5(WideInt(0xF000, 16), p), p)[0]
-    assert unpack_fields(x_word, p.msg_layout()) == [15]
+    assert unpack_fields(x_word, msg_layout(p)) == [15]
     assert unpack_fields(rs_encode(x_word, g, p), p.out_layout()) == [6, 15]
 
     zero = WideInt(0, p.word_in_bits)
@@ -412,7 +417,7 @@ def test_rs_encode_matches_symbolic_oracle():
         for _ in range(10_000):
             msg = [rng.randrange(1 << p.B) for _ in range(p.blocks_per_word)]
             from wordcode.wordram import pack_fields
-            x_word = pack_fields(msg, p.msg_layout())
+            x_word = pack_fields(msg, msg_layout(p))
             got = unpack_fields(rs_encode(x_word, g, p), p.out_layout())
             assert got == symbolic_poly_mul(msg, oracle_gen, p.P, p.out_slots)
 
@@ -425,8 +430,8 @@ def test_rs_encode_linearity_over_field():
     for _ in range(300):
         mx = [rng.randrange(1 << p.B) for _ in range(p.blocks_per_word)]
         my = [rng.randrange(1 << p.B) for _ in range(p.blocks_per_word)]
-        fx = unpack_fields(rs_encode(pack_fields(mx, p.msg_layout()), g, p), p.out_layout())
-        fy = unpack_fields(rs_encode(pack_fields(my, p.msg_layout()), g, p), p.out_layout())
+        fx = unpack_fields(rs_encode(pack_fields(mx, msg_layout(p)), g, p), p.out_layout())
+        fy = unpack_fields(rs_encode(pack_fields(my, msg_layout(p)), g, p), p.out_layout())
         diff_msg = [(a - b) % p.P for a, b in zip(mx, my)]
         want = symbolic_poly_mul(diff_msg, list(g.coeffs), p.P, p.out_slots)
         assert [(a - b) % p.P for a, b in zip(fx, fy)] == want
@@ -627,7 +632,7 @@ def test_plan_posts_equal_op_by_op_charges(w):
     p = derive_params(w)
     layout = p.out_layout(5)
     q = _derive_params_any(p.B + 1)
-    split, inner_split = _split_plan(p), _split_plan(q, layout)
+    split, inner_split = _SplitPlan(p, None), _SplitPlan(q, layout)
     g = build_generator(p)
     rs = _RsPlan(p, split.out_bits, g.z_packed)
     plans = [split, rs.mod, rs, inner_split,

@@ -8,8 +8,14 @@ import numpy as np
 import pytest
 
 from wordcode.ecc_core import build_code, encode
-from wordcode.errors import CodecFormatError, DuplicateKeyError, ParameterError
+from wordcode.errors import (
+    CodecFormatError,
+    CodecVersionError,
+    DuplicateKeyError,
+    ParameterError,
+)
 from wordcode.sighash import (
+    SIGNATURE_VERSION,
     SignatureFn,
     _separated,
     build_signature,
@@ -156,15 +162,17 @@ def test_eval_matches_codeword_bits():
     rng = random.Random(3)
     keys = distinct_keys(rng, 16, 40)
     fn = build_signature(code, keys)
+    assert all(0 <= pos < code.codeword_bits for pos in fn.positions)
     for k in keys[:10]:
         cw = encode(code, k)
         sig = sig_eval(fn, k)
         for j, pos in enumerate(fn.positions):
-            assert sig.bit(j) == cw.bit(pos)
-    # The cached (position, bit) pairs stay off the dataclass fields, so
+            assert (int(sig) >> j) & 1 == (int(cw) >> pos) & 1
+    # The cached gather charges stay off the dataclass fields, so
     # equality and the saved description never see them.
-    assert "_bit_pairs" in vars(fn)
-    assert "_bit_pairs" not in {f.name for f in dataclasses.fields(fn)}
+    sig_eval(fn, keys[0], OpLedger(16))
+    assert "_gather" in vars(fn)
+    assert "_gather" not in {f.name for f in dataclasses.fields(fn)}
     assert fn == SignatureFn(code, fn.positions, fn.n)
 
 
@@ -191,7 +199,8 @@ def test_ledgered_sig_eval_charges_encode_plus_gather(level):
         plain = sig_eval(fn, x)
         cw = encode(code, x)
         assert sig == plain
-        assert int(plain) == sum(cw.bit(pos) << j for j, pos in enumerate(fn.positions))
+        assert int(plain) == sum(((int(cw) >> pos) & 1) << j
+                                 for j, pos in enumerate(fn.positions))
 
 
 def test_verify_rejects_handmade_non_injective():
@@ -367,8 +376,9 @@ def test_signature_obj_rejects_malformed(tmp_path):
     with pytest.raises(CodecFormatError):
         signature_from_obj(bad)
     bad = dict(obj)
+    assert obj["version"] == SIGNATURE_VERSION
     bad["version"] = 9
-    with pytest.raises(CodecFormatError):
+    with pytest.raises(CodecVersionError, match="unsupported signature version 9"):
         signature_from_obj(bad)
     bad = dict(obj)
     bad["positions"] = 1

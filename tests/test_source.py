@@ -1,12 +1,14 @@
-"""Source hygiene checks over the `wordcode` package."""
+"""Hygiene checks over the `wordcode` package, its tests and its CI workflow."""
 
 import ast
+import re
 from pathlib import Path
 
 import wordcode
 
 PACKAGE = Path(wordcode.__file__).parent
 TESTS = Path(__file__).parent
+REPO = TESTS.parent
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -94,3 +96,19 @@ def test_only_wordram_computes_word_units():
 def test_word_unit_check_sees_a_call():
     tree = ast.parse("n = led.words(8)\nwords(3)\nx = a.b.words(\n    1) + 2\nled.words\n")
     assert _word_unit_calls(tree) == [1, 3]
+
+
+def test_ci_runs_tier1_at_the_declared_floors():
+    # Read as text: PyYAML is not a test dependency.  One job runs the
+    # lowest Python and numpy that pyproject.toml admits, and the test
+    # step runs the ROADMAP's tier-1 command.
+    workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    pyproject = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+    roadmap = (REPO / "ROADMAP.md").read_text(encoding="utf-8")
+    python_floor = re.search(r'^requires-python = ">=([\d.]+)"$', pyproject, re.M)
+    numpy_floor = re.search(r'^\s*"numpy>=([\d.]+)",$', pyproject, re.M)
+    jobs = re.findall(r'- python: "([^"]+)"\n\s+numpy: "([^"]+)"', workflow)
+    assert (python_floor[1], f"numpy=={numpy_floor[1]}.*") in jobs
+    command = re.search(r"^\*\*Tier-1 verify:\*\* `([^`]+)`$", roadmap, re.M)
+    steps = re.findall(r"- name: Tier-1 tests\n\s+run: (.+)$", workflow, re.M)
+    assert steps == [command[1]]

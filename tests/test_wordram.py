@@ -81,13 +81,6 @@ def test_wideint_hex_round_trip():
     assert WideInt(0, 0).to_hex() == ""
 
 
-def test_wideint_bit():
-    x = WideInt(0b1010, 4)
-    assert [x.bit(i) for i in range(4)] == [0, 1, 0, 1]
-    with pytest.raises(LayoutError):
-        x.bit(4)
-
-
 def test_wideint_extend_is_free():
     x = WideInt(7, 3)
     y = x.extend(10)
