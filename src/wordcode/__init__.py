@@ -7,6 +7,7 @@ from wordcode.ecc_core import (
     deserialize,
     distance_report,
     encode,
+    min_weight_multiple_check,
     serialize,
 )
 from wordcode.errors import (
@@ -25,7 +26,6 @@ from wordcode.outer_rs import (
     RsParams,
     build_generator,
     derive_params,
-    min_weight_multiple_check,
     rs_encode,
     split5,
 )

@@ -49,7 +49,6 @@ from .outer_rs import (
     RsParams,
     _RsPlan,
     _SplitPlan,
-    _check_sampling,
     _derive_params_any,
     _index,
     _word_size,
@@ -156,7 +155,7 @@ class _EncodePlans:
         self.rs = _RsPlan(p, self.split.out_bits, code.gen.z_packed)
         self.layout = p.out_layout(5 * count)
         # Must match what each ledgered stage posts, until the ledgered
-        # encode posts these phases itself (ROADMAP item 4(c)).
+        # encode posts these phases itself (ROADMAP item 7(c)).
         self.phases = {
             "split5": (self.split.ops,),
             "rs_encode": (self.rs.ops, self.rs.mod.ops),
@@ -260,21 +259,20 @@ def _charge_param_search(p: RsParams, ledger: OpLedger):
     ledger.charge("mul", pbits, pbits, count=(p.alpha - 1) * per_root)
 
 
-def _build(w: int, delta, level: int, phases: defaultdict, prefix: str = "") -> EccCode:
+def _build(p: RsParams, delta, level: int, phases: defaultdict, prefix: str = "") -> EccCode:
     """Assemble the code, charging each construction phase to its own
     ledger `phases[prefix + name]`; the level-2 inner build's prefix is `inner.`."""
-    params = _derive_params_any(w)
-    _charge_param_search(params, phases[prefix + "param_search"])
-    gen = build_generator(params, phases[prefix + "generator"])
+    _charge_param_search(p, phases[prefix + "param_search"])
+    gen = build_generator(p, phases[prefix + "generator"])
 
     if level == 1:
-        inner = find_multiplier(params.B, DEFAULT_DELTA if delta is None else delta,
+        inner = find_multiplier(p.B, DEFAULT_DELTA if delta is None else delta,
                                 phases[prefix + "multiplier_scan"])
         inner_ecc = None
     else:
         inner = None
-        inner_ecc = _build(params.B + 1, delta, 1, phases, "inner.")
-    return EccCode(params, gen, inner, inner_ecc)
+        inner_ecc = _build(_derive_params_any(p.B + 1), delta, 1, phases, "inner.")
+    return EccCode(p, gen, inner, inner_ecc)
 
 
 def _check_build_args(w, level) -> tuple:
@@ -297,7 +295,7 @@ def build_code(w: int, delta=None, level: int = 1):
     """
     w, level = _check_build_args(w, level)
     build = defaultdict(lambda: OpLedger(w))
-    code = _build(w, delta, level, build)
+    code = _build(_derive_params_any(w), delta, level, build)
     enc = defaultdict(lambda: OpLedger(w))
     for name, op_lists in code._plans.phases.items():
         for ops in op_lists:
@@ -517,6 +515,17 @@ def _batch_encode(code: EccCode, keys: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_sampling(samples, seed) -> tuple:
+    """A random probe's pair or message count (at least 1) and seed (at
+    least 0) as ints; ParameterError naming the bad argument otherwise."""
+    samples, seed = _index(samples, "samples"), _index(seed, "seed")
+    if samples < 1:
+        raise ParameterError(f"samples must be at least 1, got {samples}")
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed}")
+    return samples, seed
+
+
 def _sample_keys(rng, w: int, n: int) -> np.ndarray:
     """n uniform w-bit keys as limb rows."""
     rows = rng.integers(0, 1 << min(w, 64), size=(n, -(-w // 64)), dtype=np.uint64)
@@ -585,6 +594,61 @@ def distance_report(code: EccCode, mode: str = "random",
         "min_relative": min_bits / code.codeword_bits,
         "pairs_checked": pairs,
     }
+
+
+def _sample_messages(rng, p: RsParams, n: int) -> np.ndarray:
+    """n uniform nonzero outer messages as uint64 columns, one row per coefficient."""
+    cols = rng.integers(0, p.P, size=(p.blocks_per_word, n), dtype=np.uint64)
+    zero = ~cols.any(axis=0)
+    if zero.any():
+        cols[:, zero] = _sample_messages(rng, p, int(zero.sum()))
+    return cols
+
+
+def min_weight_multiple_check(g: GeneratorPoly, p: RsParams,
+                              mode: str = "exhaustive",
+                              samples: int = 100_000,
+                              seed: int = 0) -> int:
+    """Minimal count of nonzero coefficients over nonzero multiples of g.
+
+    Messages are polynomials of degree < blocks_per_word over GF(P);
+    their products with g are what rs_encode emits, so this is a direct
+    measurement of the outer code's distance.  The products come from
+    `_kernels.poly_mul_mod`, the batch encoder's convolution.  Random
+    mode draws and convolves its messages in chunks of at most 2^22
+    product entries, so its memory does not grow with `samples`.  The
+    result must reach r_deg + 1 (BCH bound for consecutive-power roots);
+    falling short would mean the field arithmetic is broken, and raises.
+    """
+    if mode == "exhaustive":
+        count = p.P**p.blocks_per_word
+        if count > 1 << 20:
+            raise ParameterError(
+                f"P^blocks_per_word = {count} messages is past the exhaustive"
+                f" cap 2^20; use mode='random'"
+            )
+        # Message i's coefficients are its base-P digits.  Under the cap the
+        # products hold at most 1.8e6 entries in all (w=64): one call.
+        powers = np.uint64(p.P) ** np.arange(p.blocks_per_word, dtype=np.uint64)
+        chunks = [np.arange(1, count, dtype=np.uint64) // powers[:, None] % np.uint64(p.P)]
+    elif mode == "random":
+        samples, seed = _check_sampling(samples, seed)
+        rng = np.random.default_rng(seed)
+        chunk = (1 << 22) // p.out_slots
+        chunks = (_sample_messages(rng, p, min(chunk, samples - lo))
+                  for lo in range(0, samples, chunk))
+    else:
+        raise ParameterError(f"mode must be 'exhaustive' or 'random', got {mode!r}")
+
+    best = p.out_slots + 1
+    for cols in chunks:
+        conv = _kernels.poly_mul_mod(cols, g.coeffs, p.P)
+        best = min(best, int(np.count_nonzero(conv, axis=0).min()))
+    if best < p.r_deg + 1:
+        raise ParameterError(
+            f"observed multiple of weight {best}, below the BCH bound {p.r_deg + 1}"
+        )
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -690,9 +754,10 @@ def _from_obj(obj) -> EccCode:
     delta = Fraction(obj["delta_num"], obj["delta_den"])
     try:
         _check_build_args(w, level)
+        params = _derive_params_any(w)
         if level == 1:
-            _verify_multiplier(obj["m"], _derive_params_any(w).B, delta)
-        code = _build(w, delta, level, defaultdict(lambda: OpLedger(w)))
+            _verify_multiplier(obj["m"], params.B, delta)
+        code = _build(params, delta, level, defaultdict(lambda: OpLedger(w)))
     except (ParameterError, MultiplierNotFoundError) as exc:
         raise CodeValidationError(
             f"description does not rebuild at w={reprlib.repr(w)}: {exc}"

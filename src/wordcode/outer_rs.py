@@ -13,7 +13,8 @@ of how many blocks a word carries.
 The generator g(gamma) = (gamma - alpha)(gamma - alpha^2)...(gamma -
 alpha^r_deg) makes every nonzero multiple have at least r_deg + 1
 nonzero coefficients (BCH bound), which is where the outer distance
-comes from; min_weight_multiple_check measures that bound directly.
+comes from; `ecc_core.min_weight_multiple_check` measures that bound
+directly.
 """
 
 from __future__ import annotations
@@ -21,9 +22,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _kernels
 from .errors import ParameterError
 from .numtheory import FieldPrime, find_field_prime, find_primitive_root
 from .wordram import (
@@ -31,7 +29,7 @@ from .wordram import (
     OpLedger,
     OpList,
     WideInt,
-    _parallel_mod_plan,
+    _ParallelModPlan,
     _reciprocal_any_width,
     div_by_const,
     pack_fields,
@@ -138,17 +136,6 @@ def _index(value, name: str) -> int:
         except TypeError:
             pass
     raise ParameterError(f"{name} must be an integer, not {type(value).__name__}")
-
-
-def _check_sampling(samples, seed) -> tuple:
-    """A random probe's pair or message count (at least 1) and seed (at
-    least 0) as ints; ParameterError naming the bad argument otherwise."""
-    samples, seed = _index(samples, "samples"), _index(seed, "seed")
-    if samples < 1:
-        raise ParameterError(f"samples must be at least 1, got {samples}")
-    if seed < 0:
-        raise ParameterError(f"seed must be non-negative, got {seed}")
-    return samples, seed
 
 
 def _word_size(w) -> int:
@@ -357,6 +344,7 @@ def build_generator(p: RsParams, ledger: OpLedger | None = None) -> GeneratorPol
     prime_p, alpha, r = p.P, p.alpha, p.r_deg
     coeff_layout = FieldLayout(p.S, 2, p.B + 1)
     gen_layout = _gen_layout(p)
+    plan = _ParallelModPlan(gen_layout, prime_p)
     pow_rec = _reciprocal_any_width(prime_p, 2 * prime_p.bit_length())
     z = pack_fields([prime_p - alpha, 1], coeff_layout, ledger)
     z = z.extend(gen_layout.total_bits)
@@ -373,7 +361,7 @@ def build_generator(p: RsParams, ledger: OpLedger | None = None) -> GeneratorPol
         # S >= 4(B+1) keeps each slot clear of the next.  The tests check
         # every product slot of every generator the builds expand.
         raw = wide_mul(z, mono, ledger)
-        z = parallel_mod(raw, gen_layout, prime_p, ledger)
+        z = parallel_mod(raw, gen_layout, prime_p, ledger, plan=plan)
     coeffs = tuple(unpack_fields(z, gen_layout))
     if coeffs[r] != 1:
         raise ParameterError(f"generator is not monic: leading slot {coeffs[r]}")
@@ -393,7 +381,7 @@ class _RsPlan:
 
     def __init__(self, p: RsParams, in_bits: int, z: WideInt):
         self.layout = p.conv_layout(-(-in_bits // p.word_out_bits))
-        self.mod = _parallel_mod_plan(self.layout, p.P)
+        self.mod = _ParallelModPlan(self.layout, p.P)
         self.z, self.z_bits = z.value, z.bits
         self.ops = OpList((("mul", in_bits, z.bits),))
 
@@ -427,53 +415,3 @@ def rs_encode(x_word: WideInt, g: GeneratorPoly, p: RsParams,
         ledger.post(plan.ops)
     prod = WideInt(x_word.value * plan.z, x_word.bits + plan.z_bits)
     return parallel_mod(prod, plan.layout, p.P, ledger, plan=plan.mod)
-
-
-def min_weight_multiple_check(g: GeneratorPoly, p: RsParams,
-                              mode: str = "exhaustive",
-                              samples: int = 100_000,
-                              seed: int = 0) -> int:
-    """Minimal count of nonzero coefficients over nonzero multiples of g.
-
-    Messages are polynomials of degree < blocks_per_word over GF(P);
-    their products with g are what rs_encode emits, so this is a direct
-    measurement of the outer code's distance.  The products come from
-    `_kernels.poly_mul_mod`, the batch encoder's convolution.  The
-    result must reach r_deg + 1 (BCH bound for consecutive-power roots);
-    falling short would mean the field arithmetic is broken, and raises.
-    """
-    prime_p, bpw, out_len = p.P, p.blocks_per_word, p.out_slots
-    if mode == "exhaustive":
-        count = prime_p**bpw
-        if count > 1 << 20:
-            raise ParameterError(
-                f"P^blocks_per_word = {count} messages is past the exhaustive"
-                f" cap 2^20; use mode='random'"
-            )
-        idx = np.arange(1, count, dtype=np.int64)
-        msgs = idx[:, None] // prime_p ** np.arange(bpw) % prime_p
-    elif mode == "random":
-        samples, seed = _check_sampling(samples, seed)
-        rng = np.random.default_rng(seed)
-        msgs = rng.integers(0, prime_p, size=(samples, bpw), dtype=np.int64)
-        zero_rows = ~msgs.any(axis=1)
-        while zero_rows.any():
-            msgs[zero_rows] = rng.integers(
-                0, prime_p, size=(int(zero_rows.sum()), bpw), dtype=np.int64
-            )
-            zero_rows = ~msgs.any(axis=1)
-    else:
-        raise ParameterError(f"mode must be 'exhaustive' or 'random', got {mode!r}")
-
-    # Messages as columns, in chunks of at most 2^22 product entries.
-    cols = np.ascontiguousarray(msgs.T, dtype=np.uint64)
-    chunk = (1 << 22) // out_len
-    best = out_len + 1
-    for lo in range(0, cols.shape[1], chunk):
-        conv = _kernels.poly_mul_mod(cols[:, lo:lo + chunk], g.coeffs, prime_p)
-        best = min(best, int(np.count_nonzero(conv, axis=0).min()))
-    if best < p.r_deg + 1:
-        raise ParameterError(
-            f"observed multiple of weight {best}, below the BCH bound {p.r_deg + 1}"
-        )
-    return best

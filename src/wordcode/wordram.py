@@ -470,11 +470,6 @@ class _ParallelModPlan:
         return out
 
 
-@lru_cache(maxsize=256)
-def _parallel_mod_plan(layout: FieldLayout, divisor: int) -> _ParallelModPlan:
-    return _ParallelModPlan(layout, divisor)
-
-
 def parallel_mod(word: WideInt, layout: FieldLayout, divisor: int,
                  ledger: OpLedger | None = None, *,
                  plan: _ParallelModPlan | None = None) -> WideInt:
@@ -484,10 +479,10 @@ def parallel_mod(word: WideInt, layout: FieldLayout, divisor: int,
     Bits of `word` above layout.total_bits are ignored.  The charged
     cost depends only on the layout and divisor, never on slot values:
     the plan's operations, posted at once.  `plan`, when given, is
-    `_parallel_mod_plan(layout, divisor)` resolved by the caller.
+    `_ParallelModPlan(layout, divisor)` resolved by the caller.
     """
     if plan is None:
-        plan = _parallel_mod_plan(layout, divisor)
+        plan = _ParallelModPlan(layout, divisor)
     if word.bits < plan.bits:
         raise LayoutError(
             f"word of {word.bits} bits shorter than layout ({plan.bits})"

@@ -17,14 +17,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wordcode.ecc_core import build_code, deserialize, distance_report, encode, serialize
+from wordcode.ecc_core import (
+    build_code,
+    deserialize,
+    distance_report,
+    encode,
+    min_weight_multiple_check,
+    serialize,
+)
 from wordcode.errors import (
     CodecFormatError,
     CodecVersionError,
     CodeValidationError,
 )
 from wordcode.inner_mult import find_multiplier
-from wordcode.outer_rs import build_generator, derive_params, min_weight_multiple_check
+from wordcode.outer_rs import build_generator, derive_params
 from wordcode.sighash import build_signature, cap_constant, verify_injective
 from wordcode.wordram import (
     FieldLayout,

@@ -949,6 +949,25 @@ def test_deserialize_verifies_stored_multiplier_before_rebuilding(monkeypatch):
             deserialize(json.dumps(obj))
 
 
+def test_deserialize_derives_each_level_once(monkeypatch):
+    # One prime scan and root search per code level: the stored-m check
+    # and the rebuild share the level-1 parameters.
+    import wordcode.ecc_core as ecc_core
+
+    blobs = {level: serialize(build_code(64, None, level)[0]) for level in (1, 2)}
+    derived = []
+
+    def counting(w):
+        derived.append(w)
+        return _derive_params_any(w)
+
+    monkeypatch.setattr(ecc_core, "_derive_params_any", counting)
+    for level, widths in ((1, [64]), (2, [64, 7])):
+        derived.clear()
+        deserialize(blobs[level])
+        assert derived == widths, level
+
+
 def test_deserialize_rejects_tampered_level2():
     code, _ = build_code(64, None, 2)
     blob = serialize(code)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wordcode import _kernels
-from wordcode.ecc_core import build_code
+from wordcode.ecc_core import build_code, min_weight_multiple_check
 from wordcode.errors import ParameterError
 from wordcode.numtheory import find_field_prime, find_primitive_root
 from wordcode.outer_rs import (
@@ -19,7 +19,6 @@ from wordcode.outer_rs import (
     _gen_layout,
     build_generator,
     derive_params,
-    min_weight_multiple_check,
     rs_encode,
     split5,
 )
@@ -28,7 +27,7 @@ from wordcode.wordram import (
     FieldLayout,
     OpLedger,
     WideInt,
-    _parallel_mod_plan,
+    _ParallelModPlan,
     pack_fields,
     parallel_mod,
     parallel_mod_reference,
@@ -520,7 +519,7 @@ def test_real_conv_layouts_reduce_the_all_top_word_exactly():
         packed = parallel_mod(word, layout, p.P)
         assert packed == parallel_mod_reference(word, layout, p.P), w
         assert set(unpack_fields(packed, layout)) == {((1 << layout.value_bound) - 1) % p.P}
-        passes.add(len(_parallel_mod_plan(layout, p.P).parities))
+        passes.add(len(_ParallelModPlan(layout, p.P).parities))
     assert passes == {1, 2}
 
 
@@ -636,7 +635,7 @@ def test_plan_posts_equal_op_by_op_charges(w):
     g = build_generator(p)
     rs = _RsPlan(p, split.out_bits, g.z_packed)
     plans = [split, rs.mod, rs, inner_split,
-             _parallel_mod_plan(q.conv_layout(5 * layout.slot_count), q.P),
+             _ParallelModPlan(q.conv_layout(5 * layout.slot_count), q.P),
              _RsPlan(q, inner_split.out_bits, build_generator(q).z_packed),
              _MultPlan(InnerCode(q.B, 1, 1, 1), q.out_layout(5 * layout.slot_count))]
     for word_bits in (8, 10, 64, w, q.w, 8192):

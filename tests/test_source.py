@@ -58,6 +58,42 @@ def test_unused_import_check_sees_a_leftover():
     assert _unused_imports(tree) == ["b (line 4)", "json (line 2)"]
 
 
+def _bulk_imports(tree: ast.Module) -> list:
+    """Line numbers of the module's imports of numpy or `_kernels`, ascending."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(n.split(".")[0] == "numpy" or "_kernels" in n.split(".") for n in names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_only_the_bulk_modules_import_numpy_or_kernels():
+    # The word-RAM primitives, number theory and outer code run on host
+    # integers.  numpy serves the kernels, the multiplier search, and the
+    # bulk encoder and measurements (`ecc_core`, `sighash`).
+    bulk = {"_kernels.py", "inner_mult.py", "ecc_core.py", "sighash.py"}
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name not in bulk)
+    assert {p.name for p in modules} >= {"outer_rs.py", "wordram.py", "numtheory.py"}
+    found = {p.name: _bulk_imports(ast.parse(p.read_text(encoding="utf-8")))
+             for p in modules}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_bulk_import_check_sees_a_leftover():
+    tree = ast.parse("import json\nimport numpy as np\nfrom numpy.random import default_rng\n"
+                     "from . import _kernels, errors\nfrom ._kernels import poly_mul_mod\n"
+                     "from .errors import ParameterError\nimport wordcode._kernels\n"
+                     "def f():\n    import numpy\n    from wordcode import _kernels\n")
+    assert _bulk_imports(tree) == [2, 3, 4, 5, 7, 9, 10]
+
+
 def _asserts(tree: ast.Module) -> list:
     """Line numbers of the module's `assert` statements, ascending."""
     return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))

@@ -350,8 +350,6 @@ def test_reciprocal_preconditions():
 def test_reciprocals_exact_on_every_dividend(monkeypatch):
     # Every (divisor, width) up to EXHAUSTIVE_BITS_MAX that building the
     # codes requests, plus the pairs pinned above, on all of [0, 2**width).
-    # The parallel_mod plans are the one cache that would hide a request.
-    wordram._parallel_mod_plan.cache_clear()
     requested = {}
 
     def recording(divisor, value_bits):
