@@ -1,13 +1,13 @@
 """Constant-time error-correcting codes over machine words."""
 
+import importlib
+
 from wordcode.ecc_core import (
     CostReport,
     EccCode,
     build_code,
     deserialize,
-    distance_report,
     encode,
-    min_weight_multiple_check,
     serialize,
 )
 from wordcode.errors import (
@@ -29,14 +29,6 @@ from wordcode.outer_rs import (
     rs_encode,
     split5,
 )
-from wordcode.sighash import (
-    SignatureFn,
-    build_signature,
-    load_signature,
-    save_signature,
-    sig_eval,
-    verify_injective,
-)
 from wordcode.wordram import (
     FieldLayout,
     OpLedger,
@@ -48,6 +40,27 @@ from wordcode.wordram import (
 )
 
 __version__ = "0.1.0"
+
+# The bulk measurements and the signature functions import numpy.  They
+# are served by name and their module is imported on first use, so that
+# `python -m wordcode.cli` and the spec route never import numpy.
+_LAZY = {
+    "distance_report": "bulk",
+    "min_weight_multiple_check": "bulk",
+    "SignatureFn": "sighash",
+    "build_signature": "sighash",
+    "load_signature": "sighash",
+    "save_signature": "sighash",
+    "sig_eval": "sighash",
+    "verify_injective": "sighash",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
 
 __all__ = [
     "CodecFormatError",

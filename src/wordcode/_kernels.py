@@ -35,6 +35,19 @@ _SCAN_FIRST_COLUMNS = 32
 # Most pair distances per numpy call in a row check.
 _ROW_CHUNK_ENTRIES = 1 << 16
 
+# Allocate and free two 8 MB blocks at import; np.empty touches no page,
+# so this costs microseconds.  glibc maps the first on its own, and
+# freeing that mapping raises its dynamic mmap threshold to 8 MB.  The
+# bulk paths' ~1 MB temporaries (random `distance_report`, batch-encode
+# chunks) then reuse heap memory instead of mapping and faulting in
+# fresh pages on every call, which made them about twice as slow.  The
+# second block comes from the heap, and numpy advises huge pages for any
+# block of 4 MB or more, so the heap range that those temporaries reuse
+# may be backed by huge pages; without it the keyset benchmark ran about
+# 3 % slower.
+for _ in range(2):
+    np.empty(_SCAN_BLOCK_ENTRIES, dtype=np.uint64)
+
 
 def backend_name() -> str:
     return "numpy"
@@ -135,12 +148,7 @@ def scan_multiplier(b_bits: int, m_lo: int, m_hi: int, threshold: int) -> int:
     values = 1 << (b_bits + 1)
     every = np.arange(values, dtype=np.uint64)
     cap = max(1, _SCAN_BLOCK_ENTRIES // values)
-    # Sized to the cap, not to the largest block this scan uses.  np.empty
-    # touches no page, so the unused part costs nothing, and freeing a
-    # mapping this large raises glibc's dynamic mmap threshold to 8 MB.
-    # Later bulk calls (random `distance_report`, ~1 MB temporaries) then
-    # reuse heap memory instead of mapping and faulting in fresh pages on
-    # every call, which made them about twice as slow.
+    # Sized to the cap; np.empty touches no page, so the unused part costs nothing.
     work = np.empty(cap * values, dtype=np.uint64)
     counts = np.empty(cap * values, dtype=np.uint8)
     lo, size = m_lo, min(_SCAN_FIRST_BLOCK, cap)

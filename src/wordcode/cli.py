@@ -4,6 +4,9 @@ Exit codes everywhere: 0 success, 1 domain error (a module rejected the
 inputs), 2 usage error (flags or value syntax).  Structured results
 print as single-line JSON reports; only the wall_time_s field may
 differ between identical runs.
+
+`build`, `verify` and `encode` run on the numpy-free spec route; the
+`distance` and `sighash` commands import the bulk modules when they run.
 """
 
 from __future__ import annotations
@@ -16,26 +19,17 @@ import sys
 import time
 
 from .ecc_core import (
+    _hex_key,
     _key_value,
     _read_file,
     build_code,
     deserialize,
-    distance_report,
     encode,
     serialize,
 )
 from .errors import ParameterError, WordcodeError
 from .inner_mult import _delta
 from .outer_rs import _word_size
-from .sighash import (
-    _hex_key,
-    build_signature,
-    load_signature,
-    read_keys_file,
-    save_signature,
-    sig_eval,
-    verify_injective,
-)
 
 FORMAT_VERSION = 1
 
@@ -126,6 +120,8 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_distance(args) -> int:
+    from .bulk import distance_report
+
     started = time.monotonic()
     code = _load_code(args.code)
     if args.exhaustive:
@@ -182,11 +178,13 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_sighash_build(args) -> int:
+    from . import sighash
+
     started = time.monotonic()
     code = _load_code(args.code)
-    keys = read_keys_file(args.keys, code.params.w)
-    fn = build_signature(code, keys)
-    save_signature(args.out, fn)
+    keys = sighash.read_keys_file(args.keys, code.params.w)
+    fn = sighash.build_signature(code, keys)
+    sighash.save_signature(args.out, fn)
     _print_report(
         "sighash-build",
         {"code": args.code, "keys": args.keys, "out": args.out},
@@ -198,19 +196,23 @@ def _cmd_sighash_build(args) -> int:
 
 
 def _cmd_sighash_eval(args) -> int:
-    fn = load_signature(args.sig)
+    from . import sighash
+
+    fn = sighash.load_signature(args.sig)
     w = fn.code.params.w
     with _usage_errors():
         val = _key_value(_hex_key(args.hex, w, "value"), w, "value")
-    print(sig_eval(fn, val).to_hex())
+    print(sighash.sig_eval(fn, val).to_hex())
     return 0
 
 
 def _cmd_sighash_verify(args) -> int:
+    from . import sighash
+
     started = time.monotonic()
-    fn = load_signature(args.sig)
-    keys = read_keys_file(args.keys, fn.code.params.w)
-    ok = verify_injective(fn, keys)
+    fn = sighash.load_signature(args.sig)
+    keys = sighash.read_keys_file(args.keys, fn.code.params.w)
+    ok = sighash.verify_injective(fn, keys)
     _print_report(
         "sighash-verify",
         {"sig": args.sig, "keys": args.keys},

@@ -6,6 +6,10 @@ whose images of all pairs of distinct (B+1)-bit values differ in at
 least T = ceil(delta*B) bit positions.  Keeping m below 2^(3(B+1))
 means every product fits its 4(B+1)-bit slot, so one whole-word
 multiplication encodes every slot of a packed word at once.
+
+At the default threshold the answers are tabled, so building or loading
+a code at the default delta runs no scan and imports no numpy; any
+other threshold scans with the numpy kernels.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _kernels
 from .errors import (
     CodeValidationError,
     LayoutError,
@@ -56,6 +59,15 @@ def threshold_for(b: int, delta) -> int:
     return math.ceil(_delta(delta) * b)
 
 
+# What the scan finds at the default threshold ceil(B/2), B = 1..B_MAX,
+# keyed by (B, threshold); any delta with that threshold has the same
+# answer.  The tests rescan and re-verify every entry.
+_TABLED_MULTIPLIERS = {
+    (b, threshold_for(b, DEFAULT_DELTA)): m
+    for b, m in enumerate((1, 1, 3, 3, 23, 29, 185, 185, 2669, 2807), start=1)
+}
+
+
 def _charge_scan(ledger: OpLedger, b: int, candidates: int):
     """Model cost of scanning `candidates` multipliers, full pairs each.
 
@@ -82,14 +94,21 @@ def _symbol_bits(b) -> int:
 
 
 def _verify_multiplier(m: int, b: int, delta) -> None:
-    """CodeValidationError unless m lies in [1, 2^(3(B+1))) and its
+    """CodeValidationError unless m lies in [1, 2^(3(B+1))) and, where
+    no tabled entry covers (B, threshold_for(B, delta)), its
     `_kernels.pair_min_distance`, a scan with none of the search's cuts,
-    reaches `threshold_for(B, delta)`."""
+    reaches that threshold.  At a tabled threshold the tests have
+    measured the entry, and a stored m other than the entry fails the
+    rebuild-and-compare of `deserialize`."""
     b = _symbol_bits(b)
     t = threshold_for(b, delta)
     if not 1 <= m < 1 << (3 * (b + 1)):
         raise CodeValidationError(
             f"multiplier {reprlib.repr(m)} outside [1, 2^{3 * (b + 1)}) for B={b}")
+    if (b, t) in _TABLED_MULTIPLIERS:
+        return
+    from . import _kernels
+
     dist = _kernels.pair_min_distance(m, b)
     if dist < t:
         raise CodeValidationError(
@@ -103,8 +122,10 @@ def find_multiplier(b: int, delta, ledger: OpLedger | None = None) -> InnerCode:
     The search owns its domain: it reads B and delta, and when no
     multiplier reaches the threshold (one past the 4(B+1)-bit codeword
     is refused before any scan) reports `DEFAULT_DELTA` as a delta that
-    succeeds at this B.  An answer `_verify_multiplier` refuses is a
-    kernel fault.
+    succeeds at this B.  A tabled threshold takes its entry and any
+    other scans (`_kernels.scan_multiplier`, reached through the module
+    object); the ledger is charged the scan's closed form either way.
+    An answer `_verify_multiplier` refuses is a kernel fault.
     """
     b = _symbol_bits(b)
     delta = _delta(delta)
@@ -113,12 +134,16 @@ def find_multiplier(b: int, delta, ledger: OpLedger | None = None) -> InnerCode:
     t = threshold_for(b, delta)
     if t > 4 * (b + 1):
         raise MultiplierNotFoundError(b, delta, DEFAULT_DELTA)
-    m_hi = 1 << (3 * (b + 1))
-    m = _kernels.scan_multiplier(b, 1, m_hi, t)
-    if m == -1:
-        if ledger is not None:
-            _charge_scan(ledger, b, m_hi - 1)
-        raise MultiplierNotFoundError(b, delta, DEFAULT_DELTA)
+    m = _TABLED_MULTIPLIERS.get((b, t))
+    if m is None:
+        from . import _kernels
+
+        m_hi = 1 << (3 * (b + 1))
+        m = _kernels.scan_multiplier(b, 1, m_hi, t)
+        if m == -1:
+            if ledger is not None:
+                _charge_scan(ledger, b, m_hi - 1)
+            raise MultiplierNotFoundError(b, delta, DEFAULT_DELTA)
     if ledger is not None:
         _charge_scan(ledger, b, m)
     _verify_multiplier(m, b, delta)

@@ -13,7 +13,7 @@ of how many blocks a word carries.
 The generator g(gamma) = (gamma - alpha)(gamma - alpha^2)...(gamma -
 alpha^r_deg) makes every nonzero multiple have at least r_deg + 1
 nonzero coefficients (BCH bound), which is where the outer distance
-comes from; `ecc_core.min_weight_multiple_check` measures that bound
+comes from; `bulk.min_weight_multiple_check` measures that bound
 directly.
 """
 

@@ -29,15 +29,13 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
+from .bulk import _batch_encode, _batch_fields, _field_width, _key_rows
 from .ecc_core import (
     EccCode,
-    _batch_encode,
-    _batch_fields,
     _check_fields,
-    _field_width,
     _from_obj,
+    _hex_key,
     _is_int,
-    _key_rows,
     _key_value,
     _parse_json,
     _read_file,
@@ -240,15 +238,6 @@ def verify_injective(f: SignatureFn, keys) -> bool:
 
 # ---------------------------------------------------------------------------
 # File formats
-
-
-def _hex_key(text: str, w: int, name: str) -> int:
-    """A key spelled as exactly ceil(w/4) lowercase hex digits, else
-    ParameterError naming it `name`; the value may still be >= 2^w."""
-    digits = -(-w // 4)
-    if len(text) != digits or any(c not in "0123456789abcdef" for c in text):
-        raise ParameterError(f"{name} must be exactly {digits} lowercase hex digits")
-    return int(text, 16)
 
 
 def read_keys_file(path, w: int) -> list:

@@ -21,19 +21,21 @@ from wordcode.errors import (
     MultiplierNotFoundError,
     ParameterError,
 )
+from wordcode.bulk import (
+    _batch_encode,
+    _chunk_keys,
+    _key_rows,
+    _sample_keys,
+    distance_report,
+)
 from wordcode.ecc_core import (
     CostReport,
     EccCode,
-    _batch_encode,
     _charge_param_search,
-    _chunk_keys,
     _encode_nested,
-    _key_rows,
     _key_value,
-    _sample_keys,
     build_code,
     deserialize,
-    distance_report,
     encode,
     serialize,
 )
@@ -411,7 +413,7 @@ def test_key_array_matches_key_value(w):
 @pytest.mark.parametrize("w", [10, 63, 64, 65, 256, 1000])
 def test_key_array_takes_plain_ints_in_bulk(monkeypatch, w):
     # Valid plain ints never reach the per-key loop, at any width.
-    import wordcode.ecc_core as ecc_core
+    import wordcode.bulk as bulk
 
     def per_key(*_):
         raise AssertionError("per-key loop on plain ints")
@@ -419,7 +421,7 @@ def test_key_array_takes_plain_ints_in_bulk(monkeypatch, w):
     rng = random.Random(w)
     keys = [0, (1 << w) - 1] + [rng.getrandbits(w) for _ in range(100)]
     want = _key_rows(keys, w)
-    monkeypatch.setattr(ecc_core, "_key_value", per_key)
+    monkeypatch.setattr(bulk, "_key_value", per_key)
     assert np.array_equal(_key_rows(keys, w), want)
 
 
@@ -429,7 +431,7 @@ def test_key_rows_take_integer_arrays_in_bulk(monkeypatch, w):
     # np.array(list_of_ints) gives), never reaches the per-key loop and
     # gives the rows of the list of the same keys; bad keys in arrays
     # are in test_key_array_matches_key_value.
-    import wordcode.ecc_core as ecc_core
+    import wordcode.bulk as bulk
 
     rng = random.Random(w)
     keys = [0, (1 << min(w, 64)) - 1] + [rng.getrandbits(min(w, 64)) for _ in range(100)]
@@ -443,7 +445,7 @@ def test_key_rows_take_integer_arrays_in_bulk(monkeypatch, w):
     def per_key(*_):
         raise AssertionError("per-key loop on an integer array")
 
-    monkeypatch.setattr(ecc_core, "_key_value", per_key)
+    monkeypatch.setattr(bulk, "_key_value", per_key)
     for arr, rows in zip(cases, want):
         got = _key_rows(arr, w)
         assert got.dtype == np.uint64 and np.array_equal(got, rows)

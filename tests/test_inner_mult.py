@@ -17,6 +17,7 @@ from wordcode.inner_mult import (
     B_MAX,
     DEFAULT_DELTA,
     InnerCode,
+    _TABLED_MULTIPLIERS,
     find_multiplier,
     inner_encode,
     threshold_for,
@@ -140,11 +141,47 @@ def test_find_multiplier_rejects_bad_args():
 
 
 def test_scan_answer_failing_verification_is_a_fault(monkeypatch):
-    # m = 1 keeps images 1 bit apart, below the threshold 2 at B=4.
+    # m = 1 keeps images 1 bit apart, below the untabled threshold 3 at B=4.
     monkeypatch.setattr(_kernels, "scan_multiplier", lambda *args: 1)
     with pytest.raises(CodeValidationError,
-                       match="multiplier 1 has pair distance 1, below threshold 2 for B=4"):
-        find_multiplier(4, Fraction(1, 2))
+                       match="multiplier 1 has pair distance 1, below threshold 3 for B=4"):
+        find_multiplier(4, Fraction(3, 4))
+
+
+def test_tabled_multipliers_are_what_the_scan_finds():
+    # Every entry is the scan's answer at its threshold, and the
+    # verifier's uncut pair scan reaches that threshold: this is the
+    # check that building or loading at a tabled threshold skips.
+    assert sorted(_TABLED_MULTIPLIERS) == [(b, threshold_for(b, DEFAULT_DELTA))
+                                           for b in range(1, B_MAX + 1)]
+    for (b, t), m in _TABLED_MULTIPLIERS.items():
+        assert m == _kernels.scan_multiplier(b, 1, 1 << (3 * (b + 1)), t), b
+        assert _kernels.pair_min_distance(m, b) >= t, b
+
+
+def test_only_untabled_thresholds_scan(monkeypatch):
+    # B=4 at delta 3/4 needs threshold 3, which no entry covers: it scans
+    # and verifies.  Any delta with a tabled threshold takes the entry.
+    calls = []
+    scan, verify = _kernels.scan_multiplier, _kernels.pair_min_distance
+
+    def recording_scan(*args):
+        calls.append(args)
+        return scan(*args)
+
+    def recording_verify(*args):
+        calls.append(("verify",) + args)
+        return verify(*args)
+
+    monkeypatch.setattr(_kernels, "scan_multiplier", recording_scan)
+    monkeypatch.setattr(_kernels, "pair_min_distance", recording_verify)
+    ic = find_multiplier(4, Fraction(3, 4))
+    assert (ic.m, ic.threshold) == (23, 3)
+    assert calls == [(4, 1, 1 << 15, 3), ("verify", 23, 4)]
+    calls.clear()
+    for delta in (DEFAULT_DELTA, Fraction(3, 8), Fraction(1, 4) + Fraction(1, 100)):
+        assert find_multiplier(4, delta).m == 3
+    assert calls == []
 
 
 @pytest.mark.parametrize("value", ["abc", "1/0", [1], None,

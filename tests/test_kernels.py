@@ -253,7 +253,7 @@ def test_join_fields_matches_shift_or_oracle(case):
 
 
 def test_batch_encode_backends_agree():
-    from wordcode import ecc_core
+    from wordcode import bulk, ecc_core
 
     # The batch path against the scalar encoder, bit for bit, at both
     # levels: a 1-D uint64 array up to w=64, `_key_rows` limb rows
@@ -266,7 +266,7 @@ def test_batch_encode_backends_agree():
     # Batches one chunk and three keys long.
     for w, level in ((1024, 1), (8192, 2)):
         code, _ = ecc_core.build_code(w, None, level)
-        cases.append((w, level, _batch_keys(rng, w, ecc_core._chunk_keys(code))))
+        cases.append((w, level, _batch_keys(rng, w, bulk._chunk_keys(code))))
     # All-ones keys give every block its largest value, so the
     # convolution sums peak: the widest w of each level-1 block width,
     # and the widest level-2 code.
@@ -274,12 +274,12 @@ def test_batch_encode_backends_agree():
     cases.append((8192, 2, [(1 << 8192) - 1]))
     for w, level, keys in cases:
         code, _ = ecc_core.build_code(w, None, level)
-        spellings = [ecc_core._key_rows(keys, w)]
+        spellings = [bulk._key_rows(keys, w)]
         if w <= 64:
             spellings.append(np.array(keys, dtype=np.uint64))
         expected = [int(ecc_core.encode(code, k)) for k in keys]
         for arr in spellings:
-            rows = ecc_core._batch_encode(code, arr)
+            rows = bulk._batch_encode(code, arr)
             assert rows.shape == (len(keys), -(-code.codeword_bits // 64))
             assert rows.dtype == np.uint64
             for k, row, want in zip(keys, rows, expected):
