@@ -4,9 +4,9 @@ The spec route in `ecc_core` (build, encode, serialize, deserialize)
 runs on Python integers and imports no numpy.  Everything that works on
 many keys or messages at once sits here, beside `_kernels`: the key
 intake, the batch encoder, and the distance measurements of the whole
-code and of its outer code.  `ecc_core` serves `distance_report`,
-`min_weight_multiple_check` and `_batch_encode` by name and imports this
-module on their first use.
+code and of its outer code.  `ecc_core` serves `distance_report` and
+`_batch_encode` by name and imports this module on their first use;
+`min_weight_multiple_check` is read here or from the package.
 """
 
 from __future__ import annotations

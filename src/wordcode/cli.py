@@ -20,7 +20,6 @@ import time
 
 from .ecc_core import (
     _hex_key,
-    _key_value,
     _read_file,
     build_code,
     deserialize,
@@ -114,7 +113,7 @@ def _cmd_encode(args) -> int:
     code = _load_code(args.code)
     w = code.params.w
     with _usage_errors():
-        val = _key_value(_hex_key(args.hex, w, "value"), w, "value")
+        val = _hex_key(args.hex, w, "value")
     print(encode(code, val).to_hex())
     return 0
 
@@ -201,7 +200,7 @@ def _cmd_sighash_eval(args) -> int:
     fn = sighash.load_signature(args.sig)
     w = fn.code.params.w
     with _usage_errors():
-        val = _key_value(_hex_key(args.hex, w, "value"), w, "value")
+        val = _hex_key(args.hex, w, "value")
     print(sighash.sig_eval(fn, val).to_hex())
     return 0
 

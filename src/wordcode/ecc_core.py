@@ -143,12 +143,11 @@ class _EncodePlans:
     to the `OpList`s its ledgered stage posts.
     """
 
-    __slots__ = ("symbols", "split", "rs", "layout", "mult", "inner", "bits", "phases")
+    __slots__ = ("split", "rs", "layout", "mult", "inner", "bits", "phases")
 
     def __init__(self, code: EccCode, symbols: FieldLayout | None = None):
         p = code.params
         count = 1 if symbols is None else symbols.slot_count
-        self.symbols = symbols
         self.split = _SplitPlan(p, symbols)
         self.rs = _RsPlan(p, self.split.out_bits, code.gen.z_packed)
         self.layout = p.out_layout(5 * count)
@@ -195,7 +194,6 @@ class CostReport:
     phases carry an `inner.` prefix.
     """
 
-    w: int
     build_phases: dict
     encode_phases: dict
 
@@ -219,14 +217,6 @@ class CostReport:
 
     def generator_total(self) -> int:
         return sum(self.generator_ops.values())
-
-    def as_dict(self) -> dict:
-        return {
-            "w": self.w,
-            "construction_ops": self.construction_ops,
-            "encode_ops": self.encode_ops,
-            "generator_ops": self.generator_ops,
-        }
 
 
 def _kind_sums(phases: dict) -> dict:
@@ -273,14 +263,6 @@ def _build(p: RsParams, delta, level: int, phases: defaultdict, prefix: str = ""
     return EccCode(p, gen, inner, inner_ecc)
 
 
-def _check_build_args(w, level) -> tuple:
-    """(w, level) as ints, each checked; ParameterError otherwise."""
-    level = _index(level, "level")
-    if level not in (1, 2):
-        raise ParameterError(f"level must be 1 or 2, got {level}")
-    return _word_size(w), level
-
-
 def build_code(w: int, delta=None, level: int = 1):
     """Construct the code for word size w; returns (EccCode, CostReport).
 
@@ -291,14 +273,17 @@ def build_code(w: int, delta=None, level: int = 1):
     of key 0 on the ledgered route must charge exactly their sum, else
     CodeValidationError.
     """
-    w, level = _check_build_args(w, level)
+    level = _index(level, "level")
+    if level not in (1, 2):
+        raise ParameterError(f"level must be 1 or 2, got {level}")
+    w = _word_size(w)
     build = defaultdict(lambda: OpLedger(w))
     code = _build(_derive_params_any(w), delta, level, build)
     enc = defaultdict(lambda: OpLedger(w))
     for name, op_lists in code._plans.phases.items():
         for ops in op_lists:
             enc[name].post(ops)
-    report = CostReport(w, {name: led.as_dict() for name, led in build.items()},
+    report = CostReport({name: led.as_dict() for name, led in build.items()},
                         {name: led.as_dict() for name, led in enc.items()})
     probe = OpLedger(w)
     encode(code, WideInt(0, w), probe)
@@ -333,12 +318,12 @@ def _key_value(x, w: int, name: str = "input") -> int:
 
 
 def _hex_key(text: str, w: int, name: str) -> int:
-    """A key spelled as exactly ceil(w/4) lowercase hex digits, else
-    ParameterError naming it `name`; the value may still be >= 2^w."""
+    """A key spelled as exactly ceil(w/4) lowercase hex digits, checked
+    as `_key_value` checks it; else ParameterError naming it `name`."""
     digits = -(-w // 4)
     if len(text) != digits or any(c not in "0123456789abcdef" for c in text):
         raise ParameterError(f"{name} must be exactly {digits} lowercase hex digits")
-    return int(text, 16)
+    return _key_value(int(text, 16), w, name)
 
 
 def encode(code: EccCode, x, ledger: OpLedger | None = None) -> WideInt:
@@ -366,7 +351,7 @@ def encode(code: EccCode, x, ledger: OpLedger | None = None) -> WideInt:
     x = WideInt(_key_value(x, w), w)
     while True:
         p = code.params
-        words = split5(x, p, ledger, plans.symbols, plan=plans.split)
+        words = split5(x, p, ledger, plans.split.symbols, plan=plans.split)
         x = rs_encode(words, code.gen, p, ledger, plan=plans.rs)
         if plans.inner is None:
             return inner_encode(x, code.inner, plans.layout, ledger, plan=plans.mult)
@@ -398,10 +383,11 @@ def _encode_nested(code: EccCode, x, ledger: OpLedger | None = None) -> WideInt:
 # ---------------------------------------------------------------------------
 # Bulk names
 
-# The batch encoder and the distance measurements live in `bulk`, beside
-# the numpy kernels.  They are served here by name, and `bulk` is
-# imported on first use, so the spec route never imports numpy.
-_BULK_NAMES = frozenset({"_batch_encode", "distance_report", "min_weight_multiple_check"})
+# The batch encoder and `distance_report` live in `bulk`, beside the
+# numpy kernels.  The benchmark reads them here, so they are served by
+# name, and `bulk` is imported on first use: the spec route never
+# imports numpy.
+_BULK_NAMES = frozenset({"_batch_encode", "distance_report"})
 
 
 def __getattr__(name):
@@ -513,7 +499,7 @@ def _from_obj(obj) -> EccCode:
     w, level = obj["w"], obj["level"]
     delta = Fraction(obj["delta_num"], obj["delta_den"])
     try:
-        _check_build_args(w, level)
+        _word_size(w)
         params = _derive_params_any(w)
         if level == 1:
             _verify_multiplier(obj["m"], params.B, delta)

@@ -18,12 +18,6 @@ class LayoutError(WordcodeError, ValueError):
     """Packed-field misuse: width mismatch, slot overflow, bad layout."""
 
 
-class ReciprocalError(WordcodeError, ValueError):
-    """No reciprocal constant: a divisor below 2, a negative range, or no
-    shift whose exactness certificate holds (tests brute-force the
-    constants that are returned)."""
-
-
 class MultiplierNotFoundError(WordcodeError):
     """No multiplier meets the threshold, scanned or past the code length.
 

@@ -55,8 +55,9 @@ def _delta(value) -> Fraction:
             f"delta must be a rational number, got {reprlib.repr(value)}") from None
 
 
-def threshold_for(b: int, delta) -> int:
-    return math.ceil(_delta(delta) * b)
+def threshold_for(b: int, delta: Fraction) -> int:
+    """ceil(delta * B), for a delta already parsed by `_delta`."""
+    return math.ceil(delta * b)
 
 
 # What the scan finds at the default threshold ceil(B/2), B = 1..B_MAX,
@@ -93,7 +94,7 @@ def _symbol_bits(b) -> int:
     return b
 
 
-def _verify_multiplier(m: int, b: int, delta) -> None:
+def _verify_multiplier(m: int, b: int, delta: Fraction) -> None:
     """CodeValidationError unless m lies in [1, 2^(3(B+1))) and, where
     no tabled entry covers (B, threshold_for(B, delta)), its
     `_kernels.pair_min_distance`, a scan with none of the search's cuts,
@@ -125,7 +126,7 @@ def find_multiplier(b: int, delta, ledger: OpLedger | None = None) -> InnerCode:
     succeeds at this B.  A tabled threshold takes its entry and any
     other scans (`_kernels.scan_multiplier`, reached through the module
     object); the ledger is charged the scan's closed form either way.
-    An answer `_verify_multiplier` refuses is a kernel fault.
+    A scanned answer `_verify_multiplier` refuses is a kernel fault.
     """
     b = _symbol_bits(b)
     delta = _delta(delta)
@@ -144,9 +145,9 @@ def find_multiplier(b: int, delta, ledger: OpLedger | None = None) -> InnerCode:
             if ledger is not None:
                 _charge_scan(ledger, b, m_hi - 1)
             raise MultiplierNotFoundError(b, delta, DEFAULT_DELTA)
+        _verify_multiplier(m, b, delta)
     if ledger is not None:
         _charge_scan(ledger, b, m)
-    _verify_multiplier(m, b, delta)
     return InnerCode(b, m, delta, t)
 
 

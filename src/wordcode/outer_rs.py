@@ -113,8 +113,6 @@ def _derive_params_any(w: int) -> RsParams:
     s = max(5 * b, 4 * (b + 1))
     out_slots = bpw + r_deg
     params = RsParams(w, b, prime, alpha, n_blocks, bpw, r_deg, s, out_slots)
-    if r_deg < 1:
-        raise ParameterError(f"r_deg must be at least 1, got {r_deg}")
     if params.conv_value_bound() > s:
         raise ParameterError(
             f"slot stride {s} cannot hold convolution sums "

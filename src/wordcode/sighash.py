@@ -241,7 +241,7 @@ def verify_injective(f: SignatureFn, keys) -> bool:
 
 
 def read_keys_file(path, w: int) -> list:
-    """One key per line, as `_hex_key` spells it, each checked as `encode` checks it."""
+    """One key per line, as `_hex_key` spells and checks it."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
@@ -252,8 +252,7 @@ def read_keys_file(path, w: int) -> list:
         line = line.strip()
         if not line:
             continue
-        val = _hex_key(line, w, f"{path}:{lineno}: keys")
-        vals.append(_key_value(val, w, f"{path}:{lineno}: key"))
+        vals.append(_hex_key(line, w, f"{path}:{lineno}: key"))
     return vals
 
 

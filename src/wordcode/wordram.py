@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import LayoutError, ReciprocalError
+from .errors import LayoutError
 
 
 class WideInt:
@@ -346,19 +346,15 @@ def _minimal_shift(divisor: int, value_bits: int) -> tuple[int, int]:
     in [0, 2**value_bits): with c = q*divisor + r, c*M/2**k equals
     c/divisor + c*e/(divisor*2**k), and c*e < 2**k keeps the fraction
     (r + c*e/2**k)/divisor below 1 (Granlund & Montgomery, PLDI 1994).
-    Returns (M, k).
+    Some k <= value_bits + bit_length(divisor) holds, since e < divisor
+    <= 2**bit_length(divisor), so the loop ends.  Returns (M, k).
     """
-    if divisor < 2:
-        raise ReciprocalError(f"divisor must be at least 2, got {divisor}")
-    top = (1 << value_bits) - 1
-    cap = value_bits + 2 * divisor.bit_length() + 2
-    for k in range(1, cap + 1):
+    top, k = (1 << value_bits) - 1, 1
+    while True:
         magic = -(-(1 << k) // divisor)
         if (magic * divisor - (1 << k)) * top < (1 << k):
             return magic, k
-    raise ReciprocalError(
-        f"no shift up to {cap} is exact for divisor {divisor} over {value_bits} bits"
-    )
+        k += 1
 
 
 @lru_cache(maxsize=256)
@@ -366,10 +362,9 @@ def _reciprocal_any_width(divisor: int, value_bits: int) -> Reciprocal:
     """The reciprocal of `divisor` exact on [0, 2**value_bits), any width.
 
     The one reciprocal constructor: the minimal shift whose certificate
-    holds, so no dividend is tried at run time.
+    holds, so no dividend is tried at run time.  Callers have checked
+    divisor >= 2 and value_bits >= 0 (a `FieldLayout` bound).
     """
-    if value_bits < 0:
-        raise ReciprocalError(f"value_bits must be non-negative, got {value_bits}")
     return Reciprocal(divisor, *_minimal_shift(divisor, value_bits), value_bits)
 
 

@@ -17,12 +17,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from _oracles import symbolic_generator
+from wordcode.bulk import min_weight_multiple_check
 from wordcode.ecc_core import (
     build_code,
     deserialize,
     distance_report,
     encode,
-    min_weight_multiple_check,
     serialize,
 )
 from wordcode.errors import (
@@ -101,26 +102,12 @@ def test_criterion_01_parallel_mod_equivalence():
         assert elapsed < 60.0
 
 
-def _symbolic_generator(p, alpha, r_deg):
-    """Plain polynomial expansion of prod (gamma - alpha^i), i = 1..r."""
-    coeffs = [1]
-    power = 1
-    for _ in range(r_deg):
-        power = power * alpha % p
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] = (nxt[i + 1] + c) % p
-            nxt[i] = (nxt[i] - power * c) % p
-        coeffs = nxt
-    return coeffs
-
-
 def test_criterion_02_generator_matches_symbolic_oracle():
     with verdict(2, "generator coefficients"):
         for w in (10, 16, 32, 64, 256):
             p = derive_params(w)
             g = build_generator(p)
-            oracle = _symbolic_generator(p.P, p.alpha, p.r_deg)
+            oracle = symbolic_generator(p.P, p.alpha, p.r_deg)
             assert list(g.coeffs) == oracle, f"w={w}"
             if w == 64:
                 assert list(g.coeffs) == [3, 56, 53, 1]

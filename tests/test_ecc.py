@@ -33,6 +33,7 @@ from wordcode.ecc_core import (
     EccCode,
     _charge_param_search,
     _encode_nested,
+    _hex_key,
     _key_value,
     build_code,
     deserialize,
@@ -94,14 +95,13 @@ FROZEN_W10_EXHAUSTIVE_MIN_BITS = 4
 
 
 def test_build_pinned_w64_level1():
-    code, report = build_code(64, None, 1)
+    code, _ = build_code(64, None, 1)
     p = code.params
     assert (p.B, p.P, p.alpha) == (6, 67, 2)
     assert code.gen.coeffs == (3, 56, 53, 1)
     assert code.inner.m == 29
     assert code.codeword_bits == 900
     assert code.level == 1
-    assert report.w == 64
     assert code.delta_prime_bound == Fraction(4 * 3, 900)
 
 
@@ -378,6 +378,15 @@ def test_encode_key_rule():
         encode(code, np.int64(-1))
 
 
+def test_hex_key_checks_digits_then_range():
+    # A hex key's spelling and its range are both `_hex_key`'s rules.
+    assert _hex_key("3ff", 10, "value") == 1023
+    with pytest.raises(ParameterError, match=r"^value must be exactly 3 lowercase hex digits$"):
+        _hex_key("03ff", 10, "value")
+    with pytest.raises(ParameterError, match=r"^value outside \[0, 2\^10\)$"):
+        _hex_key("fff", 10, "value")
+
+
 @pytest.mark.parametrize("w", [10, 63, 64, 65, 128, 256, 1000])
 def test_key_array_matches_key_value(w):
     # The bulk intake keeps the per-key rule: the same values, or the
@@ -546,7 +555,7 @@ def test_phases_sum_to_report_totals(w, level):
     assert report.construction_ops == _kind_sum(report.build_phases)
     assert report.encode_ops == _kind_sum(report.encode_phases)
     assert report.generator_ops == report.build_phases["generator"]
-    assert isinstance(report, CostReport) and report.w == w
+    assert isinstance(report, CostReport)
 
     def alone(step, *args, **kw):
         led = OpLedger(w)
@@ -642,9 +651,8 @@ def test_generator_phase_within_constant_of_w_over_log_w():
 
 def test_cost_report_shape():
     _, report = build_code(16, None, 1)
-    d = report.as_dict()
-    assert set(d) == {"w", "construction_ops", "encode_ops", "generator_ops"}
-    assert set(d["encode_ops"]) == {"add", "sub", "mul", "shift", "bitwise", "cmp"}
+    for ops in (report.construction_ops, report.encode_ops, report.generator_ops):
+        assert set(ops) == {"add", "sub", "mul", "shift", "bitwise", "cmp"}
     assert report.construction_total() > report.generator_total() > 0
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from _oracles import pair_min_distance_oracle, scan_multiplier_oracle
 from wordcode import _kernels
 from wordcode.errors import (
     CodeValidationError,
@@ -23,25 +24,6 @@ from wordcode.inner_mult import (
     threshold_for,
 )
 from wordcode.wordram import FieldLayout, OpLedger, WideInt, pack_fields, unpack_fields
-
-
-def distance_oracle(m, b):
-    """Exhaustive pair scan in plain ints, no early exit."""
-    out_mask = (1 << (4 * (b + 1))) - 1
-    codes = [(a * m) & out_mask for a in range(1 << (b + 1))]
-    best = 1 << 30
-    for i in range(len(codes) - 1):
-        for j in range(i + 1, len(codes)):
-            best = min(best, bin(codes[i] ^ codes[j]).count("1"))
-    return best
-
-
-def search_oracle(b, t):
-    """First multiplier passing the oracle distance, scanning from 1."""
-    for m in range(1, 1 << (3 * (b + 1))):
-        if distance_oracle(m, b) >= t:
-            return m
-    return None
 
 
 # Search results at delta = 1/2, frozen after the first full run.
@@ -67,7 +49,7 @@ def test_pair_min_distance_matches_oracle():
     # The distance find_multiplier verifies its answer with.
     for b in (3, 4):
         for m in (1, 3, 13, 19, 255):
-            assert _kernels.pair_min_distance(m, b) == distance_oracle(m, b)
+            assert _kernels.pair_min_distance(m, b) == pair_min_distance_oracle(m, b)
 
 
 def test_frozen_multiplier_table():
@@ -81,13 +63,13 @@ def test_frozen_multiplier_table():
 def test_found_multiplier_passes_exhaustive_oracle():
     for b in (4, 6):
         ic = find_multiplier(b, DEFAULT_DELTA)
-        assert distance_oracle(ic.m, b) >= ic.threshold
+        assert pair_min_distance_oracle(ic.m, b) >= ic.threshold
 
 
 def test_returned_multiplier_is_smallest():
     for b in (3, 4, 5):
         ic = find_multiplier(b, Fraction(1, 2))
-        assert ic.m == search_oracle(b, ic.threshold)
+        assert ic.m == scan_multiplier_oracle(b, 1, 1 << (3 * (b + 1)), ic.threshold)
 
 
 def test_default_delta_succeeds_at_every_b():

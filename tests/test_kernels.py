@@ -10,21 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from _oracles import pair_min_distance_oracle, scan_multiplier_oracle
 from wordcode import _kernels
-
-
-def pair_min_distance_oracle(m, bits):
-    mask = (1 << (4 * (bits + 1))) - 1
-    codes = [(a * m) & mask for a in range(1 << (bits + 1))]
-    return min(bin(x ^ y).count("1")
-               for i, x in enumerate(codes) for y in codes[i + 1:])
-
-
-def scan_multiplier_oracle(bits, m_lo, m_hi, threshold):
-    for m in range(m_lo, m_hi):
-        if pair_min_distance_oracle(m, bits) >= threshold:
-            return m
-    return -1
 
 
 def test_scan_multiplier_backends_agree():

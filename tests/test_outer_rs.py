@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from _oracles import symbolic_generator
 from wordcode import _kernels
-from wordcode.ecc_core import build_code, min_weight_multiple_check
+from wordcode.bulk import min_weight_multiple_check
+from wordcode.ecc_core import build_code
 from wordcode.errors import ParameterError
 from wordcode.numtheory import find_field_prime, find_primitive_root
 from wordcode.outer_rs import (
@@ -38,19 +40,6 @@ from wordcode.wordram import (
 
 def ceil_div(a, b):
     return -(-a // b)
-
-
-def symbolic_generator(P, alpha, r_deg):
-    """Expand prod_{i=1..r}(x - alpha^i) mod P with plain list arithmetic."""
-    coeffs = [1]
-    for i in range(1, r_deg + 1):
-        root = pow(alpha, i, P)
-        nxt = [0] * (len(coeffs) + 1)
-        for j, c in enumerate(coeffs):
-            nxt[j + 1] = (nxt[j + 1] + c) % P
-            nxt[j] = (nxt[j] - root * c) % P
-        coeffs = nxt
-    return coeffs
 
 
 def msg_layout(p):

@@ -459,3 +459,12 @@ def test_keys_file_range_error_names_path_and_line(tmp_path):
     with pytest.raises(ParameterError,
                        match=rf"^{re.escape(str(path))}:4: key outside \[0, 2\^10\)$"):
         read_keys_file(path, 10)
+
+
+def test_keys_file_digit_error_names_path_and_line(tmp_path):
+    # A wrong digit count names the line as the range error does.
+    path = tmp_path / "keys.txt"
+    path.write_text("001\n\n03ff\n")
+    with pytest.raises(ParameterError, match=rf"^{re.escape(str(path))}:3: key must be "
+                                             r"exactly 3 lowercase hex digits$"):
+        read_keys_file(path, 10)

@@ -115,6 +115,58 @@ def test_assert_check_sees_a_guard():
     assert _asserts(tree) == [2, 4]
 
 
+def _unused_error_classes(errors: ast.Module, modules: list) -> list:
+    """Classes defined in `errors` that no tree in `modules` raises,
+    catches or subclasses, sorted.  An import or a mention as a value
+    does not count."""
+
+    def names(expr):
+        if isinstance(expr, ast.Call):
+            return names(expr.func)
+        if isinstance(expr, ast.Tuple):
+            return {n for elt in expr.elts for n in names(elt)}
+        if isinstance(expr, ast.Name):
+            return {expr.id}
+        if isinstance(expr, ast.Attribute):
+            return {expr.attr}
+        return set()
+
+    used = set()
+    for tree in modules:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                used |= names(node.exc)
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                used |= names(node.type)
+            elif isinstance(node, ast.ClassDef):
+                used |= {n for base in node.bases for n in names(base)}
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    return sorted(defined - used)
+
+
+def test_every_error_class_is_raised_caught_or_subclassed():
+    # An exception type that no other module raises, catches or extends
+    # is a refusal that cannot fire.
+    errors = PACKAGE / "errors.py"
+    modules = [ast.parse(p.read_text(encoding="utf-8"))
+               for p in sorted(PACKAGE.glob("*.py")) if p != errors]
+    assert modules
+    assert _unused_error_classes(ast.parse(errors.read_text(encoding="utf-8")), modules) == []
+
+
+def test_error_class_check_sees_a_leftover():
+    errors = ast.parse("class Base(Exception):\n    pass\n"
+                       "class Raised(Base):\n    pass\n"
+                       "class Caught(Base):\n    pass\n"
+                       "class Sub(Base):\n    pass\n"
+                       "class Leftover(Base):\n    pass\n")
+    module = ast.parse("from . import errors\nfrom .errors import Leftover, Raised, Sub\n"
+                       "class Mine(Sub):\n    pass\n"
+                       "def f(x):\n    try:\n        raise Raised(Leftover)\n"
+                       "    except (ValueError, errors.Caught):\n        raise Base\n")
+    assert _unused_error_classes(errors, [module]) == ["Leftover"]
+
+
 def _word_unit_calls(tree: ast.Module) -> list:
     """Line numbers of the module's calls to a `.words(` attribute, ascending."""
     return sorted(node.lineno for node in ast.walk(tree)

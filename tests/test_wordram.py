@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from wordcode import ecc_core, outer_rs, wordram
-from wordcode.errors import LayoutError, ReciprocalError
+from wordcode.errors import LayoutError
 from wordcode.outer_rs import derive_params
 from wordcode.wordram import (
     FieldLayout,
@@ -269,6 +269,9 @@ def test_layout_validation():
         FieldLayout(8, -1, 4)
     with pytest.raises(LayoutError):
         FieldLayout(8, 1, 9)
+    # The one check of a reciprocal's range: no layout bound is negative.
+    with pytest.raises(LayoutError):
+        FieldLayout(8, 1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +341,6 @@ def test_div_by_const_charges_two_muls_shift_sub():
     div_by_const(12345, rec, led)
     assert led.mul == 2 and led.shift == 1 and led.sub == 1
     assert led.add == 0 and led.bitwise == 0
-
-
-def test_reciprocal_preconditions():
-    with pytest.raises(ReciprocalError):
-        _reciprocal_any_width(1, 8)
-    with pytest.raises(ReciprocalError):
-        _reciprocal_any_width(67, -1)
 
 
 def test_reciprocals_exact_on_every_dividend(monkeypatch):
@@ -510,8 +506,10 @@ def test_parallel_mod_rejects_short_word_and_tight_layout():
     layout = FieldLayout(30, 2, 20)
     with pytest.raises(LayoutError):
         parallel_mod(WideInt(0, 30), layout, 67)
-    with pytest.raises(LayoutError):
-        parallel_mod(WideInt(0, 60), layout, 1)
+    # The one check of a reciprocal's divisor, on both routes.
+    for route in (parallel_mod, parallel_mod_reference):
+        with pytest.raises(LayoutError, match="divisor must be at least 2, got 1"):
+            route(WideInt(0, 60), layout, 1)
     # Slots only a bit wider than the divisor need no spare field bits.
     tight = FieldLayout(8, 2, 8)
     for v in range(256):
