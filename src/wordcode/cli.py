@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import sys
 import time
@@ -136,6 +135,8 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    import csv
+
     started = time.monotonic()
     try:
         w_list = [int(part) for part in args.w_list.split(",") if part]

@@ -19,7 +19,8 @@ class LayoutError(WordcodeError, ValueError):
 
 
 class MultiplierNotFoundError(WordcodeError):
-    """No multiplier meets the threshold, scanned or past the code length.
+    """No multiplier meets the threshold: it is past the largest one
+    reachable at this B, or a full scan found none.
 
     `achievable` carries a delta that does succeed for this word size:
     `find_multiplier` attaches `DEFAULT_DELTA`, which reaches its

@@ -69,6 +69,11 @@ _TABLED_MULTIPLIERS = {
 }
 
 
+# The largest threshold a multiplier reaches at B = 1..8, by full scans
+# (the tests rescan B <= 6); past B = 8 the 4(B+1)-bit codeword bounds it.
+_REACHABLE_THRESHOLDS = dict(enumerate((4, 5, 5, 7, 8, 8, 9, 10), start=1))
+
+
 def _charge_scan(ledger: OpLedger, b: int, candidates: int):
     """Model cost of scanning `candidates` multipliers, full pairs each.
 
@@ -121,19 +126,20 @@ def find_multiplier(b: int, delta, ledger: OpLedger | None = None) -> InnerCode:
     """Smallest m in [1, 2^(3(B+1))) with pair distance >= ceil(delta*B).
 
     The search owns its domain: it reads B and delta, and when no
-    multiplier reaches the threshold (one past the 4(B+1)-bit codeword
-    is refused before any scan) reports `DEFAULT_DELTA` as a delta that
-    succeeds at this B.  A tabled threshold takes its entry and any
-    other scans (`_kernels.scan_multiplier`, reached through the module
-    object); the ledger is charged the scan's closed form either way.
-    A scanned answer `_verify_multiplier` refuses is a kernel fault.
+    multiplier reaches the threshold (one past `_REACHABLE_THRESHOLDS`,
+    or past the 4(B+1)-bit codeword above B = 8, is refused before any
+    scan) reports `DEFAULT_DELTA` as a delta that succeeds at this B.
+    A tabled threshold takes its entry and any other scans
+    (`_kernels.scan_multiplier`, reached through the module object); the
+    ledger is charged the scan's closed form either way.  A scanned
+    answer `_verify_multiplier` refuses is a kernel fault.
     """
     b = _symbol_bits(b)
     delta = _delta(delta)
     if delta <= 0:
         raise ParameterError(f"delta must be positive, got {delta}")
     t = threshold_for(b, delta)
-    if t > 4 * (b + 1):
+    if t > _REACHABLE_THRESHOLDS.get(b, 4 * (b + 1)):
         raise MultiplierNotFoundError(b, delta, DEFAULT_DELTA)
     m = _TABLED_MULTIPLIERS.get((b, t))
     if m is None:

@@ -1,8 +1,10 @@
-"""Prime field scaffolding: primality, prime search, primitive roots.
+"""Prime field scaffolding: prime search and primitive roots.
 
 Everything here is deliberately small-range and deterministic.  The
 field primes live just above 2^B for B ≤ 24, so trial division is both
 fast enough and trivially auditable; no probabilistic test is involved.
+The scan's trial division is the one proof that P is prime, and the
+tests check the prime-gap window of every scan over the whole range.
 Smallest-prime and smallest-root tie-breaking keeps every construction
 reproducible byte for byte.
 """
@@ -14,17 +16,7 @@ from dataclasses import dataclass
 
 from .errors import ParameterError
 
-IS_PRIME_MAX = 1 << 32
 FIELD_BITS_MAX = 24
-# A field prime lies in [2^B, 2^(B+1)), so every one has a root search.
-ROOT_PRIME_MAX = 1 << (FIELD_BITS_MAX + 1)
-
-
-def is_prime(n: int) -> bool:
-    """Trial division up to the square root.  Valid for n < 2**32."""
-    if not 0 <= n < IS_PRIME_MAX:
-        raise ParameterError(f"is_prime range is [0, 2**32), got {n}")
-    return n >= 2 and _trial_division(n)[0]
 
 
 def _trial_division(n: int) -> tuple[bool, int]:
@@ -52,29 +44,20 @@ class FieldPrime:
 
 
 def find_field_prime(B: int) -> FieldPrime:
-    """Scan upward from 2^B to the first prime.
-
-    The trial divisions are recorded.  For B ≥ 8 the scan length
-    P - 2^B + 1 is checked against the window 2^ceil(0.525*B) + 1 that
-    the prime-gap bound promises; a violation would mean the arithmetic
-    here is broken, not the math.
+    """Scan upward from 2^B to the first prime, recording the trial
+    divisions.  Bertrand's postulate puts one below 2^(B+1); the tests
+    check the scan length P - 2^B + 1 against the prime-gap window
+    2^ceil(0.525*B) + 1 for every B ≥ 8 in range.
     """
     if not 2 <= B <= FIELD_BITS_MAX:
         raise ParameterError(f"field size B must be in [2, {FIELD_BITS_MAX}], got {B}")
-    start, steps = 1 << B, 0
-    for n in range(start, 1 << (B + 1)):
+    n, steps = 1 << B, 0
+    while True:
         prime, tried = _trial_division(n)
         steps += tried
         if prime:
-            break
-    else:
-        raise ParameterError(f"no prime in [2^{B}, 2^{B + 1})")
-    scan = n - start + 1
-    if B >= 8 and scan > (1 << math.ceil(0.525 * B)) + 1:
-        raise ParameterError(
-            f"prime scan for B={B} walked {scan} candidates, past the window bound"
-        )
-    return FieldPrime(n, steps)
+            return FieldPrime(n, steps)
+        n += 1
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -92,20 +75,15 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def find_primitive_root(p: int) -> int:
-    """Smallest generator of the multiplicative group mod p.
+def find_primitive_root(prime: FieldPrime) -> int:
+    """Smallest generator of the cyclic group of units mod the field
+    prime P, which `find_field_prime` proved prime.
 
-    A candidate a generates iff a^((p-1)/q) != 1 for every prime q
-    dividing p-1; that check needs only the distinct factors.
+    A candidate a generates iff a^((P-1)/q) != 1 for every prime q
+    dividing P-1; that check needs only the distinct factors.
     """
-    if not 2 <= p < ROOT_PRIME_MAX:
-        raise ParameterError(f"prime must be in [2, {ROOT_PRIME_MAX}), got {p}")
-    if not is_prime(p):
-        raise ParameterError(f"{p} is not prime")
-    if p == 2:
-        return 1
+    p = prime.P
     factors = _prime_factors(p - 1)
     for a in range(2, p):
         if all(pow(a, (p - 1) // q, p) != 1 for q in factors):
             return a
-    raise ParameterError(f"no primitive root below {p}; {p} cannot be prime")

@@ -18,6 +18,7 @@ from wordcode.inner_mult import (
     B_MAX,
     DEFAULT_DELTA,
     InnerCode,
+    _REACHABLE_THRESHOLDS,
     _TABLED_MULTIPLIERS,
     find_multiplier,
     inner_encode,
@@ -79,8 +80,21 @@ def test_default_delta_succeeds_at_every_b():
         assert find_multiplier(b, DEFAULT_DELTA).delta == DEFAULT_DELTA
 
 
+def test_reachable_thresholds_are_the_largest_reached():
+    # A full scan reaches each tabled threshold and none reaches one
+    # more.  B = 7 and 8 take seconds to minutes, so they were proven
+    # once by the same two scans.
+    assert sorted(_REACHABLE_THRESHOLDS) == list(range(1, 9))
+    for b in range(1, 7):
+        t, m_hi = _REACHABLE_THRESHOLDS[b], 1 << (3 * (b + 1))
+        m = _kernels.scan_multiplier(b, 1, m_hi, t)
+        assert m != -1 and pair_min_distance_oracle(m, b) >= t, b
+        assert _kernels.scan_multiplier(b, 1, m_hi, t + 1) == -1, b
+
+
 def test_impossible_threshold_rejected(monkeypatch):
-    # ceil(6*4) = 24 bits demanded of a 20-bit code: refused as a failed
+    # ceil(6*4) = 24 bits demanded of a 20-bit code, and thresholds one
+    # past the largest reachable at B = 7 and 8: refused as a failed
     # search would be, before any scan.
     def no_scan(*args):
         raise AssertionError("scanned an unreachable threshold")
@@ -90,10 +104,15 @@ def test_impossible_threshold_rejected(monkeypatch):
         find_multiplier(4, 6)
     assert exc_info.value.achievable == Fraction(1, 2)
     assert str(exc_info.value) == "no multiplier reaches delta=6 for B=4; delta=1/2 succeeds"
+    for b, delta in ((7, Fraction(10, 7)), (8, Fraction(11, 8))):
+        with pytest.raises(MultiplierNotFoundError) as exc_info:
+            find_multiplier(b, delta)
+        assert str(exc_info.value) == (
+            f"no multiplier reaches delta={delta} for B={b}; delta=1/2 succeeds")
 
 
-def test_search_exhaustion_raises_not_found():
-    # 15 of 16 bits at b=3 is out of reach of any multiplier.
+def test_search_exhaustion_raises_not_found(monkeypatch):
+    # 15 of 16 bits at b=3 is past the largest reachable threshold, 5.
     with pytest.raises(MultiplierNotFoundError) as exc_info:
         find_multiplier(3, 5)
     err = exc_info.value
@@ -101,6 +120,16 @@ def test_search_exhaustion_raises_not_found():
     assert err.delta == Fraction(5)
     assert err.achievable == Fraction(1, 2)
     assert str(err) == "no multiplier reaches delta=5 for B=3; delta=1/2 succeeds"
+    # A scan that finds nothing raises the same error, charged for every
+    # one of the 2^15 - 1 candidates.
+    monkeypatch.setattr(_kernels, "scan_multiplier", lambda *args: -1)
+    led = OpLedger(64)
+    with pytest.raises(MultiplierNotFoundError,
+                       match="no multiplier reaches delta=3/4 for B=4; delta=1/2 succeeds"):
+        find_multiplier(4, Fraction(3, 4), led)
+    candidates, pairs = (1 << 15) - 1, 32 * 31 // 2
+    assert led.mul == candidates * 32
+    assert led.bitwise == led.cmp == candidates * pairs
 
 
 def test_find_multiplier_rejects_bad_args():

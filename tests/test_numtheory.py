@@ -1,4 +1,4 @@
-"""Tests for primality, prime search, and primitive roots."""
+"""Tests for trial division, prime search, and primitive roots."""
 
 import math
 
@@ -7,11 +7,9 @@ import pytest
 from wordcode.errors import ParameterError
 from wordcode.numtheory import (
     FIELD_BITS_MAX,
-    ROOT_PRIME_MAX,
     _trial_division,
     find_field_prime,
     find_primitive_root,
-    is_prime,
 )
 
 
@@ -21,26 +19,21 @@ def trial_division_oracle(n):
     return all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
-def test_is_prime_pinned_values():
-    assert not is_prime(0)
-    assert not is_prime(1)
-    assert is_prime(2)
-    assert is_prime(67)
-    assert not is_prime(65)
+# The scan's trial division is the one proof that a field prime is prime.
+def test_trial_division_pinned_values():
+    assert _trial_division(2)[0]
+    assert _trial_division(67)[0]
+    assert not _trial_division(65)[0]
 
 
-def test_is_prime_matches_oracle_over_prefix():
-    for n in range(2000):
-        assert is_prime(n) == trial_division_oracle(n)
+def test_trial_division_matches_oracle_over_prefix():
+    for n in range(2, 2000):
+        assert _trial_division(n)[0] == trial_division_oracle(n)
 
 
-def test_is_prime_large_values():
-    assert is_prime(4294967291)          # largest prime below 2^32
-    assert not is_prime(4294967295)      # 3 * 5 * 17 * 257 * 65537
-    with pytest.raises(ParameterError):
-        is_prime(1 << 32)
-    with pytest.raises(ParameterError):
-        is_prime(-1)
+def test_trial_division_large_values():
+    assert _trial_division(4294967291)[0]          # largest prime below 2^32
+    assert not _trial_division(4294967295)[0]      # 3 * 5 * 17 * 257 * 65537
 
 
 def test_find_field_prime_pinned():
@@ -50,7 +43,8 @@ def test_find_field_prime_pinned():
 
 
 def test_find_field_prime_minimality_and_window():
-    for b in range(2, 17):
+    # The window is proven here, not at run time, for every B in range.
+    for b in range(2, FIELD_BITS_MAX + 1):
         fp = find_field_prime(b)
         assert (1 << b) <= fp.P < (1 << (b + 1))
         assert trial_division_oracle(fp.P)
@@ -76,14 +70,16 @@ def test_find_field_prime_range():
 
 
 def test_primitive_root_pinned():
-    assert find_primitive_root(17) == 3
-    assert find_primitive_root(67) == 2
-    assert find_primitive_root(3) == 2
+    assert find_primitive_root(find_field_prime(4)) == 3
+    assert find_primitive_root(find_field_prime(6)) == 2
 
 
 def test_primitive_root_generates_whole_group():
-    for p in (3, 17, 67, 257, 4099):
-        alpha = find_primitive_root(p)
+    # The field primes of B = 2, 4, 6, 8 and 12.
+    for b, p in ((2, 5), (4, 17), (6, 67), (8, 257), (12, 4099)):
+        prime = find_field_prime(b)
+        assert prime.P == p
+        alpha = find_primitive_root(prime)
         seen = set()
         x = 1
         for _ in range(p - 1):
@@ -93,8 +89,10 @@ def test_primitive_root_generates_whole_group():
 
 
 def test_primitive_root_is_smallest():
-    for p in (17, 67, 257):
-        alpha = find_primitive_root(p)
+    for b in (4, 6, 8):
+        prime = find_field_prime(b)
+        p = prime.P
+        alpha = find_primitive_root(prime)
         for a in range(2, alpha):
             order = 1
             x = a % p
@@ -105,17 +103,8 @@ def test_primitive_root_is_smallest():
 
 
 def test_every_field_prime_has_a_root_search():
-    # find_field_prime(24) is 2^24 + 43; every field prime must lie in
-    # find_primitive_root's range.
     for b in range(2, FIELD_BITS_MAX + 1):
-        p = find_field_prime(b).P
-        assert p < ROOT_PRIME_MAX
+        prime = find_field_prime(b)
+        p = prime.P
         # A generator is a quadratic non-residue.
-        assert pow(find_primitive_root(p), (p - 1) // 2, p) == p - 1
-    with pytest.raises(ParameterError, match=rf"\[2, {ROOT_PRIME_MAX}\)"):
-        find_primitive_root(ROOT_PRIME_MAX)
-
-
-def test_primitive_root_rejects_composite():
-    with pytest.raises(ParameterError):
-        find_primitive_root(65)
+        assert pow(find_primitive_root(prime), (p - 1) // 2, p) == p - 1

@@ -131,7 +131,7 @@ def test_derive_params_formulas_and_invariants():
         b = max((w - 1).bit_length(), 1)
         assert p.B == b
         assert p.P == find_field_prime(b).P
-        assert p.alpha == find_primitive_root(p.P)
+        assert p.alpha == find_primitive_root(p.prime)
         assert p.n_blocks == ceil_div(w, b)
         assert p.blocks_per_word == ceil_div(p.n_blocks, 5)
         assert p.r_deg == ceil_div(w, 5 * b)
@@ -361,6 +361,7 @@ def test_generator_product_slots_stay_below_the_layout_bound():
             raw = [c * (p.P - a) + (z[k - 1] if k else 0) for k, c in enumerate(z + [0])]
             assert max(raw) <= (p.P - 1) ** 2 + (p.P - 1)
             z = [c % p.P for c in raw]
+        assert z[-1] == 1, b
         assert tuple(z) == build_generator(p).coeffs, b
 
 
@@ -470,9 +471,9 @@ def plain_product(a, b):
 
 def distinct_conv_shapes():
     """One width for every distinct (B, blocks_per_word, r_deg) over the
-    internal widths 5..W_MAX."""
+    internal widths _W_INTERNAL_MIN..W_MAX."""
     shapes = {}
-    for w in range(5, W_MAX + 1):
+    for w in range(_W_INTERNAL_MIN, W_MAX + 1):
         p = _derive_params_any(w)
         shapes.setdefault((p.B, p.blocks_per_word, p.r_deg), p)
     return list(shapes.values())
@@ -482,7 +483,9 @@ def test_conv_value_bound_is_sufficient_and_attained():
     # A message word's slots are B-bit blocks and the generator's
     # coefficients lie in [0, P): the all-(2^B - 1) message times an
     # all-(P - 1) polynomial of the generator's degree reaches the bound
-    # exactly, and every real generator stays below it.
+    # exactly, and every real generator stays below it.  The bound fits
+    # the stride S and the code length stays within the cyclic bound
+    # P - 1 at every width, so derivation checks neither.
     shapes = distinct_conv_shapes()
     assert len(shapes) > 100
     for p in shapes:
@@ -492,6 +495,7 @@ def test_conv_value_bound_is_sufficient_and_attained():
         assert worst.bit_length() == bound, (p.w, p.B)
         assert max(plain_product(msg, build_generator(p).coeffs)) < 1 << bound, p.w
         assert bound <= p.S
+        assert p.blocks_per_word + p.r_deg <= p.P - 1, p.w
 
 
 def test_real_conv_layouts_reduce_the_all_top_word_exactly():
