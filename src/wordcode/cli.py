@@ -222,68 +222,91 @@ def _cmd_sighash_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("build", "verify", "encode", "distance", "bench", "sighash")
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for `argv`: only the subcommand `argv` starts with,
+    or every subcommand when it starts with no known one, so that
+    `--help`, a missing and an unknown command list them all.  A cold
+    CLI call builds its parser once, and the subparsers it never uses
+    took about as long as its deserialize and encode.
+    """
     parser = argparse.ArgumentParser(
         prog="wordcode",
         description="Constant-time error-correcting codes over machine words.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    command = argv[0] if argv else None
+    wanted = (command,) if command in _COMMANDS else _COMMANDS
+    # One subparser still lists every command in the usage line; with
+    # all of them, the default metavar names the argument `command` in
+    # the missing and unknown command errors.
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if wanted is _COMMANDS else "{" + ",".join(_COMMANDS) + "}")
 
-    p = sub.add_parser("build", help="construct a code and write its description")
-    p.add_argument("--w", type=int, required=True)
-    p.add_argument("--delta", default=None, help="rational like 1/2")
-    p.add_argument("--level", type=int, choices=(1, 2), default=1)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_build)
+    if "build" in wanted:
+        p = sub.add_parser("build", help="construct a code and write its description")
+        p.add_argument("--w", type=int, required=True)
+        p.add_argument("--delta", default=None, help="rational like 1/2")
+        p.add_argument("--level", type=int, choices=(1, 2), default=1)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser("verify", help="reload a description and re-validate it")
-    p.add_argument("--code", required=True)
-    p.set_defaults(func=_cmd_verify)
+    if "verify" in wanted:
+        p = sub.add_parser("verify", help="reload a description and re-validate it")
+        p.add_argument("--code", required=True)
+        p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("encode", help="encode one hex value")
-    p.add_argument("--code", required=True)
-    p.add_argument("--hex", required=True)
-    p.set_defaults(func=_cmd_encode)
+    if "encode" in wanted:
+        p = sub.add_parser("encode", help="encode one hex value")
+        p.add_argument("--code", required=True)
+        p.add_argument("--hex", required=True)
+        p.set_defaults(func=_cmd_encode)
 
-    p = sub.add_parser("distance", help="measure minimum codeword distance")
-    p.add_argument("--code", required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--exhaustive", action="store_true")
-    group.add_argument("--random", type=int, metavar="N")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_distance)
+    if "distance" in wanted:
+        p = sub.add_parser("distance", help="measure minimum codeword distance")
+        p.add_argument("--code", required=True)
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--exhaustive", action="store_true")
+        group.add_argument("--random", type=int, metavar="N")
+        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=_cmd_distance)
 
-    p = sub.add_parser("bench", help="cost table across word sizes")
-    p.add_argument("--w-list", required=True, dest="w_list")
-    p.add_argument("--level", type=int, choices=(1, 2), default=1)
-    p.add_argument("--delta", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_bench)
+    if "bench" in wanted:
+        p = sub.add_parser("bench", help="cost table across word sizes")
+        p.add_argument("--w-list", required=True, dest="w_list")
+        p.add_argument("--level", type=int, choices=(1, 2), default=1)
+        p.add_argument("--delta", default=None)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("sighash", help="injective signatures on a key set")
-    ssub = p.add_subparsers(dest="subcommand", required=True)
+    if "sighash" in wanted:
+        p = sub.add_parser("sighash", help="injective signatures on a key set")
+        ssub = p.add_subparsers(dest="subcommand", required=True)
 
-    q = ssub.add_parser("build")
-    q.add_argument("--code", required=True)
-    q.add_argument("--keys", required=True)
-    q.add_argument("--out", required=True)
-    q.set_defaults(func=_cmd_sighash_build)
+        q = ssub.add_parser("build")
+        q.add_argument("--code", required=True)
+        q.add_argument("--keys", required=True)
+        q.add_argument("--out", required=True)
+        q.set_defaults(func=_cmd_sighash_build)
 
-    q = ssub.add_parser("eval")
-    q.add_argument("--sig", required=True)
-    q.add_argument("--hex", required=True)
-    q.set_defaults(func=_cmd_sighash_eval)
+        q = ssub.add_parser("eval")
+        q.add_argument("--sig", required=True)
+        q.add_argument("--hex", required=True)
+        q.set_defaults(func=_cmd_sighash_eval)
 
-    q = ssub.add_parser("verify")
-    q.add_argument("--sig", required=True)
-    q.add_argument("--keys", required=True)
-    q.set_defaults(func=_cmd_sighash_verify)
+        q = ssub.add_parser("verify")
+        q.add_argument("--sig", required=True)
+        q.add_argument("--keys", required=True)
+        q.set_defaults(func=_cmd_sighash_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -21,7 +21,6 @@ import json
 import operator
 import reprlib
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -57,6 +56,7 @@ from .outer_rs import (
 from .wordram import (
     FieldLayout,
     OpLedger,
+    Record,
     WideInt,
     _KINDS,
     unpack_fields,
@@ -71,24 +71,22 @@ _DESCRIPTION_INTS = ("version", "level", "w", "B", "P", "alpha", "r_deg", "S",
 _DESCRIPTION_KEYS = {*_DESCRIPTION_INTS, "g_coeffs", "m", "inner"}
 
 
-@dataclass(frozen=True)
-class EccCode:
+class EccCode(Record):
     """A constructed code; immutable, shareable, value-comparable.
 
     `_build` is the only constructor.  The level, the codeword length
     and the relative distance bound are derived from the stages, not stored.
     """
 
-    params: RsParams
-    gen: GeneratorPoly
-    inner: InnerCode | None
-    inner_ecc: "EccCode | None"
+    _fields = ("params", "gen", "inner", "inner_ecc")
 
-    def __post_init__(self):
-        if (self.inner is None) == (self.inner_ecc is None):
+    def __init__(self, params: RsParams, gen: GeneratorPoly, inner: InnerCode | None,
+                 inner_ecc: "EccCode | None"):
+        if (inner is None) == (inner_ecc is None):
             raise ParameterError(
                 "a code must carry exactly one inner stage: a multiplier "
                 "(level 1) or an inner code (level 2)")
+        super().__init__(params, gen, inner, inner_ecc)
 
     @property
     def level(self) -> int:
@@ -121,7 +119,7 @@ class EccCode:
 
     @cached_property
     def _plans(self) -> "_EncodePlans":
-        # Not a dataclass field: ==, hash and serialize never see it.
+        # Not a field: ==, hash and serialize never see it.
         return _EncodePlans(self)
 
 
@@ -184,8 +182,7 @@ class _EncodePlans:
         return self.inner.run(v)
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(Record):
     """Ledger totals for one build, in model word operations at size w,
     each derived from the phase maps: phase name -> per-kind counts.
 
@@ -194,8 +191,7 @@ class CostReport:
     phases carry an `inner.` prefix.
     """
 
-    build_phases: dict
-    encode_phases: dict
+    _fields = ("build_phases", "encode_phases")
 
     @property
     def construction_ops(self) -> dict:

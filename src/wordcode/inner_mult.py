@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -26,7 +25,7 @@ from .errors import (
     ParameterError,
 )
 from .outer_rs import _index
-from .wordram import FieldLayout, OpLedger, OpList, WideInt
+from .wordram import FieldLayout, OpLedger, OpList, Record, WideInt
 
 B_MAX = 10
 
@@ -35,14 +34,11 @@ B_MAX = 10
 DEFAULT_DELTA = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class InnerCode:
-    """A verified multiplier for B-bit message symbols."""
+class InnerCode(Record):
+    """A verified multiplier m for B-bit message symbols, found for the
+    Fraction delta at threshold ceil(delta * B)."""
 
-    B: int
-    m: int
-    delta: Fraction
-    threshold: int
+    _fields = ("B", "m", "delta", "threshold")
 
 
 def _delta(value) -> Fraction:

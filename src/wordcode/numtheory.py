@@ -12,9 +12,9 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ParameterError
+from .wordram import Record
 
 FIELD_BITS_MAX = 24
 
@@ -33,14 +33,12 @@ def _trial_division(n: int) -> tuple[bool, int]:
     return True, steps
 
 
-@dataclass(frozen=True)
-class FieldPrime:
+class FieldPrime(Record):
     """Smallest prime P at or above 2^B, plus the `trial_steps` trial
     divisions the scan made over every candidate in [2^B, P].  The
     prime-scan charge reads the steps."""
 
-    P: int
-    trial_steps: int
+    _fields = ("P", "trial_steps")
 
 
 def find_field_prime(B: int) -> FieldPrime:

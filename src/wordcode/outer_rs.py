@@ -20,14 +20,14 @@ directly.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from .errors import ParameterError
-from .numtheory import FieldPrime, find_field_prime, find_primitive_root
+from .numtheory import find_field_prime, find_primitive_root
 from .wordram import (
     FieldLayout,
     OpLedger,
     OpList,
+    Record,
     WideInt,
     _ParallelModPlan,
     _reciprocal_any_width,
@@ -48,19 +48,12 @@ def _ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
-@dataclass(frozen=True)
-class RsParams:
-    """Everything derived from the word size w."""
+class RsParams(Record):
+    """Everything derived from the word size w; `prime` is the
+    `FieldPrime` record of the prime scan."""
 
-    w: int
-    B: int
-    prime: FieldPrime
-    alpha: int
-    n_blocks: int
-    blocks_per_word: int
-    r_deg: int
-    S: int
-    out_slots: int
+    _fields = ("w", "B", "prime", "alpha", "n_blocks", "blocks_per_word",
+               "r_deg", "S", "out_slots")
 
     @property
     def P(self) -> int:
@@ -305,16 +298,15 @@ def split5(x: WideInt, p: RsParams, ledger: OpLedger | None = None,
 # Generator polynomial
 
 
-@dataclass(frozen=True)
-class GeneratorPoly:
+class GeneratorPoly(Record):
     """Coefficients of prod_{i=1..r_deg} (gamma - alpha^i) mod P.
 
-    coeffs[i] is the coefficient of gamma^i, each in [0, P); z_packed
-    carries the same values at slot stride S.
+    coeffs is a tuple whose entry i is the coefficient of gamma^i, each
+    in [0, P); the `WideInt` z_packed carries the same values at slot
+    stride S.
     """
 
-    coeffs: tuple
-    z_packed: WideInt
+    _fields = ("coeffs", "z_packed")
 
 
 def _gen_layout(p: RsParams) -> FieldLayout:

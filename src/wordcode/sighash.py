@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -49,18 +48,16 @@ from .errors import (
     DuplicateKeyError,
     ParameterError,
 )
-from .wordram import OpLedger, OpList, WideInt
+from .wordram import OpLedger, OpList, Record, WideInt
 
 SIGNATURE_VERSION = 1
 
 
-@dataclass(frozen=True)
-class SignatureFn:
-    """Bit-position projection that is injective on its build set."""
+class SignatureFn(Record):
+    """Bit-position projection that is injective on its build set: the
+    `positions` tuple read out of `code`'s codewords, built on n keys."""
 
-    code: EccCode
-    positions: tuple
-    n: int
+    _fields = ("code", "positions", "n")
 
     @cached_property
     def _gather(self) -> OpList:
@@ -68,7 +65,7 @@ class SignatureFn:
 
         Per signature bit j: shift the codeword right to positions[j],
         mask that bit, shift it left to j and OR it into the j bits so
-        far, each at the width it spans.  Not a dataclass field.
+        far, each at the width it spans.  Not a field.
         """
         cw = self.code.codeword_bits
         return OpList(op for j, pos in enumerate(self.positions) for op in (

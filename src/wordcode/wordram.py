@@ -30,7 +30,7 @@ time and exists as the independent slow route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from functools import lru_cache
 
 from .errors import LayoutError
@@ -87,6 +87,53 @@ _set_value = WideInt.value.__set__
 _set_bits = WideInt.bits.__set__
 
 
+class Record:
+    """Immutable value with the fields a subclass names in `_fields`.
+
+    `__init__` takes the fields by position.  Two records are equal when
+    they have the same type and equal fields; the hash and the
+    `Name(field=value, ...)` repr read the fields too.  The values live
+    in the instance dict, so a `functools.cached_property` can keep a
+    derived value beside them that ==, hash and repr never see.
+    """
+
+    _fields: tuple = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} "
+                            f"fields, got {len(values)}")
+        # Set one by one rather than through `__dict__`, which would
+        # materialize the dict and slow every later attribute read.
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, _value):
+        raise AttributeError(f"{type(self).__name__} is immutable, cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable, cannot delete {name!r}")
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # One getter of all the fields per record type, built in C, so
+        # == and hash cost what a dataclass's inline field tuple does.
+        # It is not a descriptor: call it as `self._values(self)`.
+        cls._values = operator.attrgetter(*cls._fields)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
 _KINDS = ("add", "sub", "mul", "shift", "bitwise", "cmp")
 
 
@@ -108,7 +155,6 @@ class OpList:
         self.units = {}
 
 
-@dataclass
 class OpLedger:
     """Counter of model operations, grouped by kind.
 
@@ -117,20 +163,24 @@ class OpLedger:
     inputs of the same shape always charge identically.  `charge` counts
     operations of one kind at given widths; an encode stage posts its
     plan's whole `OpList` with `post`.  Both apply the one set of cost
-    rules in `op_units`, the only place word units are computed.
+    rules in `op_units`, the only place word units are computed.  Two
+    ledgers are equal when their word size and every count are.
     """
 
-    word_bits: int
-    add: int = 0
-    sub: int = 0
-    mul: int = 0
-    shift: int = 0
-    bitwise: int = 0
-    cmp: int = 0
+    def __init__(self, word_bits: int):
+        if word_bits < 1:
+            raise LayoutError(f"word size must be positive, got {word_bits}")
+        self.word_bits = word_bits
+        self.add = self.sub = self.mul = self.shift = self.bitwise = self.cmp = 0
 
-    def __post_init__(self):
-        if self.word_bits < 1:
-            raise LayoutError(f"word size must be positive, got {self.word_bits}")
+    def __eq__(self, other) -> bool:
+        if type(other) is not OpLedger:
+            return NotImplemented
+        return (self.word_bits, self.as_dict()) == (other.word_bits, other.as_dict())
+
+    def __repr__(self) -> str:
+        counts = ", ".join(f"{kind}={n}" for kind, n in self.as_dict().items())
+        return f"OpLedger(word_bits={self.word_bits}, {counts})"
 
     def words(self, bits: int) -> int:
         return -(-bits // self.word_bits)
@@ -223,8 +273,7 @@ def wide_trunc(a: WideInt, bits: int, ledger: OpLedger | None = None) -> WideInt
 # Packed fields.
 
 
-@dataclass(frozen=True)
-class FieldLayout:
+class FieldLayout(Record):
     """A wide integer viewed as `slot_count` slots of `slot_width` bits.
 
     Slot i occupies bits [i*slot_width, (i+1)*slot_width), slot 0 least
@@ -233,19 +282,18 @@ class FieldLayout:
     word arithmetic act on all slots at once without carries leaking.
     """
 
-    slot_width: int
-    slot_count: int
-    value_bound: int
+    _fields = ("slot_width", "slot_count", "value_bound")
 
-    def __post_init__(self):
-        if self.slot_width < 1:
-            raise LayoutError(f"slot width must be positive, got {self.slot_width}")
-        if self.slot_count < 0:
-            raise LayoutError(f"negative slot count {self.slot_count}")
-        if not 0 <= self.value_bound <= self.slot_width:
+    def __init__(self, slot_width: int, slot_count: int, value_bound: int):
+        if slot_width < 1:
+            raise LayoutError(f"slot width must be positive, got {slot_width}")
+        if slot_count < 0:
+            raise LayoutError(f"negative slot count {slot_count}")
+        if not 0 <= value_bound <= slot_width:
             raise LayoutError(
-                f"value bound {self.value_bound} outside [0, slot width {self.slot_width}]"
+                f"value bound {value_bound} outside [0, slot width {slot_width}]"
             )
+        super().__init__(slot_width, slot_count, value_bound)
 
     @property
     def total_bits(self) -> int:
@@ -323,8 +371,7 @@ def unpack_fields(word: WideInt, layout: FieldLayout, ledger: OpLedger | None = 
 # Reciprocal (division-free) modular reduction.
 
 
-@dataclass(frozen=True)
-class Reciprocal:
+class Reciprocal(Record):
     """Magic constant pair (magic, shift) with floor(c*magic >> shift) ==
     c // divisor for every c below 2**value_bits.
 
@@ -332,10 +379,7 @@ class Reciprocal:
     by trying dividends; the tests brute-force it.
     """
 
-    divisor: int
-    magic: int
-    shift: int
-    value_bits: int
+    _fields = ("divisor", "magic", "shift", "value_bits")
 
 
 def _minimal_shift(divisor: int, value_bits: int) -> tuple[int, int]:

@@ -406,3 +406,23 @@ def test_help_and_no_args(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys)[0] == 2
     assert run(capsys, "frobnicate")[0] == 2
+
+
+def test_parser_lists_every_command_whichever_it_builds(capsys):
+    # `main` builds only the subparser its first argument names, or all
+    # of them when that names none; help and usage lines still list
+    # every command.
+    listing = "{build,verify,encode,distance,bench,sighash}"
+    rc, out, _ = run(capsys, "--help")
+    assert rc == 0 and out.startswith(f"usage: wordcode [-h] {listing} ...")
+    assert [line.split()[0] for line in out.splitlines() if line.startswith("    ")] == [
+        "build", "verify", "encode", "distance", "bench", "sighash"]
+    rc, out, _ = run(capsys, "sighash", "--help")
+    assert rc == 0 and out.startswith("usage: wordcode sighash [-h] {build,eval,verify}")
+    for args in ((), ("frobnicate",), ("encod", "--code", "c"),
+                 ("encode", "--code", "c", "--hex", "0", "extra")):
+        rc, _, err = run(capsys, *args)
+        assert rc == 2 and err.startswith(f"usage: wordcode [-h] {listing} ..."), args
+    assert "argument command: invalid choice: 'frobnicate'" in run(capsys, "frobnicate")[2]
+    assert run(capsys, "encode", "--code", "c", "--hex", "0", "extra")[2].endswith(
+        "error: unrecognized arguments: extra\n")

@@ -1,6 +1,5 @@
 """Full-code assembly: build, encode, distance, serialization."""
 
-import dataclasses
 import functools
 import json
 import math
@@ -41,9 +40,10 @@ from wordcode.ecc_core import (
     serialize,
 )
 from wordcode._kernels import paired_min_hamming
-from wordcode.inner_mult import find_multiplier, inner_encode
+from wordcode.inner_mult import InnerCode, find_multiplier, inner_encode
 from wordcode.numtheory import _prime_factors, _trial_division
 from wordcode.outer_rs import (
+    GeneratorPoly,
     W_MAX,
     W_MIN,
     _derive_params_any,
@@ -190,8 +190,7 @@ def test_build_deterministic():
 def test_ecc_code_pairing_enforced():
     # The level is derived from the one inner stage a code carries, so
     # only both stages or neither can disagree with it.
-    assert [f.name for f in dataclasses.fields(EccCode)] == [
-        "params", "gen", "inner", "inner_ecc"]
+    assert EccCode._fields == ("params", "gen", "inner", "inner_ecc")
     code, _ = build_code(16, None, 1)
     for inner, inner_ecc in ((code.inner, code), (None, None)):
         with pytest.raises(ParameterError, match="exactly one inner stage"):
@@ -329,9 +328,9 @@ def test_both_routes_refuse_a_generator_too_narrow_for_the_reduction(w, level, i
     # only the plans see, so the plain route refuses it as the ledgered
     # route's parallel_mod would.
     code = _route_code(w, level)
-    short = lambda c: dataclasses.replace(  # noqa: E731
-        c, gen=dataclasses.replace(c.gen, z_packed=WideInt(1, 1)))
-    bad = (dataclasses.replace(code, inner_ecc=short(code.inner_ecc)) if inner
+    short = lambda c: EccCode(  # noqa: E731
+        c.params, GeneratorPoly(c.gen.coeffs, WideInt(1, 1)), c.inner, c.inner_ecc)
+    bad = (EccCode(code.params, code.gen, None, short(code.inner_ecc)) if inner
            else short(code))
     for ledger in (None, OpLedger(w)):
         with pytest.raises(CodeValidationError, match="do not chain"):
@@ -495,7 +494,7 @@ def test_resolved_plans_are_invisible(w, level):
     used, _ = build_code(w, None, level)   # its probe encode resolved the plans
     fresh = deserialize(serialize(used))    # rebuilt, not yet encoded
     assert "_plans" in vars(used) and "_plans" not in vars(fresh)
-    assert "_plans" not in {f.name for f in dataclasses.fields(EccCode)}
+    assert "_plans" not in EccCode._fields
     assert used is not fresh
     assert used == fresh and hash(used) == hash(fresh)
     assert serialize(used) == serialize(fresh)
@@ -690,8 +689,9 @@ def _weakened(code: EccCode) -> EccCode:
     """The code with its innermost multiplier replaced by 1, which keeps
     the construction's floor but not its distance."""
     if code.level == 1:
-        return dataclasses.replace(code, inner=dataclasses.replace(code.inner, m=1))
-    return dataclasses.replace(code, inner_ecc=_weakened(code.inner_ecc))
+        i = code.inner
+        return EccCode(code.params, code.gen, InnerCode(i.B, 1, i.delta, i.threshold), None)
+    return EccCode(code.params, code.gen, None, _weakened(code.inner_ecc))
 
 
 @pytest.mark.parametrize("level, found", [(1, 3), (2, 7)])

@@ -32,7 +32,8 @@ with contextlib.redirect_stdout(out):
     rc = [cli.main(["encode", "--code", path, "--hex", x_hex]),
           cli.main(["verify", "--code", path])]
 lines = out.getvalue().splitlines()
-loaded = [m for m in ("numpy", "wordcode._kernels", "csv") if m in sys.modules]
+loaded = [m for m in ("numpy", "wordcode._kernels", "csv", "dataclasses")
+          if m in sys.modules]
 
 import wordcode
 from wordcode import bulk, sighash
@@ -78,9 +79,10 @@ def _run_fresh(script, *args) -> str:
 def test_spec_route_imports_no_numpy(tmp_path):
     # Build, encode, serialize and deserialize at both levels, then CLI
     # encode and verify on a written description: none of it imports
-    # numpy, the kernels or csv, which only `bench` writes.  The bulk
-    # and signature names still resolve, to their own modules'
-    # functions, once asked for.
+    # numpy, the kernels, csv, which only `bench` writes, or
+    # dataclasses, whose `inspect` import would cost a cold call more
+    # than its encode.  The bulk and signature names still resolve, to
+    # their own modules' functions, once asked for.
     report = json.loads(_run_fresh(SPEC_ROUTE, str(tmp_path / "c256.json")))
     assert report == {"rc": [0, 0], "encode": True, "valid": True, "loaded": [],
                       "lazy": [True] * 5}

@@ -1,6 +1,5 @@
 """Signature construction: greedy selection, evaluation, file formats."""
 
-import dataclasses
 import random
 import re
 
@@ -168,11 +167,11 @@ def test_eval_matches_codeword_bits():
         sig = sig_eval(fn, k)
         for j, pos in enumerate(fn.positions):
             assert (int(sig) >> j) & 1 == (int(cw) >> pos) & 1
-    # The cached gather charges stay off the dataclass fields, so
+    # The cached gather charges stay off the record's fields, so
     # equality and the saved description never see them.
     sig_eval(fn, keys[0], OpLedger(16))
     assert "_gather" in vars(fn)
-    assert "_gather" not in {f.name for f in dataclasses.fields(fn)}
+    assert "_gather" not in fn._fields
     assert fn == SignatureFn(code, fn.positions, fn.n)
 
 

@@ -13,6 +13,7 @@ from wordcode.wordram import (
     FieldLayout,
     OpLedger,
     OpList,
+    Record,
     WideInt,
     _ParallelModPlan,
     _reciprocal_any_width,
@@ -71,6 +72,26 @@ def test_wideint_immutable():
     x = WideInt(3, 4)
     with pytest.raises(AttributeError):
         x.value = 5
+
+
+def test_records_compare_hash_and_show_their_fields_and_refuse_changes():
+    layout = FieldLayout(20, 3, 7)
+    assert FieldLayout._fields == ("slot_width", "slot_count", "value_bound")
+    assert layout == FieldLayout(20, 3, 7) and hash(layout) == hash((20, 3, 7))
+    assert layout != FieldLayout(20, 3, 8)
+    assert repr(layout) == "FieldLayout(slot_width=20, slot_count=3, value_bound=7)"
+
+    class Other(Record):
+        _fields = FieldLayout._fields
+
+    assert layout != Other(20, 3, 7)
+    with pytest.raises(TypeError, match="takes 3 fields, got 2"):
+        Other(20, 3)
+    for change in (lambda: setattr(layout, "slot_count", 4),
+                   lambda: delattr(layout, "slot_count")):
+        with pytest.raises(AttributeError, match="FieldLayout is immutable"):
+            change()
+    assert layout.slot_count == 3
 
 
 def test_wideint_hex_round_trip():
@@ -147,6 +168,18 @@ def test_counted_charge_equals_single_charges(kind):
             assert bulk == single
             assert bulk.total() == bulk.as_dict()[kind] == k * bulk.op_units(
                 kind, bits_a, bits_b)
+
+
+def test_ledgers_are_equal_by_word_size_and_counts():
+    a, b = OpLedger(64), OpLedger(64)
+    assert a == b and a != OpLedger(32)
+    a.charge("add", 64)
+    assert a != b
+    assert repr(a) == "OpLedger(word_bits=64, add=1, sub=0, mul=0, shift=0, bitwise=0, cmp=0)"
+    with pytest.raises(TypeError):
+        hash(a)
+    with pytest.raises(LayoutError, match="word size must be positive"):
+        OpLedger(0)
 
 
 def test_ledger_determinism():
