@@ -24,8 +24,7 @@ The packed-field routines treat one wide integer as an array of fixed
 width slots (slot 0 least significant).  `parallel_mod` reduces every
 slot modulo a small prime with a constant number of whole-word
 operations, using a precomputed reciprocal so that no division is ever
-issued; `parallel_mod_reference` computes the same result one slot at a
-time and exists as the independent slow route.
+issued.
 """
 
 from __future__ import annotations
@@ -258,15 +257,6 @@ def wide_or(a: WideInt, b: WideInt, ledger: OpLedger | None = None) -> WideInt:
     if ledger is not None:
         ledger.charge("bitwise", a.bits, b.bits)
     return WideInt(a.value | b.value, max(a.bits, b.bits))
-
-
-def wide_trunc(a: WideInt, bits: int, ledger: OpLedger | None = None) -> WideInt:
-    """Keep the low `bits` bits.  Charged as one mask over the operand."""
-    if bits < 0:
-        raise LayoutError(f"negative width {bits}")
-    if ledger is not None:
-        ledger.charge("bitwise", a.bits)
-    return WideInt(a.value & ((1 << bits) - 1), bits)
 
 
 # ---------------------------------------------------------------------------
@@ -530,25 +520,3 @@ def parallel_mod(word: WideInt, layout: FieldLayout, divisor: int,
         ledger.post(plan.ops)
     return WideInt(plan.apply(word.value), plan.bits)
 
-
-def parallel_mod_reference(word: WideInt, layout: FieldLayout, divisor: int,
-                           ledger: OpLedger | None = None) -> WideInt:
-    """Slot-at-a-time route with the same contract as parallel_mod.
-
-    Linear cost in slot_count; kept as the independent implementation
-    that the packed route is checked against.
-    """
-    if divisor < 2:
-        raise LayoutError(f"divisor must be at least 2, got {divisor}")
-    if word.bits < layout.total_bits:
-        raise LayoutError(
-            f"word of {word.bits} bits shorter than layout ({layout.total_bits})"
-        )
-    if layout.slot_count == 0:
-        return WideInt(0, 0)
-    rec = _reciprocal_any_width(divisor, layout.value_bound)
-    slots = unpack_fields(wide_trunc(word, layout.total_bits, ledger), layout, ledger)
-    reduced = [div_by_const(c, rec, ledger)[1] for c in slots]
-    out_layout = FieldLayout(layout.slot_width, layout.slot_count,
-                             min(divisor.bit_length(), layout.slot_width))
-    return WideInt(pack_fields(reduced, out_layout, ledger).value, layout.total_bits)

@@ -1,5 +1,16 @@
 """Pure-Python oracles that several test modules check the library against."""
 
+from wordcode.errors import LayoutError
+from wordcode.wordram import (
+    FieldLayout,
+    OpLedger,
+    WideInt,
+    _reciprocal_any_width,
+    div_by_const,
+    pack_fields,
+    unpack_fields,
+)
+
 
 def pair_min_distance_oracle(m, bits):
     """Least Hamming distance between the products a * m, cut to
@@ -30,3 +41,35 @@ def symbolic_generator(P, alpha, r_deg):
             nxt[j] = (nxt[j] - root * c) % P
         coeffs = nxt
     return coeffs
+
+
+def wide_trunc(a: WideInt, bits: int, ledger: OpLedger | None = None) -> WideInt:
+    """Keep the low `bits` bits.  Charged as one mask over the operand."""
+    if bits < 0:
+        raise LayoutError(f"negative width {bits}")
+    if ledger is not None:
+        ledger.charge("bitwise", a.bits)
+    return WideInt(a.value & ((1 << bits) - 1), bits)
+
+
+def parallel_mod_reference(word: WideInt, layout: FieldLayout, divisor: int,
+                           ledger: OpLedger | None = None) -> WideInt:
+    """Slot-at-a-time route with the same contract as parallel_mod.
+
+    Linear cost in slot_count; kept as the independent implementation
+    that the packed route is checked against.
+    """
+    if divisor < 2:
+        raise LayoutError(f"divisor must be at least 2, got {divisor}")
+    if word.bits < layout.total_bits:
+        raise LayoutError(
+            f"word of {word.bits} bits shorter than layout ({layout.total_bits})"
+        )
+    if layout.slot_count == 0:
+        return WideInt(0, 0)
+    rec = _reciprocal_any_width(divisor, layout.value_bound)
+    slots = unpack_fields(wide_trunc(word, layout.total_bits, ledger), layout, ledger)
+    reduced = [div_by_const(c, rec, ledger)[1] for c in slots]
+    out_layout = FieldLayout(layout.slot_width, layout.slot_count,
+                             min(divisor.bit_length(), layout.slot_width))
+    return WideInt(pack_fields(reduced, out_layout, ledger).value, layout.total_bits)

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _oracles import symbolic_generator
+from _oracles import parallel_mod_reference, symbolic_generator
 from wordcode.bulk import min_weight_multiple_check
 from wordcode.ecc_core import (
     build_code,
@@ -39,7 +39,6 @@ from wordcode.wordram import (
     OpLedger,
     WideInt,
     parallel_mod,
-    parallel_mod_reference,
 )
 
 

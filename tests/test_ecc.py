@@ -3,7 +3,9 @@
 import functools
 import json
 import math
+import operator
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,7 +42,7 @@ from wordcode.ecc_core import (
     serialize,
 )
 from wordcode._kernels import paired_min_hamming
-from wordcode.inner_mult import InnerCode, find_multiplier, inner_encode
+from wordcode.inner_mult import InnerCode, _MultPlan, find_multiplier, inner_encode
 from wordcode.numtheory import _prime_factors, _trial_division
 from wordcode.outer_rs import (
     GeneratorPoly,
@@ -318,6 +320,96 @@ def test_plain_encode_keeps_the_level2_spill_guard():
                plan=plans.inner.split)
     # At level 1 there is no gap to guard.
     assert _route_code(64, 1)._plans.split.spill == 0
+
+
+class _CountingInt:
+    """A stand-in int that appends the op kind of every &, |, ^, *, -, +,
+    << and >> it takes part in to `log`, and carries the plain result.
+    `0 | x` into an empty accumulator is free, as the plans declare it."""
+
+    def __init__(self, value, log):
+        self.value, self.log = value, log
+
+    def __bool__(self):
+        return bool(self.value)
+
+    def _op(kind, fn, reflected=False):
+        def method(self, other):
+            other = getattr(other, "value", other)
+            if fn is operator.or_ and reflected and other == 0:
+                return self
+            self.log.append(kind)
+            a, b = (other, self.value) if reflected else (self.value, other)
+            return _CountingInt(fn(a, b), self.log)
+        return method
+
+    __and__, __rand__ = _op("bitwise", operator.and_), _op("bitwise", operator.and_, True)
+    __or__, __ror__ = _op("bitwise", operator.or_), _op("bitwise", operator.or_, True)
+    __xor__, __rxor__ = _op("bitwise", operator.xor), _op("bitwise", operator.xor, True)
+    __mul__, __rmul__ = _op("mul", operator.mul), _op("mul", operator.mul, True)
+    __sub__, __rsub__ = _op("sub", operator.sub), _op("sub", operator.sub, True)
+    __add__, __radd__ = _op("add", operator.add), _op("add", operator.add, True)
+    __lshift__ = _op("shift", operator.lshift)
+    __rshift__ = _op("shift", operator.rshift)
+    del _op
+
+
+def _traced_kinds(apply, v):
+    """The op kinds `apply` runs on the int v, counted, and its result,
+    which must be what it returns on the plain int."""
+    log = []
+    out = apply(_CountingInt(v, log)).value
+    assert out == apply(v)
+    return Counter(log), out
+
+
+def _declared_kinds(op_lists):
+    return Counter(kind for ops in op_lists for kind, _, _ in ops.ops)
+
+
+@pytest.mark.parametrize("w, level", [(16, 1), (64, 1), (256, 1), (1024, 1),
+                                      (64, 2), (1024, 2), (2048, 2), (8192, 2)])
+def test_each_stage_plan_charges_the_operations_its_apply_runs(w, level):
+    # `apply` is the arithmetic both routes run and `ops` the charge the
+    # ledger gets; each stage's traced op kinds and counts must be what
+    # `phases` declares for it.  Two gaps are by design, both in the
+    # split: the spill guard `v & spill` is a data check, not charged,
+    # and `v >>= drop` with drop == 0 moves nothing, so it is left out.
+    code = _route_code(w, level)
+    plans = top = code._plans
+    x = random.Random(f"trace-{w}-{level}").getrandbits(w)
+    v, levels = x, 0
+    while True:
+        levels += 1
+        uncharged = Counter(bitwise=1, shift=int(plans.split.drop == 0))
+        traced, v = _traced_kinds(plans.split.apply, v)
+        assert traced == _declared_kinds(plans.phases["split5"]) + uncharged, levels
+        traced, v = _traced_kinds(plans.rs.apply, v)
+        assert traced == _declared_kinds(plans.phases["rs_encode"]), levels
+        if plans.inner is None:
+            break
+        plans = plans.inner
+    traced, v = _traced_kinds(plans.mult.apply, v)
+    assert traced == _declared_kinds(plans.phases["inner_encode"])
+    assert levels == level
+    assert v == top.run(x)
+
+
+def test_stage_trace_rejects_an_apply_with_one_more_operation():
+    code = _route_code(64, 1)
+    plans = code._plans
+
+    class MaskTwice(_MultPlan):
+        def apply(self, v):
+            return super().apply(v) & self.mask
+
+    gained = MaskTwice(code.inner, plans.layout)
+    v = plans.rs.apply(plans.split.apply(12345))
+    declared = _declared_kinds((gained.ops,))
+    assert _traced_kinds(plans.mult.apply, v)[0] == declared
+    traced, out = _traced_kinds(gained.apply, v)
+    assert out == plans.mult.apply(v)
+    assert traced - declared == Counter(bitwise=1)
 
 
 @pytest.mark.parametrize("w, level, inner", [(64, 1, False), (64, 2, False),

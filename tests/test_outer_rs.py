@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from _oracles import symbolic_generator
+from _oracles import parallel_mod_reference, symbolic_generator
 from wordcode import _kernels
 from wordcode.bulk import min_weight_multiple_check
 from wordcode.ecc_core import build_code
@@ -32,7 +32,6 @@ from wordcode.wordram import (
     _ParallelModPlan,
     pack_fields,
     parallel_mod,
-    parallel_mod_reference,
     repeat_bits,
     unpack_fields,
 )
@@ -405,7 +404,6 @@ def test_rs_encode_matches_symbolic_oracle():
         oracle_gen = symbolic_generator(p.P, p.alpha, p.r_deg)
         for _ in range(10_000):
             msg = [rng.randrange(1 << p.B) for _ in range(p.blocks_per_word)]
-            from wordcode.wordram import pack_fields
             x_word = pack_fields(msg, msg_layout(p))
             got = unpack_fields(rs_encode(x_word, g, p), p.out_layout())
             assert got == symbolic_poly_mul(msg, oracle_gen, p.P, p.out_slots)
@@ -415,7 +413,6 @@ def test_rs_encode_linearity_over_field():
     rng = random.Random(5)
     p = derive_params(64)
     g = build_generator(p)
-    from wordcode.wordram import pack_fields
     for _ in range(300):
         mx = [rng.randrange(1 << p.B) for _ in range(p.blocks_per_word)]
         my = [rng.randrange(1 << p.B) for _ in range(p.blocks_per_word)]

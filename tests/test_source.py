@@ -203,3 +203,14 @@ def test_ci_runs_tier1_at_the_declared_floors():
     command = re.search(r"^\*\*Tier-1 verify:\*\* `([^`]+)`$", roadmap, re.M)
     steps = re.findall(r"- name: Tier-1 tests\n\s+run: (.+)$", workflow, re.M)
     assert steps == [command[1]]
+
+
+def test_every_exported_name_is_documented():
+    # The package namespace is the documented API; layer internals such
+    # as `split5` or `FieldLayout` import from their own modules.
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    missing = [name for name in wordcode.__all__
+               if not re.search(rf"\b{re.escape(name)}\b", readme)]
+    assert missing == []
+    for name in wordcode.__all__:
+        getattr(wordcode, name)

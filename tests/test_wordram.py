@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from _oracles import parallel_mod_reference, wide_trunc
 from wordcode import ecc_core, outer_rs, wordram
 from wordcode.errors import LayoutError
 from wordcode.outer_rs import derive_params
@@ -20,13 +21,11 @@ from wordcode.wordram import (
     div_by_const,
     pack_fields,
     parallel_mod,
-    parallel_mod_reference,
     repeat_bits,
     unpack_fields,
     wide_mul,
     wide_or,
     wide_shl,
-    wide_trunc,
 )
 
 
