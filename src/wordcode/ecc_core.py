@@ -145,8 +145,8 @@ class _EncodePlans:
 
     def __init__(self, code: EccCode, symbols: FieldLayout | None = None):
         p = code.params
-        count = 1 if symbols is None else symbols.slot_count
         self.split = _SplitPlan(p, symbols)
+        count = self.split.symbols.slot_count
         self.rs = _RsPlan(p, self.split.out_bits, code.gen.z_packed)
         self.layout = p.out_layout(5 * count)
         # Must match what each ledgered stage posts, until the ledgered
@@ -346,12 +346,11 @@ def encode(code: EccCode, x, ledger: OpLedger | None = None) -> WideInt:
         return WideInt(plans.run(_key_value(x, w)), plans.bits)
     x = WideInt(_key_value(x, w), w)
     while True:
-        p = code.params
-        words = split5(x, p, ledger, plans.split.symbols, plan=plans.split)
-        x = rs_encode(words, code.gen, p, ledger, plan=plans.rs)
+        # Ledger by keyword: perfbench's span wrappers look for it there.
+        x = rs_encode(split5(x, plans.split, ledger=ledger), plans.rs, ledger=ledger)
         if plans.inner is None:
-            return inner_encode(x, code.inner, plans.layout, ledger, plan=plans.mult)
-        code, plans = code.inner_ecc, plans.inner
+            return inner_encode(x, plans.mult, ledger=ledger)
+        plans = plans.inner
 
 
 def _encode_nested(code: EccCode, x, ledger: OpLedger | None = None) -> WideInt:
@@ -364,12 +363,12 @@ def _encode_nested(code: EccCode, x, ledger: OpLedger | None = None) -> WideInt:
     """
     if code.level != 2:
         raise ParameterError(f"nested encode needs a level-2 code, got level {code.level}")
-    p = code.params
+    p, plans = code.params, code._plans
     x = WideInt(_key_value(x, p.w), p.w)
-    resid = rs_encode(split5(x, p, ledger), code.gen, p, ledger)
+    resid = rs_encode(split5(x, plans.split, ledger=ledger), plans.rs, ledger=ledger)
     inner = code.inner_ecc
     segments = [encode(inner, WideInt(v, inner.params.w), ledger)
-                for v in unpack_fields(resid, p.out_layout(5), ledger)]
+                for v in unpack_fields(resid, plans.layout, ledger)]
     acc = segments[0]
     for i, seg in enumerate(segments[1:], start=1):
         acc = wide_or(acc, wide_shl(seg, i * inner.codeword_bits, ledger), ledger)

@@ -83,8 +83,11 @@ def _charge_scan(ledger: OpLedger, b: int, candidates: int):
     ledger.charge("cmp", 4 * (b + 1), count=candidates * pairs)
 
 
-def _symbol_bits(b) -> int:
-    """B as an index in [1, B_MAX]; ParameterError naming B otherwise."""
+def _search_domain(b, delta) -> tuple[int, Fraction, int]:
+    """(B, delta, threshold) when B is an index in [1, B_MAX], delta is
+    positive and some multiplier reaches the threshold (at most
+    `_REACHABLE_THRESHOLDS[B]`, or the 4(B+1)-bit codeword above B = 8);
+    else the search's refusal, a ParameterError or MultiplierNotFoundError."""
     b = _index(b, "B")
     if b > B_MAX:
         raise ParameterError(
@@ -92,18 +95,23 @@ def _symbol_bits(b) -> int:
             f"the word size needs a level-2 construction")
     if b < 1:
         raise ParameterError(f"B must be at least 1, got {b}")
-    return b
+    delta = _delta(delta)
+    if delta <= 0:
+        raise ParameterError(f"delta must be positive, got {delta}")
+    t = threshold_for(b, delta)
+    if t > _REACHABLE_THRESHOLDS.get(b, 4 * (b + 1)):
+        raise MultiplierNotFoundError(b, delta, DEFAULT_DELTA)
+    return b, delta, t
 
 
 def _verify_multiplier(m: int, b: int, delta: Fraction) -> None:
-    """CodeValidationError unless m lies in [1, 2^(3(B+1))) and, where
-    no tabled entry covers (B, threshold_for(B, delta)), its
-    `_kernels.pair_min_distance`, a scan with none of the search's cuts,
-    reaches that threshold.  At a tabled threshold the tests have
+    """The search's refusals (`_search_domain`); then CodeValidationError
+    unless m lies in [1, 2^(3(B+1))) and, where no tabled entry covers
+    (B, threshold_for(B, delta)), its `_kernels.pair_min_distance`, a
+    scan with none of the search's cuts, reaches that threshold.  At a tabled threshold the tests have
     measured the entry, and a stored m other than the entry fails the
     rebuild-and-compare of `deserialize`."""
-    b = _symbol_bits(b)
-    t = threshold_for(b, delta)
+    b, delta, t = _search_domain(b, delta)
     if not 1 <= m < 1 << (3 * (b + 1)):
         raise CodeValidationError(
             f"multiplier {reprlib.repr(m)} outside [1, 2^{3 * (b + 1)}) for B={b}")
@@ -121,22 +129,14 @@ def _verify_multiplier(m: int, b: int, delta: Fraction) -> None:
 def find_multiplier(b: int, delta, ledger: OpLedger | None = None) -> InnerCode:
     """Smallest m in [1, 2^(3(B+1))) with pair distance >= ceil(delta*B).
 
-    The search owns its domain: it reads B and delta, and when no
-    multiplier reaches the threshold (one past `_REACHABLE_THRESHOLDS`,
-    or past the 4(B+1)-bit codeword above B = 8, is refused before any
-    scan) reports `DEFAULT_DELTA` as a delta that succeeds at this B.
-    A tabled threshold takes its entry and any other scans
-    (`_kernels.scan_multiplier`, reached through the module object); the
-    ledger is charged the scan's closed form either way.  A scanned
+    The search owns its domain (`_search_domain`), and when no multiplier
+    reaches the threshold it reports `DEFAULT_DELTA` as a delta that
+    succeeds at this B.  A tabled threshold takes its entry and any other
+    scans (`_kernels.scan_multiplier`, reached through the module object);
+    the ledger is charged the scan's closed form either way.  A scanned
     answer `_verify_multiplier` refuses is a kernel fault.
     """
-    b = _symbol_bits(b)
-    delta = _delta(delta)
-    if delta <= 0:
-        raise ParameterError(f"delta must be positive, got {delta}")
-    t = threshold_for(b, delta)
-    if t > _REACHABLE_THRESHOLDS.get(b, 4 * (b + 1)):
-        raise MultiplierNotFoundError(b, delta, DEFAULT_DELTA)
+    b, delta, t = _search_domain(b, delta)
     m = _TABLED_MULTIPLIERS.get((b, t))
     if m is None:
         from . import _kernels
@@ -179,19 +179,14 @@ class _MultPlan:
         return (v * self.m) & self.mask
 
 
-def inner_encode(word: WideInt, ic: InnerCode, layout: FieldLayout,
-                 ledger: OpLedger | None = None, *,
-                 plan: _MultPlan | None = None) -> WideInt:
-    """f_2: one whole-word multiply by m, then cut back to the layout.
+def inner_encode(word: WideInt, plan: _MultPlan, ledger: OpLedger | None = None) -> WideInt:
+    """f_2: one whole-word multiply by m, then cut back to the layout;
+    the plan is `_MultPlan(ic, layout)`.
 
     Requires each slot value below 2^(B+1); products then stay below
     2^(4(B+1)) <= 2^S and cannot carry across slot boundaries, which is
     what makes the single multiplication equal the per-slot map.
-    `plan`, when given, is `_MultPlan(ic, layout)` resolved by the
-    caller.
     """
-    if plan is None:
-        plan = _MultPlan(ic, layout)
     if word.bits > plan.bits:
         raise LayoutError(
             f"word of {word.bits} bits does not fit layout "

@@ -158,15 +158,13 @@ class _SplitPlan:
     __slots__ = ("symbols", "pad", "rounds", "drop", "combs", "spread", "spill",
                  "out_bits", "ops")
 
-    def __init__(self, p: RsParams, symbols: FieldLayout | None):
-        if p.blocks_per_word > 1 and p.S != 5 * p.B:
-            raise ParameterError(
-                f"slot stride {p.S} incompatible with 5-block comb at B={p.B}"
-            )
+    def __init__(self, p: RsParams, symbols: FieldLayout | None = None):
+        if symbols is None:
+            symbols = FieldLayout(p.w, 1, p.w)
         nb, b = p.n_blocks, p.B
         n2 = 1 << _ceil_log2(max(nb, 1))
         stride = 5 * p.word_out_bits
-        count = 1 if symbols is None else symbols.slot_count
+        count = symbols.slot_count
         self.symbols = symbols
         self.pad = nb * b - p.w
         width = n2 * b
@@ -175,37 +173,33 @@ class _SplitPlan:
         live = base + nb * b
         span = base + width
         self.out_bits = base + 4 * p.word_out_bits + p.word_in_bits
-        if count > 1 and stride < width + width // 2:
+        s_in, vb = symbols.slot_width, symbols.value_bound
+        if count < 1 or vb > p.w or s_in > stride:
             raise ParameterError(
-                f"key stride {stride} too narrow for a {width}-bit reversal")
+                f"{count} keys of {vb} bits at stride {s_in} do not fit "
+                f"w={p.w}, output stride {stride}")
+        self.spill = repeat_bits(((1 << s_in) - 1) ^ ((1 << vb) - 1), s_in, count)
         # Key s moves from bit s * s_in to bit s * stride in one round per
         # bit of s, highest first: round k moves every key with bit k set
         # by 2^k (stride - s_in).  Before round k, key s sits at
         # (s with bits below k+1 cleared) * stride + (s mod 2^(k+1)) * s_in,
         # so in each group of 2^(k+1) keys the upper half is one run.
         spread = []
-        spill = 0
         ops = []
-        if symbols is not None:
-            s_in, vb = symbols.slot_width, symbols.value_bound
-            if count < 1 or vb > p.w or s_in > stride:
-                raise ParameterError(
-                    f"{count} keys of {vb} bits at stride {s_in} do not fit "
-                    f"w={p.w}, output stride {stride}")
-            spill = repeat_bits(((1 << s_in) - 1) ^ ((1 << vb) - 1), s_in, count)
-            last = count - 1
-            for k in reversed(range(_ceil_log2(count))):
-                h = 1 << k
-                run = ((1 << (h * s_in)) - 1) << (h * s_in)
-                mask = repeat_bits(run, 2 * h * stride, -(-count // (2 * h)))
-                at = (last >> (k + 1) << (k + 1)) * stride + (last & (2 * h - 1)) * s_in
-                shift = h * (stride - s_in)
-                spread.append((shift, mask))
-                ops += [("bitwise", at + vb, 0), ("bitwise", at + vb, 0),
-                        ("shift", at + vb, shift), ("bitwise", at + vb + shift, 0)]
+        last = count - 1
+        for k in reversed(range(_ceil_log2(count))):
+            h = 1 << k
+            run = ((1 << (h * s_in)) - 1) << (h * s_in)
+            mask = repeat_bits(run, 2 * h * stride, -(-count // (2 * h)))
+            at = (last >> (k + 1) << (k + 1)) * stride + (last & (2 * h - 1)) * s_in
+            shift = h * (stride - s_in)
+            spread.append((shift, mask))
+            ops += [("bitwise", at + vb, 0), ("bitwise", at + vb, 0),
+                    ("shift", at + vb, shift), ("bitwise", at + vb + shift, 0)]
         self.spread = tuple(spread)
-        self.spill = spill
         ops.append(("shift", base + p.w, self.pad))
+        # A round shifts by at most width / 2: keys stay apart while
+        # stride >= 1.5 * width, which the tests check at every width.
         rounds = []
         half = 1
         while half < n2:
@@ -219,8 +213,8 @@ class _SplitPlan:
         if self.drop:
             ops.append(("shift", span, 0))
         # Block i + 5t sits at bit i*B + t*5B.  The comb stride 5B equals
-        # S whenever a word carries more than one block (checked above),
-        # so one shift moves the whole word to i * word_out_bits;
+        # S whenever a word carries more than one block (tested at every
+        # width), so one shift moves the whole word to i * word_out_bits;
         # single-block words land wholly in slot 0 either way.
         block_mask = (1 << b) - 1
         combs = []
@@ -259,32 +253,23 @@ class _SplitPlan:
         return out
 
 
-def split5(x: WideInt, p: RsParams, ledger: OpLedger | None = None,
-           symbols: FieldLayout | None = None, *,
-           plan: _SplitPlan | None = None) -> WideInt:
-    """Deal the blocks of x into 5 message words side by side in one word.
+def split5(x: WideInt, plan: _SplitPlan, ledger: OpLedger | None = None) -> WideInt:
+    """Deal each key's blocks into 5 message words side by side in one word.
 
-    Word i (0-based) starts at bit i * word_out_bits, where its residues
-    go, and holds blocks b_i, b_{i+5}, ... with slot t at bit t * S;
-    blocks past n_blocks read as zero.  Cost: a shared O(log n_blocks)
-    reversal prologue per key, then mask, shift and OR per word.
-
-    With `symbols`, x holds symbols.slot_count keys, key s in slot s of
-    that layout and below 2^value_bound <= w, and key s's five words
-    start at bit s * 5 * word_out_bits: level 2 runs its inner split on
-    every outer residue in one pass.  The keys first spread to that
-    stride in ceil(log2 count) mask, shift and OR rounds; every later
-    step is the single-key step over all keys at once.  Each operation
+    x holds plan.symbols.slot_count keys, key s in slot s of that layout
+    and below 2^value_bound <= w; key s's five words start at bit
+    s * 5 * word_out_bits, and word i of a key at i * word_out_bits,
+    where its residues go.  Word i holds blocks b_i, b_{i+5}, ... with
+    slot t at bit t * S; blocks past n_blocks read as zero.  Level 2 runs
+    its inner split on every outer residue in one pass.  Cost: the keys
+    spread to their output stride in ceil(log2 count) mask, shift and OR
+    rounds, then a shared O(log n_blocks) reversal prologue and mask,
+    shift and OR per word, each over all keys at once.  Each operation
     is charged at the width of the bits it spans, never the value; the
-    plan declares them and they are posted at once.  `plan`, when
-    given, is `_SplitPlan(p, symbols)` resolved by the caller.
+    plan declares them and they are posted at once.
     """
-    if plan is None:
-        plan = _SplitPlan(p, symbols)
-    if symbols is None:
-        if x.bits > p.w:
-            raise ParameterError(f"key of {x.bits} bits exceeds w={p.w}")
-    elif x.bits > symbols.total_bits:
+    symbols = plan.symbols
+    if x.bits > symbols.total_bits:
         raise ParameterError(
             f"word of {x.bits} bits does not hold {symbols.slot_count} keys "
             f"in {symbols.total_bits} bits")
@@ -343,7 +328,7 @@ def build_generator(p: RsParams, ledger: OpLedger | None = None) -> GeneratorPol
         # S >= 4(B+1) keeps each slot clear of the next.  The tests check
         # every product slot of every generator the builds expand.
         raw = wide_mul(z, mono, ledger)
-        z = parallel_mod(raw, gen_layout, prime_p, ledger, plan=plan)
+        z = parallel_mod(raw, plan, ledger)
     return GeneratorPoly(tuple(unpack_fields(z, gen_layout)), z)
 
 
@@ -352,15 +337,14 @@ def build_generator(p: RsParams, ledger: OpLedger | None = None) -> GeneratorPol
 
 
 class _RsPlan:
-    """rs_encode's convolution layout, its parallel_mod plan, the packed
-    generator `z` and the charged multiply, for `in_bits`-bit input; an
-    encode resolves it once per code."""
+    """rs_encode's parallel_mod plan on the convolution layout, the
+    packed generator `z` and the charged multiply, for `in_bits`-bit
+    input; an encode resolves it once per code."""
 
-    __slots__ = ("layout", "mod", "z", "z_bits", "ops")
+    __slots__ = ("mod", "z", "z_bits", "ops")
 
     def __init__(self, p: RsParams, in_bits: int, z: WideInt):
-        self.layout = p.conv_layout(-(-in_bits // p.word_out_bits))
-        self.mod = _ParallelModPlan(self.layout, p.P)
+        self.mod = _ParallelModPlan(p.conv_layout(-(-in_bits // p.word_out_bits)), p.P)
         self.z, self.z_bits = z.value, z.bits
         self.ops = OpList((("mul", in_bits, z.bits),))
 
@@ -369,13 +353,11 @@ class _RsPlan:
         return self.mod.apply(v * self.z)
 
 
-def rs_encode(x_word: WideInt, g: GeneratorPoly, p: RsParams,
-              ledger: OpLedger | None = None, *,
-              plan: _RsPlan | None = None) -> WideInt:
+def rs_encode(x_word: WideInt, plan: _RsPlan, ledger: OpLedger | None = None) -> WideInt:
     """f_1 on each message word of x_word: multiply by z_r, reduce mod P.
 
     Word i sits at bit i * word_out_bits, as split5 lays them out, and
-    the declared width sets how many there are; every message slot is
+    the plan's input width sets how many there are; every message slot is
     below 2^B, as split5's blocks are.  The product is, word by word, the
     convolution of message and generator slots, each coefficient below
     2^conv_value_bound <= 2^S, so no word spills into the next region,
@@ -383,14 +365,11 @@ def rs_encode(x_word: WideInt, g: GeneratorPoly, p: RsParams,
     tight bound is what lets the reduction run in a single pass over all
     slots at almost every width (see `_ParallelModPlan`).  A constant
     number of charged operations however many words and slots there are.
-    `plan`, when given, is `_RsPlan(p, x_word.bits, g.z_packed)` resolved
-    by the caller, and the generator is read from it.  The multiply stays
-    here, outside `_RsPlan.apply`, so the reduction runs as its own
-    `parallel_mod` call.
+    The plan is `_RsPlan(p, x_word.bits, g.z_packed)` and carries the
+    generator.  The multiply stays here, outside `_RsPlan.apply`, so the
+    reduction runs as its own `parallel_mod` call.
     """
-    if plan is None:
-        plan = _RsPlan(p, x_word.bits, g.z_packed)
     if ledger is not None:
         ledger.post(plan.ops)
     prod = WideInt(x_word.value * plan.z, x_word.bits + plan.z_bits)
-    return parallel_mod(prod, plan.layout, p.P, ledger, plan=plan.mod)
+    return parallel_mod(prod, plan.mod, ledger)

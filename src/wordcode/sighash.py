@@ -42,6 +42,7 @@ from .ecc_core import (
     encode,
 )
 from .errors import (
+    CodecError,
     CodecFormatError,
     CodecVersionError,
     CodeValidationError,
@@ -286,7 +287,10 @@ def signature_from_obj(obj) -> SignatureFn:
         # The greedy build never picks a bit twice: once chosen, no
         # colliding pair is left for it to separate.
         raise CodecFormatError("positions must not repeat")
-    code = _from_obj(obj["code"])
+    try:
+        code = _from_obj(obj["code"])
+    except CodecError as exc:
+        raise type(exc)(f"code: {exc}") from exc
     if any(not 0 <= p < code.codeword_bits for p in pos):
         raise CodecFormatError("position index outside the codeword")
     return SignatureFn(code, tuple(pos), n)

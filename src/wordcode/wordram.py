@@ -499,19 +499,15 @@ class _ParallelModPlan:
         return out
 
 
-def parallel_mod(word: WideInt, layout: FieldLayout, divisor: int,
-                 ledger: OpLedger | None = None, *,
-                 plan: _ParallelModPlan | None = None) -> WideInt:
-    """Reduce every slot of `word` modulo `divisor` with packed passes:
-    one over every slot, or one per slot parity (see `_ParallelModPlan`).
+def parallel_mod(word: WideInt, plan: _ParallelModPlan,
+                 ledger: OpLedger | None = None) -> WideInt:
+    """Reduce every slot of `word` modulo the plan's divisor in one packed
+    pass, or one per slot parity (see `_ParallelModPlan`).
 
-    Bits of `word` above layout.total_bits are ignored.  The charged
-    cost depends only on the layout and divisor, never on slot values:
-    the plan's operations, posted at once.  `plan`, when given, is
-    `_ParallelModPlan(layout, divisor)` resolved by the caller.
+    Bits of `word` above the layout's total_bits are ignored.  The
+    charged cost depends only on the layout and divisor, never on slot
+    values: the plan's operations, posted at once.
     """
-    if plan is None:
-        plan = _ParallelModPlan(layout, divisor)
     if word.bits < plan.bits:
         raise LayoutError(
             f"word of {word.bits} bits shorter than layout ({plan.bits})"

@@ -38,6 +38,7 @@ from wordcode.wordram import (
     FieldLayout,
     OpLedger,
     WideInt,
+    _ParallelModPlan,
     parallel_mod,
 )
 
@@ -77,6 +78,7 @@ def test_criterion_01_parallel_mod_equivalence():
             # Exhaustive: every value in [0, 2^v) appears in some slot.
             slots = 4096
             layout = FieldLayout(64, slots, v)
+            plan = _ParallelModPlan(layout, divisor)
             total = 1 << v
             for lo in range(0, total, slots):
                 vals = np.arange(lo, min(lo + slots, total), dtype=np.uint64)
@@ -84,16 +86,17 @@ def test_criterion_01_parallel_mod_equivalence():
                     pad = np.zeros(slots - vals.shape[0], dtype=np.uint64)
                     vals = np.concatenate([vals, pad])
                 for word in _pack_rows(vals[None, :], layout):
-                    fast = parallel_mod(word, layout, divisor)
+                    fast = parallel_mod(word, plan)
                     slow = parallel_mod_reference(word, layout, divisor)
                     if fast != slow:
                         mismatches += 1
             # Plus 10^5 random packed words in a narrower layout.
             layout = FieldLayout(64, 8, v)
+            plan = _ParallelModPlan(layout, divisor)
             rng = np.random.default_rng(1000 + divisor)
             rows = rng.integers(0, 1 << v, size=(100_000, 8), dtype=np.uint64)
             for word in _pack_rows(rows, layout):
-                if parallel_mod(word, layout, divisor) != \
+                if parallel_mod(word, plan) != \
                         parallel_mod_reference(word, layout, divisor):
                     mismatches += 1
         elapsed = time.monotonic() - started

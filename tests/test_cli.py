@@ -8,7 +8,7 @@ import pytest
 
 from wordcode.cli import BENCH_HEADER, main
 from wordcode.ecc_core import build_code, serialize
-from wordcode.sighash import save_signature, write_keys_file
+from wordcode.sighash import SignatureFn, save_signature, write_keys_file
 
 
 def run(capsys, *argv):
@@ -372,11 +372,22 @@ def test_sighash_eval_non_ascii_signature_file(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_sighash_eval_code_error_names_the_code(tmp_path, capsys):
+    code, _ = build_code(16, None, 1)
+    sig = tmp_path / "sig.json"
+    save_signature(sig, SignatureFn(code, (0,), 2))
+    obj = json.loads(sig.read_text())
+    del obj["code"]["B"]
+    sig.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "sighash", "eval", "--sig", str(sig), "--hex", "0011")
+    assert (rc, out) == (1, "")
+    assert err == f"error: {sig}: code: missing fields: ['B']\n"
+
+
 def test_sighash_eval_rejects_bad_hex(tmp_path, capsys):
     # `sighash eval` parses --hex as `encode` does: at w=10 both a wrong
     # digit count and a value above 2^10 are usage errors naming `value`.
     code, _ = build_code(10, None, 1)
-    from wordcode.sighash import SignatureFn
     sig = tmp_path / "sig.json"
     save_signature(sig, SignatureFn(code, (0,), 2))
     for bad in ("ff", "fff"):

@@ -48,6 +48,8 @@ from wordcode.outer_rs import (
     GeneratorPoly,
     W_MAX,
     W_MIN,
+    _RsPlan,
+    _SplitPlan,
     _derive_params_any,
     build_generator,
     derive_params,
@@ -310,14 +312,12 @@ def test_plain_encode_keeps_the_level2_spill_guard():
     code = _route_code(64, 2)
     plans = code._plans
     layout = plans.layout
-    q = code.inner_ecc.params
     bad = 1 << layout.value_bound  # slot 0 one bit past the bound
     assert plans.inner.split.spill & bad
     with pytest.raises(ParameterError, match="does not hold"):
         plans.inner.split.apply(bad)
     with pytest.raises(ParameterError, match="does not hold"):
-        split5(WideInt(bad, layout.total_bits), q, OpLedger(64), layout,
-               plan=plans.inner.split)
+        split5(WideInt(bad, layout.total_bits), plans.inner.split, OpLedger(64))
     # At level 1 there is no gap to guard.
     assert _route_code(64, 1)._plans.split.spill == 0
 
@@ -657,16 +657,19 @@ def test_phases_sum_to_report_totals(w, level):
     x = WideInt(random.Random(w).getrandbits(w), w)
     p = code.params
     ic, prefix = code, ""
-    words, encodes["split5"] = alone(split5, x, p)
-    resid, encodes["rs_encode"] = alone(rs_encode, words, code.gen, p)
+    words, encodes["split5"] = alone(split5, x, _SplitPlan(p))
+    resid, encodes["rs_encode"] = alone(
+        rs_encode, words, _RsPlan(p, words.bits, code.gen.z_packed))
     layout = p.out_layout(5)
     if level == 2:
         ic, prefix = code.inner_ecc, "inner."
         q = ic.params
-        words, encodes["inner.split5"] = alone(split5, resid, q, symbols=layout)
-        resid, encodes["inner.rs_encode"] = alone(rs_encode, words, ic.gen, q)
+        words, encodes["inner.split5"] = alone(split5, resid, _SplitPlan(q, layout))
+        resid, encodes["inner.rs_encode"] = alone(
+            rs_encode, words, _RsPlan(q, words.bits, ic.gen.z_packed))
         layout = q.out_layout(5 * layout.slot_count)
-    cw, encodes[prefix + "inner_encode"] = alone(inner_encode, resid, ic.inner, layout)
+    cw, encodes[prefix + "inner_encode"] = alone(
+        inner_encode, resid, _MultPlan(ic.inner, layout))
     assert cw == encode(code, x)
     for c, pre in [(code, "")] + ([(ic, prefix)] if level == 2 else []):
         cp = _derive_params_any(c.params.w)
@@ -715,10 +718,10 @@ def test_probe_encode_must_charge_its_phases(monkeypatch):
     # fails the build.
     import wordcode.ecc_core as ecc_core
 
-    def overcharging(word, ic, layout, ledger=None, **kw):
+    def overcharging(word, plan, ledger=None):
         if ledger is not None:
             ledger.charge("bitwise", 1)
-        return inner_encode(word, ic, layout, ledger, **kw)
+        return inner_encode(word, plan, ledger)
 
     monkeypatch.setattr(ecc_core, "inner_encode", overcharging)
     for level in (1, 2):
@@ -1035,15 +1038,29 @@ def test_deserialize_rejects_tampered_values():
 
 def test_deserialize_verifies_stored_multiplier_before_rebuilding(monkeypatch):
     # A stored delta out of reach would make the rebuild scan every
-    # candidate; the stored m is checked against it first.
+    # candidate; the stored m is checked against it first.  The check
+    # starts with the search's own refusals, so a delta outside the
+    # search's domain is refused before any pair distance is measured.
     def no_scan(*args):
         raise AssertionError("deserialize scanned for a multiplier")
 
+    def no_pair_distance(*args):
+        raise AssertionError("deserialize measured a pair distance")
+
     obj = json.loads(_description(256, 1))
     monkeypatch.setattr(_kernels, "scan_multiplier", no_scan)
-    obj["delta_num"], obj["delta_den"] = 2, 1
-    with pytest.raises(CodeValidationError, match="below threshold 16 for B=8"):
+    obj["delta_num"], obj["delta_den"] = 9, 8
+    with pytest.raises(CodeValidationError,
+                       match="multiplier 185 has pair distance 4, below threshold 9 for B=8"):
         deserialize(json.dumps(obj))
+    monkeypatch.setattr(_kernels, "pair_min_distance", no_pair_distance)
+    for num, refusal in ((0, "delta must be positive, got 0"),
+                         (-1, "delta must be positive, got -1"),
+                         (2, "no multiplier reaches delta=2 for B=8"),
+                         (3, "no multiplier reaches delta=3 for B=8")):
+        obj["delta_num"], obj["delta_den"] = num, 1
+        with pytest.raises(CodeValidationError, match=refusal):
+            deserialize(json.dumps(obj))
     for m in (0, -1, 1 << 33, 1 << 70):
         obj = json.loads(_description(256, 1))
         obj["m"] = m

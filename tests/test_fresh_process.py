@@ -27,11 +27,18 @@ for w, level in ((64, 1), (256, 1), (1024, 1), (8192, 2)):
         with open(path, "wb") as fh:
             fh.write(blob + b"\\n")
         x_hex, want = format(x, "064x"), cw.to_hex()
+        tampered = dict(json.loads(blob), delta_num=0)
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     rc = [cli.main(["encode", "--code", path, "--hex", x_hex]),
           cli.main(["verify", "--code", path])]
 lines = out.getvalue().splitlines()
+try:
+    ecc_core.deserialize(json.dumps(tampered))
+    sys.exit("a description with delta_num 0 deserialized")
+except ecc_core.CodeValidationError as exc:
+    if "delta must be positive" not in str(exc):
+        sys.exit(f"delta_num 0 refused as: {exc}")
 loaded = [m for m in ("numpy", "wordcode._kernels", "csv", "dataclasses")
           if m in sys.modules]
 
@@ -78,11 +85,12 @@ def _run_fresh(script, *args) -> str:
 
 def test_spec_route_imports_no_numpy(tmp_path):
     # Build, encode, serialize and deserialize at both levels, then CLI
-    # encode and verify on a written description: none of it imports
-    # numpy, the kernels, csv, which only `bench` writes, or
-    # dataclasses, whose `inspect` import would cost a cold call more
-    # than its encode.  The bulk and signature names still resolve, to
-    # their own modules' functions, once asked for.
+    # encode and verify on a written description, then refuse that
+    # description with delta_num 0: none of it imports numpy, the
+    # kernels, csv, which only `bench` writes, or dataclasses, whose
+    # `inspect` import would cost a cold call more than its encode.  The
+    # bulk and signature names still resolve, to their own modules'
+    # functions, once asked for.
     report = json.loads(_run_fresh(SPEC_ROUTE, str(tmp_path / "c256.json")))
     assert report == {"rc": [0, 0], "encode": True, "valid": True, "loaded": [],
                       "lazy": [True] * 5}

@@ -19,6 +19,7 @@ from wordcode.inner_mult import (
     DEFAULT_DELTA,
     InnerCode,
     _REACHABLE_THRESHOLDS,
+    _MultPlan,
     _TABLED_MULTIPLIERS,
     find_multiplier,
     inner_encode,
@@ -224,7 +225,7 @@ def test_search_charges_closed_form():
 def test_inner_encode_zero():
     ic = InnerCode(4, 13, Fraction(1, 2), 2)
     layout = FieldLayout(20, 2, 5)
-    out = inner_encode(WideInt(0, 40), ic, layout)
+    out = inner_encode(WideInt(0, 40), _MultPlan(ic, layout))
     assert int(out) == 0
     assert out.bits == 40
 
@@ -233,7 +234,7 @@ def test_inner_encode_pinned_slots():
     ic = InnerCode(4, 13, Fraction(1, 2), 2)
     layout = FieldLayout(20, 2, 5)
     word = pack_fields([6, 15], layout)
-    out = inner_encode(word, ic, layout)
+    out = inner_encode(word, _MultPlan(ic, layout))
     wide = FieldLayout(20, 2, 20)
     assert unpack_fields(out, wide) == [78, 195]
 
@@ -244,9 +245,10 @@ def test_inner_encode_matches_per_slot_oracle():
     ic = find_multiplier(6, Fraction(1, 2))
     layout = FieldLayout(30, 6, 7)
     wide = FieldLayout(30, 6, 28)
+    plan = _MultPlan(ic, layout)
     for _ in range(200):
         vals = [rng.randrange(128) for _ in range(6)]
-        out = inner_encode(pack_fields(vals, layout), ic, layout)
+        out = inner_encode(pack_fields(vals, layout), plan)
         assert unpack_fields(out, wide) == [v * ic.m for v in vals]
         assert out.bits == layout.total_bits
 
@@ -254,22 +256,23 @@ def test_inner_encode_matches_per_slot_oracle():
 def test_inner_encode_rejects_narrow_layout():
     ic = InnerCode(6, 29, Fraction(1, 2), 3)
     with pytest.raises(LayoutError):
-        inner_encode(WideInt(0, 40), ic, FieldLayout(20, 2, 5))
+        inner_encode(WideInt(0, 40), _MultPlan(ic, FieldLayout(20, 2, 5)))
 
 
 def test_inner_encode_rejects_oversized_word():
     ic = InnerCode(4, 13, Fraction(1, 2), 2)
     with pytest.raises(LayoutError):
-        inner_encode(WideInt(0, 60), ic, FieldLayout(20, 2, 5))
+        inner_encode(WideInt(0, 60), _MultPlan(ic, FieldLayout(20, 2, 5)))
 
 
 def test_inner_encode_cost_value_independent():
     ic = InnerCode(6, 29, Fraction(1, 2), 3)
     layout = FieldLayout(30, 6, 7)
+    plan = _MultPlan(ic, layout)
     seen = set()
     for vals in ([0] * 6, [127] * 6, [5, 0, 99, 1, 2, 3]):
         led = OpLedger(64)
-        inner_encode(pack_fields(vals, layout), ic, layout, led)
+        inner_encode(pack_fields(vals, layout), plan, led)
         seen.add(tuple(sorted(led.as_dict().items())))
     assert len(seen) == 1
     (only,) = seen

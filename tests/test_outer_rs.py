@@ -151,16 +151,17 @@ def test_derive_params_deterministic():
 
 def test_split5_pinned_examples():
     p = derive_params(16)
-    words = regions(split5(WideInt(0xABCD, 16), p), p)
+    words = regions(split5(WideInt(0xABCD, 16), _SplitPlan(p)), p)
     slot0 = [unpack_fields(wd, msg_layout(p))[0] for wd in words]
     assert slot0 == [0xA, 0xB, 0xC, 0xD, 0]
 
     p = derive_params(64)
-    words = regions(split5(WideInt(1 << 63, 64), p), p)
+    split = _SplitPlan(p)
+    words = regions(split5(WideInt(1 << 63, 64), split), p)
     assert unpack_fields(words[0], msg_layout(p)) == [0b100000, 0, 0]
     assert all(wd.value == 0 for wd in words[1:])
 
-    assert all(wd.value == 0 for wd in regions(split5(WideInt(0, 64), p), p))
+    assert all(wd.value == 0 for wd in regions(split5(WideInt(0, 64), split), p))
 
 
 def test_split5_block_placement_random():
@@ -168,10 +169,11 @@ def test_split5_block_placement_random():
     for w in (10, 16, 37, 64, 120, 256, 1024):
         p = derive_params(w)
         layout = msg_layout(p)
+        split = _SplitPlan(p)
         for _ in range(25):
             x = rng.getrandbits(w)
             expect = blocks_of(x, w, p)
-            words = regions(split5(WideInt(x, w), p), p)
+            words = regions(split5(WideInt(x, w), split), p)
             for i, wd in enumerate(words):
                 slots = unpack_fields(wd, layout)
                 for t, val in enumerate(slots):
@@ -183,9 +185,10 @@ def test_split5_reassembly_round_trip():
     rng = random.Random(1)
     for w in (10, 16, 64, 256, 4096):
         p = derive_params(w)
+        split = _SplitPlan(p)
         for _ in range(30):
             x = WideInt(rng.getrandbits(w), w)
-            assert split5_reassemble(split5(x, p), p) == x
+            assert split5_reassemble(split5(x, split), p) == x
 
 
 def test_split5_on_internal_mini_params():
@@ -193,15 +196,16 @@ def test_split5_on_internal_mini_params():
     rng = random.Random(2)
     for w in (5, 7, 11, 13, 14):
         p = _derive_params_any(w)
+        split = _SplitPlan(p)
         for _ in range(30):
             x = WideInt(rng.getrandbits(w), w)
-            assert split5_reassemble(split5(x, p), p) == x
+            assert split5_reassemble(split5(x, split), p) == x
 
 
 def test_split5_uses_only_shifts_and_masks():
     p = derive_params(64)
     led = OpLedger(64)
-    split5(WideInt(0x123456789ABCDEF0, 64), p, led)
+    split5(WideInt(0x123456789ABCDEF0, 64), _SplitPlan(p), led)
     assert led.mul == 0 and led.add == 0 and led.sub == 0 and led.cmp == 0
     assert led.shift > 0 and led.bitwise > 0
 
@@ -209,11 +213,11 @@ def test_split5_uses_only_shifts_and_masks():
 def test_split5_cost_independent_of_value():
     rng = random.Random(3)
     for w in (16, 64, 1024):
-        p = derive_params(w)
+        split = _SplitPlan(derive_params(w))
         costs = set()
         for _ in range(40):
             led = OpLedger(w)
-            split5(WideInt(rng.getrandbits(w), w), p, led)
+            split5(WideInt(rng.getrandbits(w), w), split, led)
             costs.add(tuple(sorted(led.as_dict().items())))
         assert len(costs) == 1
 
@@ -221,7 +225,7 @@ def test_split5_cost_independent_of_value():
 def test_split5_rejects_oversized_key():
     p = derive_params(16)
     with pytest.raises(ParameterError):
-        split5(WideInt(0, 17), p)
+        split5(WideInt(0, 17), _SplitPlan(p))
 
 
 # Inner word sizes 5..14 (level 2) plus public ones whose words carry
@@ -232,7 +236,8 @@ MANY_KEY_WIDTHS = (5, 7, 9, 11, 13, 14, 16, 37, 64)
 def split5_one_at_a_time(keys, p):
     """Each key's split5 on its own, key s placed at s * 5 * word_out_bits."""
     stride = 5 * p.word_out_bits
-    return sum(split5(WideInt(k, p.w), p).value << (s * stride)
+    split = _SplitPlan(p)
+    return sum(split5(WideInt(k, p.w), split).value << (s * stride)
                for s, k in enumerate(keys))
 
 
@@ -256,7 +261,7 @@ def test_split5_many_keys_equals_one_key_at_a_time(data, w, count):
         keys = data.draw(st.lists(st.integers(0, (1 << vb) - 1),
                                   min_size=count, max_size=count), label="keys")
     layout = FieldLayout(s_in, count, vb)
-    got = split5(pack_fields(keys, layout), p, None, layout)
+    got = split5(pack_fields(keys, layout), _SplitPlan(p, layout))
     assert got.value == split5_one_at_a_time(keys, p)
     assert got.bits == (count - 1) * stride + 4 * p.word_out_bits + p.word_in_bits
 
@@ -266,11 +271,12 @@ def test_split5_many_keys_cost_independent_of_values():
     for w, count, s_in in ((14, 1270, 65), (5, 85, 20), (11, 7, 35), (64, 3, 64)):
         p = _derive_params_any(w)
         layout = FieldLayout(s_in, count, w)
+        split = _SplitPlan(p, layout)
         costs = set()
         for keys in ([0] * count, [(1 << w) - 1] * count,
                      [rng.getrandbits(w) for _ in range(count)]):
             led = OpLedger(8192)
-            split5(pack_fields(keys, layout), p, led, layout)
+            split5(pack_fields(keys, layout), split, led)
             costs.add(tuple(sorted(led.as_dict().items())))
         assert len(costs) == 1
         assert led.mul == led.add == led.sub == led.cmp == 0
@@ -281,8 +287,8 @@ def test_split5_one_key_layout_charges_like_a_plain_key():
         p = _derive_params_any(w)
         x = WideInt((1 << w) - 1, w)
         plain, laid_out = OpLedger(w), OpLedger(w)
-        want = split5(x, p, plain)
-        assert split5(x, p, laid_out, FieldLayout(w, 1, w)) == want
+        want = split5(x, _SplitPlan(p), plain)
+        assert split5(x, _SplitPlan(p, FieldLayout(w, 1, w)), laid_out) == want
         assert laid_out == plain
 
 
@@ -292,21 +298,22 @@ def test_split5_charges_placements_at_live_width():
     for w, total in ((10, 120), (16, 73), (64, 122), (200, 107), (256, 88),
                      (1024, 142), (8192, 172)):
         led = OpLedger(w)
-        split5(WideInt(0, w), derive_params(w), led)
+        split5(WideInt(0, w), _SplitPlan(derive_params(w)), led)
         assert led.total() == total, w
 
 
 def test_split5_many_keys_rejects_bad_words():
     p = _derive_params_any(14)
     layout = FieldLayout(65, 4, 14)
+    split = _SplitPlan(p, layout)
     with pytest.raises(ParameterError, match="does not hold 4 keys"):
-        split5(WideInt(1 << 14, 260), p, None, layout)
+        split5(WideInt(1 << 14, 260), split)
     with pytest.raises(ParameterError, match="does not hold 4 keys"):
-        split5(WideInt(0, 261), p, None, layout)
+        split5(WideInt(0, 261), split)
     with pytest.raises(ParameterError, match="do not fit"):
-        split5(WideInt(0, 60), p, None, FieldLayout(15, 4, 15))
+        split5(WideInt(0, 60), _SplitPlan(p, FieldLayout(15, 4, 15)))
     with pytest.raises(ParameterError, match="do not fit"):
-        split5(WideInt(0, 0), p, None, FieldLayout(65, 0, 14))
+        split5(WideInt(0, 0), _SplitPlan(p, FieldLayout(65, 0, 14)))
 
 
 # ---------------------------------------------------------------------------
@@ -382,30 +389,30 @@ def test_generator_cost_linear_in_r_deg():
 
 def test_rs_encode_pinned_values():
     p = derive_params(16)
-    g = build_generator(p)
-    x_word = regions(split5(WideInt(0xF000, 16), p), p)[0]
+    rs = _RsPlan(p, p.word_in_bits, build_generator(p).z_packed)
+    x_word = regions(split5(WideInt(0xF000, 16), _SplitPlan(p)), p)[0]
     assert unpack_fields(x_word, msg_layout(p)) == [15]
-    assert unpack_fields(rs_encode(x_word, g, p), p.out_layout()) == [6, 15]
+    assert unpack_fields(rs_encode(x_word, rs), p.out_layout()) == [6, 15]
 
     zero = WideInt(0, p.word_in_bits)
-    assert rs_encode(zero, g, p).value == 0
+    assert rs_encode(zero, rs).value == 0
 
     p = derive_params(64)
-    g = build_generator(p)
     one = WideInt(1, p.word_in_bits)
-    assert unpack_fields(rs_encode(one, g, p), p.out_layout()) == [3, 56, 53, 1, 0, 0]
+    rs = _RsPlan(p, one.bits, build_generator(p).z_packed)
+    assert unpack_fields(rs_encode(one, rs), p.out_layout()) == [3, 56, 53, 1, 0, 0]
 
 
 def test_rs_encode_matches_symbolic_oracle():
     rng = random.Random(4)
     for w in (16, 64):
         p = derive_params(w)
-        g = build_generator(p)
+        rs = _RsPlan(p, msg_layout(p).total_bits, build_generator(p).z_packed)
         oracle_gen = symbolic_generator(p.P, p.alpha, p.r_deg)
         for _ in range(10_000):
             msg = [rng.randrange(1 << p.B) for _ in range(p.blocks_per_word)]
             x_word = pack_fields(msg, msg_layout(p))
-            got = unpack_fields(rs_encode(x_word, g, p), p.out_layout())
+            got = unpack_fields(rs_encode(x_word, rs), p.out_layout())
             assert got == symbolic_poly_mul(msg, oracle_gen, p.P, p.out_slots)
 
 
@@ -413,11 +420,12 @@ def test_rs_encode_linearity_over_field():
     rng = random.Random(5)
     p = derive_params(64)
     g = build_generator(p)
+    rs = _RsPlan(p, msg_layout(p).total_bits, g.z_packed)
     for _ in range(300):
         mx = [rng.randrange(1 << p.B) for _ in range(p.blocks_per_word)]
         my = [rng.randrange(1 << p.B) for _ in range(p.blocks_per_word)]
-        fx = unpack_fields(rs_encode(pack_fields(mx, msg_layout(p)), g, p), p.out_layout())
-        fy = unpack_fields(rs_encode(pack_fields(my, msg_layout(p)), g, p), p.out_layout())
+        fx = unpack_fields(rs_encode(pack_fields(mx, msg_layout(p)), rs), p.out_layout())
+        fy = unpack_fields(rs_encode(pack_fields(my, msg_layout(p)), rs), p.out_layout())
         diff_msg = [(a - b) % p.P for a, b in zip(mx, my)]
         want = symbolic_poly_mul(diff_msg, list(g.coeffs), p.P, p.out_slots)
         assert [(a - b) % p.P for a, b in zip(fx, fy)] == want
@@ -430,13 +438,15 @@ def test_rs_encode_five_regions_equal_five_single_words():
     params = [derive_params(w) for w in (10, 16, 37, 64, 256, 1024)]
     params += [_derive_params_any(w) for w in range(5, 15)]
     for p in params:
-        g = build_generator(p)
+        z = build_generator(p).z_packed
+        split = _SplitPlan(p)
+        rs, rs_one = _RsPlan(p, split.out_bits, z), _RsPlan(p, p.word_in_bits, z)
         for x in [0, (1 << p.w) - 1] + [rng.getrandbits(p.w) for _ in range(20)]:
-            word = split5(WideInt(x, p.w), p)
-            got = rs_encode(word, g, p)
+            word = split5(WideInt(x, p.w), split)
+            got = rs_encode(word, rs)
             want = 0
             for i, wd in enumerate(regions(word, p)):
-                want |= rs_encode(wd, g, p).value << (i * p.word_out_bits)
+                want |= rs_encode(wd, rs_one).value << (i * p.word_out_bits)
             assert got == WideInt(want, 5 * p.word_out_bits), (p.w, x)
 
 
@@ -444,12 +454,13 @@ def test_rs_encode_cost_constant_per_w():
     rng = random.Random(6)
     for w in (16, 64, 1024):
         p = derive_params(w)
-        g = build_generator(p)
+        split = _SplitPlan(p)
+        rs = _RsPlan(p, split.out_bits, build_generator(p).z_packed)
         costs = set()
         for _ in range(30):
             x = WideInt(rng.getrandbits(w), w)
             led = OpLedger(w)
-            rs_encode(split5(x, p, led), g, p, led)
+            rs_encode(split5(x, split, led), rs, led)
             costs.add(tuple(sorted(led.as_dict().items())))
         assert len(costs) == 1
 
@@ -468,10 +479,21 @@ def plain_product(a, b):
 
 def distinct_conv_shapes():
     """One width for every distinct (B, blocks_per_word, r_deg) over the
-    internal widths _W_INTERNAL_MIN..W_MAX."""
+    internal widths _W_INTERNAL_MIN..W_MAX.
+
+    On the way it checks, at every width, the two shape facts `_SplitPlan`
+    relies on.  A word of several blocks has comb stride 5B equal to the
+    slot stride S, so one shift places the word.  And the key stride
+    5 * word_out_bits is at least 1.5 times the reversal width r, so no
+    round of a many-key split reads the next key; r depends on n_blocks,
+    which the shape key leaves out.
+    """
     shapes = {}
     for w in range(_W_INTERNAL_MIN, W_MAX + 1):
         p = _derive_params_any(w)
+        assert p.blocks_per_word == 1 or p.S == 5 * p.B, w
+        r = (1 << (p.n_blocks - 1).bit_length()) * p.B
+        assert 5 * p.word_out_bits >= r + r // 2, w
         shapes.setdefault((p.B, p.blocks_per_word, p.r_deg), p)
     return list(shapes.values())
 
@@ -506,10 +528,11 @@ def test_real_conv_layouts_reduce_the_all_top_word_exactly():
         layout = p.conv_layout(5)
         word = WideInt(repeat_bits((1 << layout.value_bound) - 1, layout.slot_width,
                                    layout.slot_count), layout.total_bits)
-        packed = parallel_mod(word, layout, p.P)
+        plan = _ParallelModPlan(layout, p.P)
+        packed = parallel_mod(word, plan)
         assert packed == parallel_mod_reference(word, layout, p.P), w
         assert set(unpack_fields(packed, layout)) == {((1 << layout.value_bound) - 1) % p.P}
-        passes.add(len(_ParallelModPlan(layout, p.P).parities))
+        passes.add(len(plan.parities))
     assert passes == {1, 2}
 
 
@@ -621,7 +644,7 @@ def test_plan_posts_equal_op_by_op_charges(w):
     p = derive_params(w)
     layout = p.out_layout(5)
     q = _derive_params_any(p.B + 1)
-    split, inner_split = _SplitPlan(p, None), _SplitPlan(q, layout)
+    split, inner_split = _SplitPlan(p), _SplitPlan(q, layout)
     g = build_generator(p)
     rs = _RsPlan(p, split.out_bits, g.z_packed)
     plans = [split, rs.mod, rs, inner_split,
@@ -640,11 +663,11 @@ def test_plan_posts_equal_op_by_op_charges(w):
     x = WideInt((1 << w) - 1, w)
     for word_bits in (8, w):
         led = OpLedger(word_bits)
-        words = split5(x, p, led)
+        words = split5(x, split, led)
         assert led == op_by_op(word_bits, split.ops)
         led = OpLedger(word_bits)
-        rs_encode(words, g, p, led)
+        rs_encode(words, rs, led)
         assert led == op_by_op(word_bits, rs.ops, rs.mod.ops)
         led = OpLedger(word_bits)
-        split5(WideInt(0, layout.total_bits), q, led, layout)
+        split5(WideInt(0, layout.total_bits), inner_split, led)
         assert led == op_by_op(word_bits, inner_split.ops)

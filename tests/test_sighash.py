@@ -10,6 +10,7 @@ from wordcode.ecc_core import build_code, encode
 from wordcode.errors import (
     CodecFormatError,
     CodecVersionError,
+    CodeValidationError,
     DuplicateKeyError,
     ParameterError,
 )
@@ -407,6 +408,18 @@ def test_signature_obj_rejects_malformed(tmp_path):
         bad[key] = value
         with pytest.raises(CodecFormatError):
             signature_from_obj(bad)
+    # A code error keeps its type and says it is about the code, not a
+    # field of the signature itself.
+    bad = dict(obj, code=dict(obj["code"]))
+    del bad["code"]["B"]
+    with pytest.raises(CodecFormatError, match=r"^code: missing fields: \['B'\]$"):
+        signature_from_obj(bad)
+    bad["code"] = dict(obj["code"], version=2)
+    with pytest.raises(CodecVersionError, match="^code: unsupported description version 2$"):
+        signature_from_obj(bad)
+    bad["code"] = dict(obj["code"], m=5)
+    with pytest.raises(CodeValidationError, match="^code: stored m=5 but w=16 rebuilds m=3$"):
+        signature_from_obj(bad)
     # File errors start with the file's path.
     path = tmp_path / "sig.json"
     save_signature(path, fn)

@@ -431,18 +431,20 @@ def test_reciprocal_exact_at_any_width(divisor, bits, seed):
 
 def test_parallel_mod_pinned_slots():
     layout = FieldLayout(16, 3, 7)
+    plan = _ParallelModPlan(layout, 67)
     word = pack_fields([100, 3, 68], layout)
-    out = parallel_mod(word, layout, 67)
+    out = parallel_mod(word, plan)
     assert unpack_fields(out, layout) == [33, 3, 1]
     zero = WideInt(0, layout.total_bits)
-    assert parallel_mod(zero, layout, 67) == zero
+    assert parallel_mod(zero, plan) == zero
 
 
 def test_parallel_mod_matches_reference_exhaustive_per_slot():
     layout = FieldLayout(30, 4, 12)
+    plan = _ParallelModPlan(layout, 17)
     for value in range(1 << 12):
         word = pack_fields([value] * 4, layout)
-        packed = parallel_mod(word, layout, 17)
+        packed = parallel_mod(word, plan)
         ref = parallel_mod_reference(word, layout, 17)
         assert packed == ref, f"mismatch at slot value {value}"
 
@@ -450,36 +452,39 @@ def test_parallel_mod_matches_reference_exhaustive_per_slot():
 def test_parallel_mod_matches_reference_random_words():
     rng = random.Random(3)
     layout = FieldLayout(30, 6, 20)
+    plan = _ParallelModPlan(layout, 67)
     for _ in range(2000):
         vals = [rng.randrange(1 << 20) for _ in range(6)]
         word = pack_fields(vals, layout)
-        assert parallel_mod(word, layout, 67) == parallel_mod_reference(word, layout, 67)
-        assert unpack_fields(parallel_mod(word, layout, 67), layout) == [v % 67 for v in vals]
+        assert parallel_mod(word, plan) == parallel_mod_reference(word, layout, 67)
+        assert unpack_fields(parallel_mod(word, plan), layout) == [v % 67 for v in vals]
 
 
 def test_parallel_mod_single_and_empty_layouts():
     one = FieldLayout(30, 1, 20)
     word = pack_fields([999999], one)
-    assert unpack_fields(parallel_mod(word, one, 67), one) == [999999 % 67]
+    assert unpack_fields(parallel_mod(word, _ParallelModPlan(one, 67)), one) == [999999 % 67]
     empty = FieldLayout(30, 0, 20)
-    assert parallel_mod(WideInt(0, 0), empty, 67) == WideInt(0, 0)
+    assert parallel_mod(WideInt(0, 0), _ParallelModPlan(empty, 67)) == WideInt(0, 0)
 
 
 def test_parallel_mod_ignores_bits_above_layout():
     layout = FieldLayout(16, 2, 7)
     word = pack_fields([100, 68], layout)
     widened = WideInt(word.value | (0x5 << 32), 40)
-    assert unpack_fields(parallel_mod(widened, layout, 67), layout) == [33, 1]
+    assert unpack_fields(parallel_mod(widened, _ParallelModPlan(layout, 67)),
+                         layout) == [33, 1]
 
 
 def test_parallel_mod_cost_independent_of_values():
     layout = FieldLayout(30, 6, 20)
+    plan = _ParallelModPlan(layout, 67)
     rng = random.Random(4)
     costs = set()
     for _ in range(50):
         word = pack_fields([rng.randrange(1 << 20) for _ in range(6)], layout)
         led = OpLedger(64)
-        parallel_mod(word, layout, 67, led)
+        parallel_mod(word, plan, led)
         costs.add(tuple(sorted(led.as_dict().items())))
     assert len(costs) == 1
 
@@ -490,7 +495,7 @@ def test_parallel_mod_cost_independent_of_slot_count():
     # number of passes.
     def cost(layout):
         led = OpLedger(64)
-        parallel_mod(WideInt(0, layout.total_bits), layout, 67, led)
+        parallel_mod(WideInt(0, layout.total_bits), _ParallelModPlan(layout, 67), led)
         return led.total()
 
     for passes, lay_few, lay_many in [(2, FieldLayout(30, 6, 20), FieldLayout(12, 15, 8)),
@@ -530,23 +535,25 @@ def test_parallel_mod_pass_rule_at_its_edge(divisor, value_bits):
             for word in words:
                 above = rng.getrandbits(24) << layout.total_bits
                 for w in (word, WideInt(word.value | above, layout.total_bits + 24)):
-                    assert parallel_mod(w, layout, divisor) == \
+                    assert parallel_mod(w, plan) == \
                         parallel_mod_reference(w, layout, divisor), (width, count)
 
 
 def test_parallel_mod_rejects_short_word_and_tight_layout():
     layout = FieldLayout(30, 2, 20)
     with pytest.raises(LayoutError):
-        parallel_mod(WideInt(0, 30), layout, 67)
+        parallel_mod(WideInt(0, 30), _ParallelModPlan(layout, 67))
     # The one check of a reciprocal's divisor, on both routes.
-    for route in (parallel_mod, parallel_mod_reference):
-        with pytest.raises(LayoutError, match="divisor must be at least 2, got 1"):
-            route(WideInt(0, 60), layout, 1)
+    with pytest.raises(LayoutError, match="divisor must be at least 2, got 1"):
+        parallel_mod(WideInt(0, 60), _ParallelModPlan(layout, 1))
+    with pytest.raises(LayoutError, match="divisor must be at least 2, got 1"):
+        parallel_mod_reference(WideInt(0, 60), layout, 1)
     # Slots only a bit wider than the divisor need no spare field bits.
     tight = FieldLayout(8, 2, 8)
+    plan = _ParallelModPlan(tight, 67)
     for v in range(256):
         word = pack_fields([v, 255 - v], tight)
-        assert unpack_fields(parallel_mod(word, tight, 67), tight) == [v % 67, (255 - v) % 67]
+        assert unpack_fields(parallel_mod(word, plan), tight) == [v % 67, (255 - v) % 67]
 
 
 @settings(deadline=None, max_examples=300, database=None)
@@ -561,7 +568,7 @@ def test_parallel_mod_matches_reference_on_random_layouts(data):
     divisor = data.draw(st.integers(2, (1 << width) - 1), label="divisor")
     layout = FieldLayout(width, count, bound)
     try:
-        _ParallelModPlan(layout, divisor)
+        plan = _ParallelModPlan(layout, divisor)
     except LayoutError:
         assume(False)
     top = (1 << bound) - 1
@@ -570,7 +577,7 @@ def test_parallel_mod_matches_reference_on_random_layouts(data):
     above = data.draw(st.integers(0, (1 << 16) - 1), label="bits above the layout")
     word = WideInt(int(pack_fields(values, layout)) | above << layout.total_bits,
                    layout.total_bits + 16)
-    packed = parallel_mod(word, layout, divisor)
+    packed = parallel_mod(word, plan)
     assert packed == parallel_mod_reference(word, layout, divisor)
     assert unpack_fields(packed, layout) == [v % divisor for v in values]
 
@@ -595,8 +602,8 @@ def test_reference_route_charges_linearly_but_packed_does_not():
     lay6 = FieldLayout(30, 6, 20)
     lay12 = FieldLayout(30, 12, 20)
     packed6, packed12, ref6, ref12 = (OpLedger(64) for _ in range(4))
-    parallel_mod(WideInt(0, 180), lay6, 67, packed6)
-    parallel_mod(WideInt(0, 360), lay12, 67, packed12)
+    parallel_mod(WideInt(0, 180), _ParallelModPlan(lay6, 67), packed6)
+    parallel_mod(WideInt(0, 360), _ParallelModPlan(lay12, 67), packed12)
     parallel_mod_reference(WideInt(0, 180), lay6, 67, ref6)
     parallel_mod_reference(WideInt(0, 360), lay12, 67, ref12)
     assert ref12.total() >= 2 * ref6.total() - 8
