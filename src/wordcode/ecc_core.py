@@ -247,11 +247,11 @@ def _build(p: RsParams, delta, level: int, phases: defaultdict, prefix: str = ""
     """Assemble the code, charging each construction phase to its own
     ledger `phases[prefix + name]`; the level-2 inner build's prefix is `inner.`."""
     _charge_param_search(p, phases[prefix + "param_search"])
-    gen = build_generator(p, phases[prefix + "generator"])
+    gen = build_generator(p, ledger=phases[prefix + "generator"])
 
     if level == 1:
         inner = find_multiplier(p.B, DEFAULT_DELTA if delta is None else delta,
-                                phases[prefix + "multiplier_scan"])
+                                ledger=phases[prefix + "multiplier_scan"])
         inner_ecc = None
     else:
         inner = None
@@ -339,7 +339,8 @@ def encode(code: EccCode, x, ledger: OpLedger | None = None) -> WideInt:
     the key's int (`_EncodePlans.run`).  With one, the spec route is one
     loop over the levels, calling each stage by name, and each stage
     posts its plan's declared charges to the ledger in one call; both
-    routes run the same plan arithmetic.
+    routes run the same plan arithmetic.  Only the key's width is
+    checked here: the stage widths were checked when the plans resolved.
     """
     plans, w = code._plans, code.params.w
     if ledger is None:
@@ -353,7 +354,7 @@ def encode(code: EccCode, x, ledger: OpLedger | None = None) -> WideInt:
         plans = plans.inner
 
 
-def _encode_nested(code: EccCode, x, ledger: OpLedger | None = None) -> WideInt:
+def _encode_nested(code: EccCode, x, ledger: OpLedger) -> WideInt:
     """Level-2 encode one residue at a time: the independent slow route
     that the packed level-2 `encode` is checked against.
 

@@ -126,7 +126,7 @@ def _verify_multiplier(m: int, b: int, delta: Fraction) -> None:
             f"{reprlib.repr(t)} for B={b}")
 
 
-def find_multiplier(b: int, delta, ledger: OpLedger | None = None) -> InnerCode:
+def find_multiplier(b: int, delta, ledger: OpLedger) -> InnerCode:
     """Smallest m in [1, 2^(3(B+1))) with pair distance >= ceil(delta*B).
 
     The search owns its domain (`_search_domain`), and when no multiplier
@@ -144,12 +144,10 @@ def find_multiplier(b: int, delta, ledger: OpLedger | None = None) -> InnerCode:
         m_hi = 1 << (3 * (b + 1))
         m = _kernels.scan_multiplier(b, 1, m_hi, t)
         if m == -1:
-            if ledger is not None:
-                _charge_scan(ledger, b, m_hi - 1)
+            _charge_scan(ledger, b, m_hi - 1)
             raise MultiplierNotFoundError(b, delta, DEFAULT_DELTA)
         _verify_multiplier(m, b, delta)
-    if ledger is not None:
-        _charge_scan(ledger, b, m)
+    _charge_scan(ledger, b, m)
     return InnerCode(b, m, delta, t)
 
 
@@ -179,7 +177,7 @@ class _MultPlan:
         return (v * self.m) & self.mask
 
 
-def inner_encode(word: WideInt, plan: _MultPlan, ledger: OpLedger | None = None) -> WideInt:
+def inner_encode(word: WideInt, plan: _MultPlan, ledger: OpLedger) -> WideInt:
     """f_2: one whole-word multiply by m, then cut back to the layout;
     the plan is `_MultPlan(ic, layout)`.
 
@@ -187,11 +185,5 @@ def inner_encode(word: WideInt, plan: _MultPlan, ledger: OpLedger | None = None)
     2^(4(B+1)) <= 2^S and cannot carry across slot boundaries, which is
     what makes the single multiplication equal the per-slot map.
     """
-    if word.bits > plan.bits:
-        raise LayoutError(
-            f"word of {word.bits} bits does not fit layout "
-            f"({plan.bits} bits)"
-        )
-    if ledger is not None:
-        ledger.post(plan.ops)
+    ledger.post(plan.ops)
     return WideInt(plan.apply(word.value), plan.bits)

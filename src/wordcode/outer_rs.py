@@ -253,7 +253,7 @@ class _SplitPlan:
         return out
 
 
-def split5(x: WideInt, plan: _SplitPlan, ledger: OpLedger | None = None) -> WideInt:
+def split5(x: WideInt, plan: _SplitPlan, ledger: OpLedger) -> WideInt:
     """Deal each key's blocks into 5 message words side by side in one word.
 
     x holds plan.symbols.slot_count keys, key s in slot s of that layout
@@ -268,15 +268,8 @@ def split5(x: WideInt, plan: _SplitPlan, ledger: OpLedger | None = None) -> Wide
     is charged at the width of the bits it spans, never the value; the
     plan declares them and they are posted at once.
     """
-    symbols = plan.symbols
-    if x.bits > symbols.total_bits:
-        raise ParameterError(
-            f"word of {x.bits} bits does not hold {symbols.slot_count} keys "
-            f"in {symbols.total_bits} bits")
-    out = plan.apply(x.value)
-    if ledger is not None:
-        ledger.post(plan.ops)
-    return WideInt(out, plan.out_bits)
+    ledger.post(plan.ops)
+    return WideInt(plan.apply(x.value), plan.out_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +291,7 @@ def _gen_layout(p: RsParams) -> FieldLayout:
     return FieldLayout(p.S, p.r_deg + 1, 2 * (p.B + 1) + 1)
 
 
-def build_generator(p: RsParams, ledger: OpLedger | None = None) -> GeneratorPoly:
+def build_generator(p: RsParams, ledger: OpLedger) -> GeneratorPoly:
     """Expand the generator by iterated packed monomial multiplication.
 
     Each step wide-multiplies the packed polynomial by the packed
@@ -317,8 +310,7 @@ def build_generator(p: RsParams, ledger: OpLedger | None = None) -> GeneratorPol
     z = z.extend(gen_layout.total_bits)
     a_i = alpha
     for _ in range(2, r + 1):
-        if ledger is not None:
-            ledger.charge("mul", prime_p.bit_length(), prime_p.bit_length())
+        ledger.charge("mul", prime_p.bit_length(), prime_p.bit_length())
         a_i = div_by_const(a_i * alpha, pow_rec, ledger)[1]
         mono = pack_fields([prime_p - a_i, 1], coeff_layout, ledger)
         # No slot of the product overflows gen_layout: slot k is
@@ -328,7 +320,7 @@ def build_generator(p: RsParams, ledger: OpLedger | None = None) -> GeneratorPol
         # S >= 4(B+1) keeps each slot clear of the next.  The tests check
         # every product slot of every generator the builds expand.
         raw = wide_mul(z, mono, ledger)
-        z = parallel_mod(raw, plan, ledger)
+        z = parallel_mod(raw, plan, ledger=ledger)
     return GeneratorPoly(tuple(unpack_fields(z, gen_layout)), z)
 
 
@@ -353,7 +345,7 @@ class _RsPlan:
         return self.mod.apply(v * self.z)
 
 
-def rs_encode(x_word: WideInt, plan: _RsPlan, ledger: OpLedger | None = None) -> WideInt:
+def rs_encode(x_word: WideInt, plan: _RsPlan, ledger: OpLedger) -> WideInt:
     """f_1 on each message word of x_word: multiply by z_r, reduce mod P.
 
     Word i sits at bit i * word_out_bits, as split5 lays them out, and
@@ -369,7 +361,6 @@ def rs_encode(x_word: WideInt, plan: _RsPlan, ledger: OpLedger | None = None) ->
     generator.  The multiply stays here, outside `_RsPlan.apply`, so the
     reduction runs as its own `parallel_mod` call.
     """
-    if ledger is not None:
-        ledger.post(plan.ops)
+    ledger.post(plan.ops)
     prod = WideInt(x_word.value * plan.z, x_word.bits + plan.z_bits)
-    return parallel_mod(prod, plan.mod, ledger)
+    return parallel_mod(prod, plan.mod, ledger=ledger)

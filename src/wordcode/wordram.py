@@ -499,20 +499,15 @@ class _ParallelModPlan:
         return out
 
 
-def parallel_mod(word: WideInt, plan: _ParallelModPlan,
-                 ledger: OpLedger | None = None) -> WideInt:
+def parallel_mod(word: WideInt, plan: _ParallelModPlan, ledger: OpLedger) -> WideInt:
     """Reduce every slot of `word` modulo the plan's divisor in one packed
     pass, or one per slot parity (see `_ParallelModPlan`).
 
-    Bits of `word` above the layout's total_bits are ignored.  The
+    Bits of `word` above the layout's total_bits are ignored; a word
+    shorter than the layout reads its missing slots as zero.  The
     charged cost depends only on the layout and divisor, never on slot
     values: the plan's operations, posted at once.
     """
-    if word.bits < plan.bits:
-        raise LayoutError(
-            f"word of {word.bits} bits shorter than layout ({plan.bits})"
-        )
-    if ledger is not None:
-        ledger.post(plan.ops)
+    ledger.post(plan.ops)
     return WideInt(plan.apply(word.value), plan.bits)
 

@@ -54,7 +54,8 @@ def wide_trunc(a: WideInt, bits: int, ledger: OpLedger | None = None) -> WideInt
 
 def parallel_mod_reference(word: WideInt, layout: FieldLayout, divisor: int,
                            ledger: OpLedger | None = None) -> WideInt:
-    """Slot-at-a-time route with the same contract as parallel_mod.
+    """Slot-at-a-time route to what parallel_mod computes, for a word at
+    least as wide as the layout.
 
     Linear cost in slot_count; kept as the independent implementation
     that the packed route is checked against.

@@ -79,6 +79,7 @@ def test_criterion_01_parallel_mod_equivalence():
             slots = 4096
             layout = FieldLayout(64, slots, v)
             plan = _ParallelModPlan(layout, divisor)
+            ledger = OpLedger(64)
             total = 1 << v
             for lo in range(0, total, slots):
                 vals = np.arange(lo, min(lo + slots, total), dtype=np.uint64)
@@ -86,17 +87,18 @@ def test_criterion_01_parallel_mod_equivalence():
                     pad = np.zeros(slots - vals.shape[0], dtype=np.uint64)
                     vals = np.concatenate([vals, pad])
                 for word in _pack_rows(vals[None, :], layout):
-                    fast = parallel_mod(word, plan)
+                    fast = parallel_mod(word, plan, ledger)
                     slow = parallel_mod_reference(word, layout, divisor)
                     if fast != slow:
                         mismatches += 1
             # Plus 10^5 random packed words in a narrower layout.
             layout = FieldLayout(64, 8, v)
             plan = _ParallelModPlan(layout, divisor)
+            ledger = OpLedger(64)
             rng = np.random.default_rng(1000 + divisor)
             rows = rng.integers(0, 1 << v, size=(100_000, 8), dtype=np.uint64)
             for word in _pack_rows(rows, layout):
-                if parallel_mod(word, plan) != \
+                if parallel_mod(word, plan, ledger) != \
                         parallel_mod_reference(word, layout, divisor):
                     mismatches += 1
         elapsed = time.monotonic() - started
@@ -108,7 +110,7 @@ def test_criterion_02_generator_matches_symbolic_oracle():
     with verdict(2, "generator coefficients"):
         for w in (10, 16, 32, 64, 256):
             p = derive_params(w)
-            g = build_generator(p)
+            g = build_generator(p, OpLedger(w))
             oracle = symbolic_generator(p.P, p.alpha, p.r_deg)
             assert list(g.coeffs) == oracle, f"w={w}"
             if w == 64:
@@ -119,12 +121,12 @@ def test_criterion_03_outer_distance_bch_bound():
     with verdict(3, "outer distance bound"):
         for w in (10, 16):
             p = derive_params(w)
-            g = build_generator(p)
+            g = build_generator(p, OpLedger(w))
             best = min_weight_multiple_check(g, p, mode="exhaustive")
             assert best >= p.r_deg + 1
         for w in (64, 256):
             p = derive_params(w)
-            g = build_generator(p)
+            g = build_generator(p, OpLedger(w))
             best = min_weight_multiple_check(g, p, mode="random",
                                              samples=100_000, seed=0)
             assert best >= p.r_deg + 1
@@ -134,7 +136,7 @@ def test_criterion_04_inner_code_exists():
     with verdict(4, "inner code search"):
         for b in (4, 5, 6, 7, 8):
             started = time.monotonic()
-            inner = find_multiplier(b, Fraction(1, 2))
+            inner = find_multiplier(b, Fraction(1, 2), OpLedger(64))
             assert time.monotonic() - started < 60.0
             assert inner.threshold == math.ceil(b / 2)
             # Independent re-scan over every pair, plain ints only.

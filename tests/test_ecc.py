@@ -252,7 +252,7 @@ def test_encode_level2_packed_matches_nested_batch_and_oracle():
         for x, row in zip(keys, rows):
             cw = encode(code, x)
             assert cw.bits == code.codeword_bits
-            assert cw == _encode_nested(code, x), (w, x)
+            assert cw == _encode_nested(code, x, OpLedger(w)), (w, x)
             assert int(cw) == encode_oracle(code, x), (w, x)
             assert int(cw) == sum(int(v) << (64 * t) for t, v in enumerate(row)), (w, x)
 
@@ -278,7 +278,7 @@ def _check_routes(code, x):
     assert plain == ledgered, (w, code.level, x)
     assert plain.bits == code.codeword_bits
     if code.level == 2:
-        assert plain == _encode_nested(code, x), (w, x)
+        assert plain == _encode_nested(code, x, OpLedger(w)), (w, x)
 
 
 @pytest.mark.parametrize("w, level", ROUTE_CODES)
@@ -432,7 +432,7 @@ def test_both_routes_refuse_a_generator_too_narrow_for_the_reduction(w, level, i
 def test_encode_nested_rejects_level1():
     code, _ = build_code(16, None, 1)
     with pytest.raises(ParameterError, match="level-2"):
-        _encode_nested(code, 0)
+        _encode_nested(code, 0, OpLedger(16))
 
 
 def test_encode_accepts_narrower_wideint():
@@ -718,9 +718,8 @@ def test_probe_encode_must_charge_its_phases(monkeypatch):
     # fails the build.
     import wordcode.ecc_core as ecc_core
 
-    def overcharging(word, plan, ledger=None):
-        if ledger is not None:
-            ledger.charge("bitwise", 1)
+    def overcharging(word, plan, ledger):
+        ledger.charge("bitwise", 1)
         return inner_encode(word, plan, ledger)
 
     monkeypatch.setattr(ecc_core, "inner_encode", overcharging)

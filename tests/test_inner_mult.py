@@ -56,7 +56,7 @@ def test_pair_min_distance_matches_oracle():
 
 def test_frozen_multiplier_table():
     for b, expected in FROZEN_MULTIPLIERS.items():
-        ic = find_multiplier(b, Fraction(1, 2))
+        ic = find_multiplier(b, Fraction(1, 2), OpLedger(64))
         assert ic.m == expected
         assert ic.threshold == math.ceil(b / 2)
         assert ic.delta == Fraction(1, 2)
@@ -64,13 +64,13 @@ def test_frozen_multiplier_table():
 
 def test_found_multiplier_passes_exhaustive_oracle():
     for b in (4, 6):
-        ic = find_multiplier(b, DEFAULT_DELTA)
+        ic = find_multiplier(b, DEFAULT_DELTA, OpLedger(64))
         assert pair_min_distance_oracle(ic.m, b) >= ic.threshold
 
 
 def test_returned_multiplier_is_smallest():
     for b in (3, 4, 5):
-        ic = find_multiplier(b, Fraction(1, 2))
+        ic = find_multiplier(b, Fraction(1, 2), OpLedger(64))
         assert ic.m == scan_multiplier_oracle(b, 1, 1 << (3 * (b + 1)), ic.threshold)
 
 
@@ -78,7 +78,7 @@ def test_default_delta_succeeds_at_every_b():
     # A failed search reports DEFAULT_DELTA as achievable; that holds
     # because it succeeds at every searchable B.
     for b in range(1, B_MAX + 1):
-        assert find_multiplier(b, DEFAULT_DELTA).delta == DEFAULT_DELTA
+        assert find_multiplier(b, DEFAULT_DELTA, OpLedger(64)).delta == DEFAULT_DELTA
 
 
 def test_reachable_thresholds_are_the_largest_reached():
@@ -102,12 +102,12 @@ def test_impossible_threshold_rejected(monkeypatch):
 
     monkeypatch.setattr(_kernels, "scan_multiplier", no_scan)
     with pytest.raises(MultiplierNotFoundError) as exc_info:
-        find_multiplier(4, 6)
+        find_multiplier(4, 6, OpLedger(64))
     assert exc_info.value.achievable == Fraction(1, 2)
     assert str(exc_info.value) == "no multiplier reaches delta=6 for B=4; delta=1/2 succeeds"
     for b, delta in ((7, Fraction(10, 7)), (8, Fraction(11, 8))):
         with pytest.raises(MultiplierNotFoundError) as exc_info:
-            find_multiplier(b, delta)
+            find_multiplier(b, delta, OpLedger(64))
         assert str(exc_info.value) == (
             f"no multiplier reaches delta={delta} for B={b}; delta=1/2 succeeds")
 
@@ -115,7 +115,7 @@ def test_impossible_threshold_rejected(monkeypatch):
 def test_search_exhaustion_raises_not_found(monkeypatch):
     # 15 of 16 bits at b=3 is past the largest reachable threshold, 5.
     with pytest.raises(MultiplierNotFoundError) as exc_info:
-        find_multiplier(3, 5)
+        find_multiplier(3, 5, OpLedger(64))
     err = exc_info.value
     assert err.bits == 3
     assert err.delta == Fraction(5)
@@ -135,21 +135,21 @@ def test_search_exhaustion_raises_not_found(monkeypatch):
 
 def test_find_multiplier_rejects_bad_args():
     with pytest.raises(ParameterError, match="B must be at least 1, got 0"):
-        find_multiplier(0, Fraction(1, 2))
+        find_multiplier(0, Fraction(1, 2), OpLedger(64))
     with pytest.raises(ParameterError,
                        match="no inner code is searchable for 11-bit symbols; "
                              "the word size needs a level-2 construction"):
-        find_multiplier(B_MAX + 1, Fraction(1, 2))
+        find_multiplier(B_MAX + 1, Fraction(1, 2), OpLedger(64))
     with pytest.raises(ParameterError, match="delta must be positive"):
-        find_multiplier(4, 0)
+        find_multiplier(4, 0, OpLedger(64))
     with pytest.raises(ParameterError, match="delta must be positive"):
-        find_multiplier(4, Fraction(-1, 2))
+        find_multiplier(4, Fraction(-1, 2), OpLedger(64))
     # B is read as an index, as the word size is.
     for b, name in ((4.0, "float"), ("4", "str"), (None, "NoneType"), (True, "bool")):
         with pytest.raises(ParameterError, match=f"B must be an integer, not {name}"):
-            find_multiplier(b, Fraction(1, 2))
-    ic = find_multiplier(np.int64(4), Fraction(1, 2))
-    assert type(ic.B) is int and ic == find_multiplier(4, Fraction(1, 2))
+            find_multiplier(b, Fraction(1, 2), OpLedger(64))
+    ic = find_multiplier(np.int64(4), Fraction(1, 2), OpLedger(64))
+    assert type(ic.B) is int and ic == find_multiplier(4, Fraction(1, 2), OpLedger(64))
 
 
 def test_scan_answer_failing_verification_is_a_fault(monkeypatch):
@@ -157,7 +157,7 @@ def test_scan_answer_failing_verification_is_a_fault(monkeypatch):
     monkeypatch.setattr(_kernels, "scan_multiplier", lambda *args: 1)
     with pytest.raises(CodeValidationError,
                        match="multiplier 1 has pair distance 1, below threshold 3 for B=4"):
-        find_multiplier(4, Fraction(3, 4))
+        find_multiplier(4, Fraction(3, 4), OpLedger(64))
 
 
 def test_tabled_multipliers_are_what_the_scan_finds():
@@ -187,12 +187,12 @@ def test_only_untabled_thresholds_scan(monkeypatch):
 
     monkeypatch.setattr(_kernels, "scan_multiplier", recording_scan)
     monkeypatch.setattr(_kernels, "pair_min_distance", recording_verify)
-    ic = find_multiplier(4, Fraction(3, 4))
+    ic = find_multiplier(4, Fraction(3, 4), OpLedger(64))
     assert (ic.m, ic.threshold) == (23, 3)
     assert calls == [(4, 1, 1 << 15, 3), ("verify", 23, 4)]
     calls.clear()
     for delta in (DEFAULT_DELTA, Fraction(3, 8), Fraction(1, 4) + Fraction(1, 100)):
-        assert find_multiplier(4, delta).m == 3
+        assert find_multiplier(4, delta, OpLedger(64)).m == 3
     assert calls == []
 
 
@@ -201,12 +201,12 @@ def test_only_untabled_thresholds_scan(monkeypatch):
 def test_find_multiplier_parses_delta(value):
     # Whatever Fraction refuses is one ParameterError naming delta.
     with pytest.raises(ParameterError, match="delta must be a rational number"):
-        find_multiplier(4, value)
+        find_multiplier(4, value, OpLedger(64))
 
 
 def test_find_multiplier_deterministic():
-    a = find_multiplier(6, Fraction(1, 2))
-    b = find_multiplier(6, Fraction(1, 2))
+    a = find_multiplier(6, Fraction(1, 2), OpLedger(64))
+    b = find_multiplier(6, Fraction(1, 2), OpLedger(64))
     assert a == b
 
 
@@ -225,7 +225,7 @@ def test_search_charges_closed_form():
 def test_inner_encode_zero():
     ic = InnerCode(4, 13, Fraction(1, 2), 2)
     layout = FieldLayout(20, 2, 5)
-    out = inner_encode(WideInt(0, 40), _MultPlan(ic, layout))
+    out = inner_encode(WideInt(0, 40), _MultPlan(ic, layout), OpLedger(64))
     assert int(out) == 0
     assert out.bits == 40
 
@@ -234,7 +234,7 @@ def test_inner_encode_pinned_slots():
     ic = InnerCode(4, 13, Fraction(1, 2), 2)
     layout = FieldLayout(20, 2, 5)
     word = pack_fields([6, 15], layout)
-    out = inner_encode(word, _MultPlan(ic, layout))
+    out = inner_encode(word, _MultPlan(ic, layout), OpLedger(64))
     wide = FieldLayout(20, 2, 20)
     assert unpack_fields(out, wide) == [78, 195]
 
@@ -242,13 +242,14 @@ def test_inner_encode_pinned_slots():
 def test_inner_encode_matches_per_slot_oracle():
     import random
     rng = random.Random(20260817)
-    ic = find_multiplier(6, Fraction(1, 2))
+    ic = find_multiplier(6, Fraction(1, 2), OpLedger(64))
     layout = FieldLayout(30, 6, 7)
     wide = FieldLayout(30, 6, 28)
     plan = _MultPlan(ic, layout)
+    led = OpLedger(64)
     for _ in range(200):
         vals = [rng.randrange(128) for _ in range(6)]
-        out = inner_encode(pack_fields(vals, layout), plan)
+        out = inner_encode(pack_fields(vals, layout), plan, led)
         assert unpack_fields(out, wide) == [v * ic.m for v in vals]
         assert out.bits == layout.total_bits
 
@@ -256,13 +257,7 @@ def test_inner_encode_matches_per_slot_oracle():
 def test_inner_encode_rejects_narrow_layout():
     ic = InnerCode(6, 29, Fraction(1, 2), 3)
     with pytest.raises(LayoutError):
-        inner_encode(WideInt(0, 40), _MultPlan(ic, FieldLayout(20, 2, 5)))
-
-
-def test_inner_encode_rejects_oversized_word():
-    ic = InnerCode(4, 13, Fraction(1, 2), 2)
-    with pytest.raises(LayoutError):
-        inner_encode(WideInt(0, 60), _MultPlan(ic, FieldLayout(20, 2, 5)))
+        inner_encode(WideInt(0, 40), _MultPlan(ic, FieldLayout(20, 2, 5)), OpLedger(64))
 
 
 def test_inner_encode_cost_value_independent():

