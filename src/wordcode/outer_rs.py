@@ -143,8 +143,10 @@ class _SplitPlan:
 
     Reading blocks most-significant-first while keeping slot 0 = the
     word's first block means the natural comb extraction would deliver
-    the blocks in reversed order; a log2(n_blocks)-round block-reversal
-    butterfly fixes the order with shifts and masks only, after which
+    the blocks in reversed order.  One shift pads each key to the
+    reversal width, a power of two of blocks, so its first block sits in
+    the top slot; a log2(n_blocks)-round block-reversal butterfly then
+    brings block j to slot j with shifts and masks only, after which
     every word is one comb mask, one shift into its region and one OR.
     Several keys first spread from their input stride to the output
     stride 5 * word_out_bits; every later mask repeats at that stride,
@@ -155,8 +157,7 @@ class _SplitPlan:
     `apply` runs them.
     """
 
-    __slots__ = ("symbols", "pad", "rounds", "drop", "combs", "spread", "spill",
-                 "out_bits", "ops")
+    __slots__ = ("symbols", "pad", "rounds", "combs", "spread", "out_bits", "ops")
 
     def __init__(self, p: RsParams, symbols: FieldLayout | None = None):
         if symbols is None:
@@ -166,9 +167,8 @@ class _SplitPlan:
         stride = 5 * p.word_out_bits
         count = symbols.slot_count
         self.symbols = symbols
-        self.pad = nb * b - p.w
         width = n2 * b
-        self.drop = (n2 - nb) * b
+        self.pad = width - p.w
         base = (count - 1) * stride
         live = base + nb * b
         span = base + width
@@ -178,7 +178,6 @@ class _SplitPlan:
             raise ParameterError(
                 f"{count} keys of {vb} bits at stride {s_in} do not fit "
                 f"w={p.w}, output stride {stride}")
-        self.spill = repeat_bits(((1 << s_in) - 1) ^ ((1 << vb) - 1), s_in, count)
         # Key s moves from bit s * s_in to bit s * stride in one round per
         # bit of s, highest first: round k moves every key with bit k set
         # by 2^k (stride - s_in).  Before round k, key s sits at
@@ -210,8 +209,6 @@ class _SplitPlan:
                     ("shift", span - g, g), ("bitwise", span, 0)]
             half *= 2
         self.rounds = tuple(rounds)
-        if self.drop:
-            ops.append(("shift", span, 0))
         # Block i + 5t sits at bit i*B + t*5B.  The comb stride 5B equals
         # S whenever a word carries more than one block (tested at every
         # width), so one shift moves the whole word to i * word_out_bits;
@@ -229,24 +226,13 @@ class _SplitPlan:
         self.ops = OpList(ops)
 
     def apply(self, v: int) -> int:
-        """The five words of every key in v, side by side.
-
-        Raises ParameterError when a key of a many-key word reaches past
-        its value bound into the gap before the next key; `spill` is 0
-        for a single key.
-        """
-        if v & self.spill:
-            sym = self.symbols
-            raise ParameterError(
-                f"word does not hold {sym.slot_count} keys below "
-                f"2^{sym.value_bound} at stride {sym.slot_width}")
+        """The five words of every key in v, side by side."""
         for shift, mask in self.spread:
             sel = v & mask
             v = (v ^ sel) | (sel << shift)
         v <<= self.pad
         for g, mask in self.rounds:
             v = ((v >> g) & mask) | ((v & mask) << g)
-        v >>= self.drop
         out = 0
         for comb, shift in self.combs:
             out |= (v & comb) << shift
@@ -307,7 +293,7 @@ def build_generator(p: RsParams, ledger: OpLedger) -> GeneratorPoly:
     plan = _ParallelModPlan(gen_layout, prime_p)
     pow_rec = _reciprocal_any_width(prime_p, 2 * prime_p.bit_length())
     z = pack_fields([prime_p - alpha, 1], coeff_layout, ledger)
-    z = z.extend(gen_layout.total_bits)
+    z = WideInt(z.value, gen_layout.total_bits)
     a_i = alpha
     for _ in range(2, r + 1):
         ledger.charge("mul", prime_p.bit_length(), prime_p.bit_length())

@@ -59,12 +59,6 @@ class WideInt:
         digits = -(-self.bits // 4)
         return format(self.value, f"0{digits}x") if digits else ""
 
-    def extend(self, bits: int) -> "WideInt":
-        """Zero-extend to a larger declared width.  Free: no data moves."""
-        if bits < self.bits:
-            raise LayoutError(f"cannot extend {self.bits} bits down to {bits}")
-        return WideInt(self.value, bits)
-
     def __int__(self) -> int:
         return self.value
 
@@ -235,8 +229,10 @@ class OpLedger:
 
 # ---------------------------------------------------------------------------
 # Wide operations.  Every function takes an optional ledger; passing None
-# computes the value without charging, which the construction-time code
-# uses for building masks and other one-off constants.
+# computes the value without charging.  The library's one uncharged call
+# is `unpack_fields` reading the generator's coefficients in
+# `outer_rs.build_generator`; plan masks come from `repeat_bits` on
+# plain ints.
 
 
 def wide_mul(a: WideInt, b: WideInt, ledger: OpLedger | None = None) -> WideInt:

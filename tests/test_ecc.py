@@ -305,23 +305,6 @@ def test_plain_encode_equals_ledgered_route_on_any_key(data):
     _check_routes(_route_code(w, level), data.draw(st.integers(0, (1 << w) - 1)))
 
 
-def test_plain_encode_keeps_the_level2_spill_guard():
-    # A residue that reaches past the inner key's value bound would spill
-    # into its neighbour; the data check lives in the split plan's apply,
-    # so both routes refuse it.
-    code = _route_code(64, 2)
-    plans = code._plans
-    layout = plans.layout
-    bad = 1 << layout.value_bound  # slot 0 one bit past the bound
-    assert plans.inner.split.spill & bad
-    with pytest.raises(ParameterError, match="does not hold"):
-        plans.inner.split.apply(bad)
-    with pytest.raises(ParameterError, match="does not hold"):
-        split5(WideInt(bad, layout.total_bits), plans.inner.split, OpLedger(64))
-    # At level 1 there is no gap to guard.
-    assert _route_code(64, 1)._plans.split.spill == 0
-
-
 class _CountingInt:
     """A stand-in int that appends the op kind of every &, |, ^, *, -, +,
     << and >> it takes part in to `log`, and carries the plain result.
@@ -372,18 +355,15 @@ def _declared_kinds(op_lists):
 def test_each_stage_plan_charges_the_operations_its_apply_runs(w, level):
     # `apply` is the arithmetic both routes run and `ops` the charge the
     # ledger gets; each stage's traced op kinds and counts must be what
-    # `phases` declares for it.  Two gaps are by design, both in the
-    # split: the spill guard `v & spill` is a data check, not charged,
-    # and `v >>= drop` with drop == 0 moves nothing, so it is left out.
+    # `phases` declares for it.
     code = _route_code(w, level)
     plans = top = code._plans
     x = random.Random(f"trace-{w}-{level}").getrandbits(w)
     v, levels = x, 0
     while True:
         levels += 1
-        uncharged = Counter(bitwise=1, shift=int(plans.split.drop == 0))
         traced, v = _traced_kinds(plans.split.apply, v)
-        assert traced == _declared_kinds(plans.phases["split5"]) + uncharged, levels
+        assert traced == _declared_kinds(plans.phases["split5"]), levels
         traced, v = _traced_kinds(plans.rs.apply, v)
         assert traced == _declared_kinds(plans.phases["rs_encode"]), levels
         if plans.inner is None:

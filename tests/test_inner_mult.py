@@ -254,10 +254,10 @@ def test_inner_encode_matches_per_slot_oracle():
         assert out.bits == layout.total_bits
 
 
-def test_inner_encode_rejects_narrow_layout():
+def test_mult_plan_rejects_narrow_layout():
     ic = InnerCode(6, 29, Fraction(1, 2), 3)
-    with pytest.raises(LayoutError):
-        inner_encode(WideInt(0, 40), _MultPlan(ic, FieldLayout(20, 2, 5)), OpLedger(64))
+    with pytest.raises(LayoutError, match="below product bound"):
+        _MultPlan(ic, FieldLayout(20, 2, 5))
 
 
 def test_inner_encode_cost_value_independent():

@@ -297,25 +297,21 @@ def test_split5_one_key_layout_charges_like_a_plain_key():
 
 
 def test_split5_charges_placements_at_live_width():
-    # The five placements act on the n_blocks * B bits left after the
-    # reversal's padding is dropped, not the power-of-two width.
-    for w, total in ((10, 120), (16, 73), (64, 122), (200, 107), (256, 88),
-                     (1024, 142), (8192, 172)):
+    # The reversal leaves each key's blocks in its n_blocks * B low bits,
+    # so the five placements act on those, not the power-of-two width.
+    for w, total in ((10, 118), (16, 73), (64, 120), (200, 106), (256, 88),
+                     (1024, 140), (8192, 170)):
         led = OpLedger(w)
         split5(WideInt(0, w), _SplitPlan(derive_params(w)), led)
         assert led.total() == total, w
 
 
-def test_split5_many_keys_rejects_bad_words():
+def test_split_plan_rejects_keys_that_do_not_fit():
     p = _derive_params_any(14)
-    layout = FieldLayout(65, 4, 14)
-    split = _SplitPlan(p, layout)
-    with pytest.raises(ParameterError, match="does not hold 4 keys"):
-        split5(WideInt(1 << 14, 260), split, OpLedger(64))
     with pytest.raises(ParameterError, match="do not fit"):
-        split5(WideInt(0, 60), _SplitPlan(p, FieldLayout(15, 4, 15)), OpLedger(64))
+        _SplitPlan(p, FieldLayout(15, 4, 15))
     with pytest.raises(ParameterError, match="do not fit"):
-        split5(WideInt(0, 0), _SplitPlan(p, FieldLayout(65, 0, 14)), OpLedger(64))
+        _SplitPlan(p, FieldLayout(65, 0, 14))
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +488,9 @@ def distinct_conv_shapes():
     slot stride S, so one shift places the word.  And the key stride
     5 * word_out_bits is at least 1.5 times the reversal width r, so no
     round of a many-key split reads the next key; r depends on n_blocks,
-    which the shape key leaves out.
+    which the shape key leaves out.  It also checks that every residue,
+    below P, is within the residue layout's value bound, which is what
+    keeps a level-2 inner split's keys inside their slots.
     """
     shapes = {}
     for w in range(_W_INTERNAL_MIN, W_MAX + 1):
@@ -500,6 +498,7 @@ def distinct_conv_shapes():
         assert p.blocks_per_word == 1 or p.S == 5 * p.B, w
         r = (1 << (p.n_blocks - 1).bit_length()) * p.B
         assert 5 * p.word_out_bits >= r + r // 2, w
+        assert p.P < 1 << p.out_layout().value_bound, w
         shapes.setdefault((p.B, p.blocks_per_word, p.r_deg), p)
     return list(shapes.values())
 

@@ -209,9 +209,10 @@ def _optional_ledgers(tree: ast.Module) -> list:
 
 
 def test_only_encode_sig_eval_and_primitives_take_an_optional_ledger():
-    # Public encodes run uncharged without a ledger, and plan constants
-    # are built with uncharged primitives.  Every other function that
-    # charges is handed the ledger it charges: stages and build phases.
+    # Public encodes run uncharged without a ledger, and `build_generator`
+    # reads its coefficients with an uncharged `unpack_fields`.  Every
+    # other function that charges is handed the ledger it charges: stages
+    # and build phases.
     found = [name for p in sorted(PACKAGE.glob("*.py"))
              for name in _optional_ledgers(ast.parse(p.read_text(encoding="utf-8")))]
     assert sorted(found) == ["div_by_const", "encode", "pack_fields", "sig_eval",

@@ -101,14 +101,6 @@ def test_wideint_hex_round_trip():
     assert WideInt(0, 0).to_hex() == ""
 
 
-def test_wideint_extend_is_free():
-    x = WideInt(7, 3)
-    y = x.extend(10)
-    assert y == WideInt(7, 10)
-    with pytest.raises(LayoutError):
-        y.extend(3)
-
-
 # ---------------------------------------------------------------------------
 # Ledger charges
 
