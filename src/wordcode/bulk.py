@@ -245,7 +245,8 @@ def min_weight_multiple_check(g: GeneratorPoly, p: RsParams,
     mode draws and convolves its messages in chunks of at most 2^22
     product entries, so its memory does not grow with `samples`.  The
     result must reach r_deg + 1 (BCH bound for consecutive-power roots);
-    falling short would mean the field arithmetic is broken, and raises.
+    falling short means broken field arithmetic: CodeValidationError.
+    Random mode can miss it (one root short at w=256 read 10 against 8).
     """
     if mode == "exhaustive":
         count = p.P**p.blocks_per_word
@@ -272,7 +273,7 @@ def min_weight_multiple_check(g: GeneratorPoly, p: RsParams,
         conv = _kernels.poly_mul_mod(cols, g.coeffs, p.P)
         best = min(best, int(np.count_nonzero(conv, axis=0).min()))
     if best < p.r_deg + 1:
-        raise ParameterError(
+        raise CodeValidationError(
             f"observed multiple of weight {best}, below the BCH bound {p.r_deg + 1}"
         )
     return best

@@ -265,7 +265,7 @@ def build_code(w: int, delta=None, level: int = 1):
     delta defaults to DEFAULT_DELTA.  Level 2 recursively
     builds its inner stage as a level-1 code for word size B+1; the
     construction phases cover both levels, charged at word size w.  The
-    encode phases are the code's plans' declared charges; a probe encode
+    encode phases are the code's plans' traced charges; a probe encode
     of key 0 on the ledgered route must charge exactly their sum, else
     CodeValidationError.
     """
@@ -338,7 +338,7 @@ def encode(code: EccCode, x, ledger: OpLedger | None = None) -> WideInt:
     Without a ledger, the code's resolved plans run straight through on
     the key's int (`_EncodePlans.run`).  With one, the spec route is one
     loop over the levels, calling each stage by name, and each stage
-    posts its plan's declared charges to the ledger in one call; both
+    posts its plan's traced charges to the ledger in one call; both
     routes run the same plan arithmetic.  Only the key's width is
     checked here: the stage widths were checked when the plans resolved.
     """

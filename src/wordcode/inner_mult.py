@@ -25,7 +25,7 @@ from .errors import (
     ParameterError,
 )
 from .outer_rs import _index
-from .wordram import FieldLayout, OpLedger, OpList, Record, WideInt
+from .wordram import FieldLayout, OpLedger, Record, WideInt, _traced_ops
 
 B_MAX = 10
 
@@ -164,13 +164,12 @@ class _MultPlan:
                 f"slot width {layout.slot_width} below product bound "
                 f"{4 * (ic.B + 1)} bits"
             )
-        m_bits = WideInt(ic.m, 3 * (ic.B + 1)).bits  # m must fit its word
+        if not 0 <= ic.m < 1 << (3 * (ic.B + 1)):
+            raise LayoutError(f"multiplier {ic.m} does not fit {3 * (ic.B + 1)} bits (B={ic.B})")
         self.m = ic.m
         self.bits = layout.total_bits
         self.mask = (1 << self.bits) - 1
-        # One whole-word multiply, then one mask over the product.
-        self.ops = OpList((("mul", self.bits, m_bits),
-                           ("bitwise", self.bits + m_bits, 0)))
+        self.ops = _traced_ops(self.apply, self.bits)
 
     def apply(self, v: int) -> int:
         """Every slot of v times m, cut back to the layout."""

@@ -26,11 +26,11 @@ from .numtheory import find_field_prime, find_primitive_root
 from .wordram import (
     FieldLayout,
     OpLedger,
-    OpList,
     Record,
     WideInt,
     _ParallelModPlan,
     _reciprocal_any_width,
+    _traced_ops,
     div_by_const,
     pack_fields,
     parallel_mod,
@@ -152,9 +152,8 @@ class _SplitPlan:
     stride 5 * word_out_bits; every later mask repeats at that stride,
     so each step acts on every key at once.  Constants are tiled by
     doubling (`repeat_bits`), so a plan costs O(log count) big-integer
-    operations per mask, not one per key.  `ops` declares every
-    operation split5 runs, each at the width of the bits it spans, and
-    `apply` runs them.
+    operations per mask, not one per key.  `ops` traces `apply` from the
+    top key's end.
     """
 
     __slots__ = ("symbols", "pad", "rounds", "combs", "spread", "out_bits", "ops")
@@ -167,12 +166,8 @@ class _SplitPlan:
         stride = 5 * p.word_out_bits
         count = symbols.slot_count
         self.symbols = symbols
-        width = n2 * b
-        self.pad = width - p.w
-        base = (count - 1) * stride
-        live = base + nb * b
-        span = base + width
-        self.out_bits = base + 4 * p.word_out_bits + p.word_in_bits
+        self.pad = n2 * b - p.w
+        self.out_bits = (count - 1) * stride + 4 * p.word_out_bits + p.word_in_bits
         s_in, vb = symbols.slot_width, symbols.value_bound
         if count < 1 or vb > p.w or s_in > stride:
             raise ParameterError(
@@ -182,21 +177,16 @@ class _SplitPlan:
         # bit of s, highest first: round k moves every key with bit k set
         # by 2^k (stride - s_in).  Before round k, key s sits at
         # (s with bits below k+1 cleared) * stride + (s mod 2^(k+1)) * s_in,
-        # so in each group of 2^(k+1) keys the upper half is one run.
+        # so in each group of 2^(k+1) keys the upper half is one run.  A
+        # mask covers only the groups whose upper half holds a key, so no
+        # traced width passes the top key.
         spread = []
-        ops = []
-        last = count - 1
         for k in reversed(range(_ceil_log2(count))):
             h = 1 << k
             run = ((1 << (h * s_in)) - 1) << (h * s_in)
-            mask = repeat_bits(run, 2 * h * stride, -(-count // (2 * h)))
-            at = (last >> (k + 1) << (k + 1)) * stride + (last & (2 * h - 1)) * s_in
-            shift = h * (stride - s_in)
-            spread.append((shift, mask))
-            ops += [("bitwise", at + vb, 0), ("bitwise", at + vb, 0),
-                    ("shift", at + vb, shift), ("bitwise", at + vb + shift, 0)]
+            mask = repeat_bits(run, 2 * h * stride, -(-(count - h) // (2 * h)))
+            spread.append((h * (stride - s_in), mask))
         self.spread = tuple(spread)
-        ops.append(("shift", base + p.w, self.pad))
         # A round shifts by at most width / 2: keys stay apart while
         # stride >= 1.5 * width, which the tests check at every width.
         rounds = []
@@ -205,25 +195,18 @@ class _SplitPlan:
             g = b * half
             mask = repeat_bits((1 << g) - 1, 2 * g, n2 // (2 * half))
             rounds.append((g, repeat_bits(mask, stride, count)))
-            ops += [("shift", span, 0), ("bitwise", span, 0), ("bitwise", span, 0),
-                    ("shift", span - g, g), ("bitwise", span, 0)]
             half *= 2
         self.rounds = tuple(rounds)
         # Block i + 5t sits at bit i*B + t*5B.  The comb stride 5B equals
         # S whenever a word carries more than one block (tested at every
         # width), so one shift moves the whole word to i * word_out_bits;
         # single-block words land wholly in slot 0 either way.
-        block_mask = (1 << b) - 1
         combs = []
         for i in range(5):
-            comb = repeat_bits(block_mask << (i * b), 5 * b, len(range(i, nb, 5)))
-            shift = i * (p.word_out_bits - b)
-            combs.append((repeat_bits(comb, stride, count), shift))
-            ops += [("bitwise", live, 0), ("shift", live, shift)]
-            if i:
-                ops.append(("bitwise", live + shift, 0))
+            comb = repeat_bits(((1 << b) - 1) << (i * b), 5 * b, len(range(i, nb, 5)))
+            combs.append((repeat_bits(comb, stride, count), i * (p.word_out_bits - b)))
         self.combs = tuple(combs)
-        self.ops = OpList(ops)
+        self.ops = _traced_ops(self.apply, (count - 1) * s_in + vb)
 
     def apply(self, v: int) -> int:
         """The five words of every key in v, side by side."""
@@ -250,9 +233,8 @@ def split5(x: WideInt, plan: _SplitPlan, ledger: OpLedger) -> WideInt:
     its inner split on every outer residue in one pass.  Cost: the keys
     spread to their output stride in ceil(log2 count) mask, shift and OR
     rounds, then a shared O(log n_blocks) reversal prologue and mask,
-    shift and OR per word, each over all keys at once.  Each operation
-    is charged at the width of the bits it spans, never the value; the
-    plan declares them and they are posted at once.
+    shift and OR per word, each over all keys at once.  The charge is
+    the plan's, whatever the keys.
     """
     ledger.post(plan.ops)
     return WideInt(plan.apply(x.value), plan.out_bits)
@@ -324,7 +306,7 @@ class _RsPlan:
     def __init__(self, p: RsParams, in_bits: int, z: WideInt):
         self.mod = _ParallelModPlan(p.conv_layout(-(-in_bits // p.word_out_bits)), p.P)
         self.z, self.z_bits = z.value, z.bits
-        self.ops = OpList((("mul", in_bits, z.bits),))
+        self.ops = _traced_ops(operator.mul, in_bits, z.bits)
 
     def apply(self, v: int) -> int:
         """Every message word of v times the generator, reduced mod P."""
@@ -343,9 +325,8 @@ def rs_encode(x_word: WideInt, plan: _RsPlan, ledger: OpLedger) -> WideInt:
     tight bound is what lets the reduction run in a single pass over all
     slots at almost every width (see `_ParallelModPlan`).  A constant
     number of charged operations however many words and slots there are.
-    The plan is `_RsPlan(p, x_word.bits, g.z_packed)` and carries the
-    generator.  The multiply stays here, outside `_RsPlan.apply`, so the
-    reduction runs as its own `parallel_mod` call.
+    The multiply stays here, outside `_RsPlan.apply` (the plan's `ops`
+    trace it alone), so the reduction runs as its own `parallel_mod` call.
     """
     ledger.post(plan.ops)
     prod = WideInt(x_word.value * plan.z, x_word.bits + plan.z_bits)

@@ -49,7 +49,7 @@ from .errors import (
     DuplicateKeyError,
     ParameterError,
 )
-from .wordram import OpLedger, OpList, Record, WideInt
+from .wordram import OpLedger, OpList, Record, WideInt, _traced_ops
 
 SIGNATURE_VERSION = 1
 
@@ -62,16 +62,16 @@ class SignatureFn(Record):
 
     @cached_property
     def _gather(self) -> OpList:
-        """Charged operations of reading `positions` out of a codeword.
+        """Charged operations of `_read`, traced once.  Not a field."""
+        return _traced_ops(self._read, self.code.codeword_bits)
 
-        Per signature bit j: shift the codeword right to positions[j],
-        mask that bit, shift it left to j and OR it into the j bits so
-        far, each at the width it spans.  Not a field.
-        """
-        cw = self.code.codeword_bits
-        return OpList(op for j, pos in enumerate(self.positions) for op in (
-            ("shift", cw, 0), ("bitwise", cw - pos, 0),
-            ("shift", 1, j), ("bitwise", j, j + 1)))
+    def _read(self, cw):
+        """Bit j is bit positions[j] of cw: shift it down, mask it, shift
+        it to j and OR it into the bits so far."""
+        out = 0
+        for j, pos in enumerate(self.positions):
+            out |= ((cw >> pos) & 1) << j
+        return out
 
 
 def position_cap(code: EccCode, n: int) -> int:
@@ -196,16 +196,13 @@ def sig_eval(f: SignatureFn, x, ledger: OpLedger | None = None) -> WideInt:
     """Signature of any w-bit value; bit j reads codeword bit positions[j].
 
     A ledger is charged for the encode and then for the gather of the
-    positions (`SignatureFn._gather`), both by declared widths, so the
+    positions (`SignatureFn._gather`), both by traced widths, so the
     charge does not depend on x.
     """
     cw = int(encode(f.code, x, ledger))
     if ledger is not None:
         ledger.post(f._gather)
-    out = 0
-    for j, pos in enumerate(f.positions):
-        out |= ((cw >> pos) & 1) << j
-    return WideInt(out, len(f.positions))
+    return WideInt(f._read(cw), len(f.positions))
 
 
 def verify_injective(f: SignatureFn, keys) -> bool:

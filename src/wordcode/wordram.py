@@ -11,14 +11,17 @@ operation is charged in machine words:
 
 Values are held as host Python integers inside `WideInt`, which pins an
 explicit bit width so that charges depend only on declared widths, never
-on the numeric value that happens to be stored.  The rules above live
-in one place, `OpLedger.op_units`, and reach a ledger two ways.
-`OpLedger.charge` charges `count` operations of one kind at the given
-widths; every caller passes widths, never word units.  Since the widths
-are fixed per plan, each encode-stage plan declares its operations once
-as an `OpList` of (kind, bits_a, bits_b) records, and the stage posts
-them with one `OpLedger.post` call; the per-kind word units are tallied
-once per ledger word size and cached on the list.
+on the numeric value stored.  The rules above live in one place,
+`OpLedger.op_units`; every caller passes widths, never word units.  An
+encode-stage plan's charges are the (kind, bits_a, bits_b) records that
+`_traced_ops` logs once per plan, running its `apply` on stand-ins that
+bound each operand's bit length (a constant's is its `bit_length()`):
+
+    a & b                 bitwise at the narrower width, which it yields
+    a | b,  a ^ b,  a - b bitwise (sub) at the wider width, which it yields
+    0 | b                 free: an OR into the literal accumulator 0
+    a << s,  a >> s       (shift, a, s) yields a + s; (shift, a, 0), a - s
+    a * b                 (mul, a, b), yielding a + b bits
 
 The packed-field routines treat one wide integer as an array of fixed
 width slots (slot 0 least significant).  `parallel_mod` reduces every
@@ -131,33 +134,22 @@ _KINDS = ("add", "sub", "mul", "shift", "bitwise", "cmp")
 
 
 class OpList:
-    """The operations a plan declares, as (kind, bits_a, bits_b) records.
-
-    `OpLedger.post` charges all of them at once.  Their per-kind word
-    units depend only on the widths and the ledger word size, so they are
-    tallied once per word size and kept in `units`.
-    """
+    """The (kind, bits_a, bits_b) records `_traced_ops` logs for a plan;
+    `units` caches their per-kind word units by ledger word size."""
 
     __slots__ = ("ops", "units")
 
     def __init__(self, ops):
         self.ops = tuple(ops)
-        for kind, _, _ in self.ops:
-            if kind not in _KINDS:
-                raise ValueError(f"unknown op kind {kind!r}")
         self.units = {}
 
 
 class OpLedger:
     """Counter of model operations, grouped by kind.
 
-    `word_bits` is the model word size w.  The ledger never inspects
-    operand values, only declared bit widths, so two runs over different
-    inputs of the same shape always charge identically.  `charge` counts
-    operations of one kind at given widths; an encode stage posts its
-    plan's whole `OpList` with `post`.  Both apply the one set of cost
-    rules in `op_units`, the only place word units are computed.  Two
-    ledgers are equal when their word size and every count are.
+    `word_bits` is the model word size w.  `charge` and `post` turn bit
+    widths, never values, into word units by `op_units`.  Two ledgers
+    are equal when their word size and every count are.
     """
 
     def __init__(self, word_bits: int):
@@ -217,22 +209,62 @@ class OpLedger:
         return self.add + self.sub + self.mul + self.shift + self.bitwise + self.cmp
 
     def as_dict(self) -> dict:
-        return {
-            "add": self.add,
-            "sub": self.sub,
-            "mul": self.mul,
-            "shift": self.shift,
-            "bitwise": self.bitwise,
-            "cmp": self.cmp,
-        }
+        return {kind: getattr(self, kind) for kind in _KINDS}
+
+
+class _Traced:
+    """Value-free stand-in for a plan operand: `bits` bounds its bit
+    length, and each operation appends its (kind, bits_a, bits_b) record
+    to the shared `log`, by the rules in the module docstring."""
+
+    __slots__ = ("bits", "log")
+
+    def __init__(self, bits: int, log: list):
+        self.bits, self.log = bits, log
+
+    def _op(self, kind: str, bits_a: int, bits_b: int = 0, bits: int | None = None):
+        self.log.append((kind, bits_a, bits_b))
+        return _Traced(bits_a if bits is None else bits, self.log)
+
+    def __and__(self, other):
+        return self._op("bitwise", min(self.bits, _width(other)))
+
+    def __xor__(self, other):
+        return self._op("bitwise", max(self.bits, _width(other)))
+
+    def __or__(self, other):
+        return self if type(other) is int and other == 0 else self.__xor__(other)
+
+    def __sub__(self, other):
+        return self._op("sub", max(self.bits, _width(other)))
+
+    def __mul__(self, other):
+        return self._op("mul", self.bits, _width(other), self.bits + _width(other))
+
+    def __lshift__(self, s: int):
+        return self._op("shift", self.bits, s, self.bits + s)
+
+    def __rshift__(self, s: int):
+        return self._op("shift", self.bits, 0, max(self.bits - s, 0))
+
+    __ror__ = __or__
+
+
+def _width(x) -> int:
+    return x.bits if isinstance(x, _Traced) else x.bit_length()
+
+
+def _traced_ops(apply, *widths: int) -> OpList:
+    """The records `apply` logs when run once on one stand-in per width."""
+    log = []
+    apply(*(_Traced(bits, log) for bits in widths))
+    return OpList(log)
 
 
 # ---------------------------------------------------------------------------
 # Wide operations.  Every function takes an optional ledger; passing None
-# computes the value without charging.  The library's one uncharged call
-# is `unpack_fields` reading the generator's coefficients in
-# `outer_rs.build_generator`; plan masks come from `repeat_bits` on
-# plain ints.
+# computes the value without charging, as `outer_rs.build_generator` does
+# reading the generator's coefficients with `unpack_fields`.
 
 
 def wide_mul(a: WideInt, b: WideInt, ledger: OpLedger | None = None) -> WideInt:
@@ -451,12 +483,8 @@ class _ParallelModPlan:
         if divisor < 2:
             raise LayoutError(f"divisor must be at least 2, got {divisor}")
         s, n, v = layout.slot_width, layout.slot_count, layout.value_bound
-        self.bits = bits = layout.total_bits
+        self.bits = layout.total_bits
         self.divisor = divisor
-        self.magic = self.shift = 0
-        self.parities, self.ops = (), OpList(())
-        if n == 0:
-            return
         rec = _reciprocal_any_width(divisor, v)
         # With q = (2**v - 1) // divisor the certificate gives
         # q * 2**k <= (2**v - 1) * M < (q + 1) * 2**k, so the largest
@@ -476,13 +504,8 @@ class _ParallelModPlan:
             (repeat_bits(((1 << s) - 1) << (i * s), step * s, len(range(i, n, step))),
              repeat_bits(((1 << qbits) - 1) << (i * s), step * s, len(range(i, n, step))))
             for i in range(min(n, step)))
-        wide = bits + rec.magic.bit_length()
-        per_pass = (("bitwise", bits, 0), ("mul", bits, rec.magic.bit_length()),
-                    ("shift", wide, 0), ("bitwise", wide, 0),
-                    ("mul", bits, divisor.bit_length()), ("sub", bits, bits))
-        # A second pass's result is OR-ed into the first.
-        self.ops = OpList(per_pass + (per_pass + (("bitwise", bits, 0),)
-                                      if len(self.parities) > 1 else ()))
+        # The first mask bounds any wider input, so all trace alike.
+        self.ops = _traced_ops(self.apply, self.bits)
 
     def apply(self, x: int) -> int:
         """Every slot of x reduced modulo the divisor; bits above the
@@ -500,9 +523,8 @@ def parallel_mod(word: WideInt, plan: _ParallelModPlan, ledger: OpLedger) -> Wid
     pass, or one per slot parity (see `_ParallelModPlan`).
 
     Bits of `word` above the layout's total_bits are ignored; a word
-    shorter than the layout reads its missing slots as zero.  The
-    charged cost depends only on the layout and divisor, never on slot
-    values: the plan's operations, posted at once.
+    shorter than the layout reads its missing slots as zero.  The charge
+    is the plan's, whatever the slot values.
     """
     ledger.post(plan.ops)
     return WideInt(plan.apply(word.value), plan.bits)

@@ -56,7 +56,14 @@ from wordcode.outer_rs import (
     rs_encode,
     split5,
 )
-from wordcode.wordram import FieldLayout, OpLedger, WideInt, unpack_fields
+from wordcode.wordram import (
+    FieldLayout,
+    OpLedger,
+    WideInt,
+    _Traced,
+    _traced_ops,
+    unpack_fields,
+)
 
 BENCH_MODEL = Path(__file__).resolve().parents[1] / "BENCH_model.json"
 KINDS = ("add", "sub", "mul", "shift", "bitwise", "cmp")
@@ -305,91 +312,105 @@ def test_plain_encode_equals_ledgered_route_on_any_key(data):
     _check_routes(_route_code(w, level), data.draw(st.integers(0, (1 << w) - 1)))
 
 
-class _CountingInt:
-    """A stand-in int that appends the op kind of every &, |, ^, *, -, +,
-    << and >> it takes part in to `log`, and carries the plain result.
-    `0 | x` into an empty accumulator is free, as the plans declare it."""
+class _Valued(_Traced):
+    """A `_Traced` stand-in that also carries its value, and checks that
+    the value fits the width the rules trace for it."""
 
-    def __init__(self, value, log):
-        self.value, self.log = value, log
+    __slots__ = ("value",)
 
-    def __bool__(self):
-        return bool(self.value)
+    def __init__(self, value, bits, log):
+        super().__init__(bits, log)
+        assert value.bit_length() <= bits, (value.bit_length(), bits)
+        self.value = value
 
-    def _op(kind, fn, reflected=False):
+    def _twin(name, fn):
+        # The rule runs on a plain stand-in, so it sees no twin method.
         def method(self, other):
-            other = getattr(other, "value", other)
-            if fn is operator.or_ and reflected and other == 0:
+            plain = _Traced(self.bits, self.log)
+            traced = getattr(plain, name)(other)
+            if traced is plain:
                 return self
-            self.log.append(kind)
-            a, b = (other, self.value) if reflected else (self.value, other)
-            return _CountingInt(fn(a, b), self.log)
+            return _Valued(fn(self.value, getattr(other, "value", other)),
+                           traced.bits, self.log)
         return method
 
-    __and__, __rand__ = _op("bitwise", operator.and_), _op("bitwise", operator.and_, True)
-    __or__, __ror__ = _op("bitwise", operator.or_), _op("bitwise", operator.or_, True)
-    __xor__, __rxor__ = _op("bitwise", operator.xor), _op("bitwise", operator.xor, True)
-    __mul__, __rmul__ = _op("mul", operator.mul), _op("mul", operator.mul, True)
-    __sub__, __rsub__ = _op("sub", operator.sub), _op("sub", operator.sub, True)
-    __add__, __radd__ = _op("add", operator.add), _op("add", operator.add, True)
-    __lshift__ = _op("shift", operator.lshift)
-    __rshift__ = _op("shift", operator.rshift)
-    del _op
+    __and__ = _twin("__and__", operator.and_)
+    __or__ = __ror__ = _twin("__or__", operator.or_)
+    __xor__ = _twin("__xor__", operator.xor)
+    __sub__ = _twin("__sub__", operator.sub)
+    __mul__ = _twin("__mul__", operator.mul)
+    __lshift__ = _twin("__lshift__", operator.lshift)
+    __rshift__ = _twin("__rshift__", operator.rshift)
+    del _twin
 
 
-def _traced_kinds(apply, v):
-    """The op kinds `apply` runs on the int v, counted, and its result,
-    which must be what it returns on the plain int."""
+def _run_valued(ops, apply, *args):
+    """apply on one `_Valued` per (value, bits) pair: its records must be
+    the plan's traced `ops`; returns the value."""
     log = []
-    out = apply(_CountingInt(v, log)).value
-    assert out == apply(v)
-    return Counter(log), out
+    out = apply(*(_Valued(value, bits, log) for value, bits in args))
+    assert tuple(log) == ops.ops
+    return out.value
 
 
-def _declared_kinds(op_lists):
-    return Counter(kind for ops in op_lists for kind, _, _ in ops.ops)
-
-
-@pytest.mark.parametrize("w, level", [(16, 1), (64, 1), (256, 1), (1024, 1),
-                                      (64, 2), (1024, 2), (2048, 2), (8192, 2)])
-def test_each_stage_plan_charges_the_operations_its_apply_runs(w, level):
-    # `apply` is the arithmetic both routes run and `ops` the charge the
-    # ledger gets; each stage's traced op kinds and counts must be what
-    # `phases` declares for it.
+@pytest.mark.parametrize("w, level", [(10, 1), (16, 1), (64, 1), (256, 1), (1024, 1),
+                                      (10, 2), (64, 2), (1024, 2), (2048, 2), (8192, 2)])
+def test_every_stage_operand_fits_its_traced_width(w, level):
+    # Each stage plan's charge is traced once from widths alone; running
+    # the same `apply` on values shows every operand and result within
+    # its traced width, the same records, and the plain result.
     code = _route_code(w, level)
-    plans = top = code._plans
-    x = random.Random(f"trace-{w}-{level}").getrandbits(w)
-    v, levels = x, 0
-    while True:
-        levels += 1
-        traced, v = _traced_kinds(plans.split.apply, v)
-        assert traced == _declared_kinds(plans.phases["split5"]), levels
-        traced, v = _traced_kinds(plans.rs.apply, v)
-        assert traced == _declared_kinds(plans.phases["rs_encode"]), levels
-        if plans.inner is None:
-            break
-        plans = plans.inner
-    traced, v = _traced_kinds(plans.mult.apply, v)
-    assert traced == _declared_kinds(plans.phases["inner_encode"])
-    assert levels == level
-    assert v == top.run(x)
+    rng = random.Random(f"widths-{w}-{level}")
+    for x in [0, (1 << w) - 1] + [rng.getrandbits(w) for _ in range(3)]:
+        plans, v, levels = code._plans, x, 0
+        while True:
+            levels += 1
+            split, rs = plans.split, plans.rs
+            top = (split.symbols.slot_count - 1) * split.symbols.slot_width
+            v = _run_valued(split.ops, split.apply, (v, top + split.symbols.value_bound))
+            prod = _run_valued(rs.ops, operator.mul, (v, split.out_bits), (rs.z, rs.z_bits))
+            v = _run_valued(rs.mod.ops, rs.mod.apply, (prod, split.out_bits + rs.z_bits))
+            if plans.inner is None:
+                break
+            plans = plans.inner
+        v = _run_valued(plans.mult.ops, plans.mult.apply, (v, plans.mult.bits))
+        assert levels == level
+        assert v == code._plans.run(x)
 
 
-def test_stage_trace_rejects_an_apply_with_one_more_operation():
-    code = _route_code(64, 1)
-    plans = code._plans
+def test_traced_ops_follow_the_width_rules():
+    for apply, record, bits in [
+            (lambda a, b: a & b, ("bitwise", 5, 0), 5),
+            (lambda a, b: a & 0x3F, ("bitwise", 6, 0), 6),
+            (lambda a, b: a | b, ("bitwise", 9, 0), 9),
+            (lambda a, b: b | 0x3FF, ("bitwise", 10, 0), 10),
+            (lambda a, b: a ^ b, ("bitwise", 9, 0), 9),
+            (lambda a, b: b - a, ("sub", 9, 0), 9),
+            (lambda a, b: a * b, ("mul", 9, 5), 14),
+            (lambda a, b: a * 185, ("mul", 9, 8), 17),
+            (lambda a, b: a << 3, ("shift", 9, 3), 12),
+            (lambda a, b: a >> 3, ("shift", 9, 0), 6)]:
+        log = []
+        out = apply(_Traced(9, log), _Traced(5, log))
+        assert (log, out.bits) == ([record], bits)
+    # An OR into the literal accumulator 0 is free and keeps the operand.
+    log = []
+    a = _Traced(9, log)
+    assert (0 | a) is a and (a | 0) is a and log == []
+    assert _traced_ops(lambda a, b: a * b, 9, 5).ops == (("mul", 9, 5),)
+
+    # A multiply plan whose `apply` masks twice gains exactly that mask.
+    ic, layout = InnerCode(6, 185, 1, 1), FieldLayout(28, 10, 7)
 
     class MaskTwice(_MultPlan):
         def apply(self, v):
             return super().apply(v) & self.mask
 
-    gained = MaskTwice(code.inner, plans.layout)
-    v = plans.rs.apply(plans.split.apply(12345))
-    declared = _declared_kinds((gained.ops,))
-    assert _traced_kinds(plans.mult.apply, v)[0] == declared
-    traced, out = _traced_kinds(gained.apply, v)
-    assert out == plans.mult.apply(v)
-    assert traced - declared == Counter(bitwise=1)
+    plain, gained = _MultPlan(ic, layout), MaskTwice(ic, layout)
+    assert gained.apply(12345) == plain.apply(12345)
+    assert Counter(gained.ops.ops) - Counter(plain.ops.ops) == Counter(
+        {("bitwise", layout.total_bits, 0): 1})
+    assert len(gained.ops.ops) == len(plain.ops.ops) + 1
 
 
 @pytest.mark.parametrize("w, level, inner", [(64, 1, False), (64, 2, False),

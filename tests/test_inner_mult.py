@@ -260,6 +260,15 @@ def test_mult_plan_rejects_narrow_layout():
         _MultPlan(ic, FieldLayout(20, 2, 5))
 
 
+def test_mult_plan_rejects_a_multiplier_past_its_word():
+    # m below 2^(3(B+1)) keeps every product inside its 4(B+1)-bit slot.
+    layout = FieldLayout(28, 3, 7)
+    top = 1 << 21
+    assert _MultPlan(InnerCode(6, top - 1, Fraction(1, 2), 3), layout).m == top - 1
+    with pytest.raises(LayoutError, match=r"multiplier 2097152 does not fit 21 bits \(B=6\)"):
+        _MultPlan(InnerCode(6, top, Fraction(1, 2), 3), layout)
+
+
 def test_inner_encode_cost_value_independent():
     ic = InnerCode(6, 29, Fraction(1, 2), 3)
     layout = FieldLayout(30, 6, 7)
@@ -271,6 +280,7 @@ def test_inner_encode_cost_value_independent():
         seen.add(tuple(sorted(led.as_dict().items())))
     assert len(seen) == 1
     (only,) = seen
-    # One 3x1-word multiply plus a mask over the 201-bit product.
+    # One 3x1-word multiply, then a mask that cuts the product back to
+    # the 180-bit layout, its own width.
     assert dict(only) == {"add": 0, "sub": 0, "mul": 3, "shift": 0,
-                          "bitwise": 4, "cmp": 0}
+                          "bitwise": 3, "cmp": 0}

@@ -10,9 +10,10 @@ from _oracles import parallel_mod_reference, symbolic_generator
 from wordcode import _kernels
 from wordcode.bulk import min_weight_multiple_check
 from wordcode.ecc_core import build_code
-from wordcode.errors import ParameterError
+from wordcode.errors import CodeValidationError, ParameterError
 from wordcode.numtheory import find_field_prime, find_primitive_root
 from wordcode.outer_rs import (
+    RsParams,
     W_MAX,
     _RsPlan,
     _SplitPlan,
@@ -298,9 +299,10 @@ def test_split5_one_key_layout_charges_like_a_plain_key():
 
 def test_split5_charges_placements_at_live_width():
     # The reversal leaves each key's blocks in its n_blocks * B low bits,
-    # so the five placements act on those, not the power-of-two width.
-    for w, total in ((10, 118), (16, 73), (64, 120), (200, 106), (256, 88),
-                     (1024, 140), (8192, 170)):
+    # so the five placements act on those, not the power-of-two width;
+    # each comb mask bounds its placement to the blocks it keeps.
+    for w, total in ((10, 105), (16, 68), (64, 112), (200, 102), (256, 88),
+                     (1024, 131), (8192, 164)):
         led = OpLedger(w)
         split5(WideInt(0, w), _SplitPlan(derive_params(w)), led)
         assert led.total() == total, w
@@ -579,6 +581,17 @@ def test_min_weight_random_mode():
     p = derive_params(256)
     g = generator(p)
     assert min_weight_multiple_check(g, p, "random", samples=20_000, seed=0) >= p.r_deg + 1
+
+
+def test_min_weight_refuses_a_generator_below_the_bch_bound():
+    # A generator with one root fewer than w=64 needs has a multiple of
+    # weight r_deg, below the r_deg + 1 the check demands of the code.
+    p = derive_params(64)
+    short = RsParams(p.w, p.B, p.prime, p.alpha, p.n_blocks, p.blocks_per_word,
+                     p.r_deg - 1, p.S, p.out_slots - 1)
+    g = generator(short)
+    with pytest.raises(CodeValidationError, match="weight 3, below the BCH bound 4"):
+        min_weight_multiple_check(g, p, "exhaustive")
 
 
 def test_min_weight_exhaustive_cap():

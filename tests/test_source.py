@@ -191,6 +191,31 @@ def test_word_unit_check_sees_a_call():
     assert _word_unit_calls(tree) == [1, 3]
 
 
+def _op_list_calls(tree: ast.Module) -> list:
+    """Line numbers of the module's `OpList(` calls, by name or
+    attribute, ascending."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and (getattr(node.func, "id", None) == "OpList"
+                       or getattr(node.func, "attr", None) == "OpList"))
+
+
+def test_only_wordram_builds_an_op_list():
+    # Every plan's charges are traced from its own `apply`
+    # (`wordram._traced_ops`), so no other module writes an `OpList`.
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "wordram.py")
+    assert modules
+    found = {p.name: _op_list_calls(ast.parse(p.read_text(encoding="utf-8")))
+             for p in modules}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_op_list_check_sees_a_call():
+    tree = ast.parse("from .wordram import OpList\nops = OpList(())\n"
+                     "x = wordram.OpList(\n    [('mul', 1, 1)])\nOpList\n")
+    assert _op_list_calls(tree) == [2, 3]
+
+
 def _optional_ledgers(tree: ast.Module) -> list:
     """Names of the module's functions whose `ledger` parameter defaults
     to None, in line order."""
